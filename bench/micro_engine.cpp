@@ -1,11 +1,4 @@
-// Microbenchmarks of the discrete-event engine.
-//
-// Every benchmark takes a trailing queue-impl arg selecting the event
-// queue in the same binary: 0 = the legacy std::function heap, 1 = the
-// typed flat binary heap, 2 = the typed calendar/ladder queue (the
-// production default).  Schedules are identical in every mode (the
-// determinism suite pins that); only the per-event representation and
-// ordering cost moves.
+// Microbenchmarks of the discrete-event engine and its calendar queue.
 
 #include <benchmark/benchmark.h>
 
@@ -16,27 +9,12 @@
 namespace {
 
 using istc::SimTime;
-using istc::sim::QueueImpl;
-
-QueueImpl impl_of(long arg) {
-  switch (arg) {
-    case 0:
-      return QueueImpl::kLegacy;
-    case 1:
-      return QueueImpl::kBinaryHeap;
-    default:
-      return QueueImpl::kCalendar;
-  }
-}
 
 void BM_EngineScheduleAndDrain(benchmark::State& state) {
   const auto n = static_cast<SimTime>(state.range(0));
-  const QueueImpl impl = impl_of(state.range(1));
   for (auto _ : state) {
-    istc::sim::Engine eng(impl);
-    if (impl != QueueImpl::kLegacy) {
-      eng.reserve_events(static_cast<std::size_t>(n));
-    }
+    istc::sim::Engine eng;
+    eng.reserve_events(static_cast<std::size_t>(n));
     long sink = 0;
     for (SimTime t = 0; t < n; ++t) {
       eng.schedule(t, [&sink] { ++sink; });
@@ -46,18 +24,10 @@ void BM_EngineScheduleAndDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EngineScheduleAndDrain)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 2});
+BENCHMARK(BM_EngineScheduleAndDrain)->Arg(1000)->Arg(100000);
 
 // The steady-state shape of a site replay: every event a typed job event
-// dispatched through the JobEventSink vtable, no callbacks at all.  Only
-// meaningful on the typed paths (legacy wraps these in std::function,
-// which BM_EngineScheduleAndDrain already measures).
+// dispatched through the JobEventSink vtable, no callbacks at all.
 void BM_EngineTypedJobStream(benchmark::State& state) {
   struct CountingSink final : istc::sim::JobEventSink {
     long submits = 0;
@@ -66,9 +36,8 @@ void BM_EngineTypedJobStream(benchmark::State& state) {
     void job_finish(std::uint32_t) override { ++finishes; }
   };
   const auto n = static_cast<SimTime>(state.range(0));
-  const QueueImpl impl = impl_of(state.range(1));
   for (auto _ : state) {
-    istc::sim::Engine eng(impl);
+    istc::sim::Engine eng;
     CountingSink sink;
     eng.set_job_sink(&sink);
     eng.reserve_events(static_cast<std::size_t>(2 * n));
@@ -81,14 +50,13 @@ void BM_EngineTypedJobStream(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
-BENCHMARK(BM_EngineTypedJobStream)->Args({100000, 1})->Args({100000, 2});
+BENCHMARK(BM_EngineTypedJobStream)->Arg(100000);
 
 void BM_EngineSameTimestampBatch(benchmark::State& state) {
   // Many events at one timestamp: one quiescent pass per step.
   const auto n = static_cast<SimTime>(state.range(0));
-  const QueueImpl impl = impl_of(state.range(1));
   for (auto _ : state) {
-    istc::sim::Engine eng(impl);
+    istc::sim::Engine eng;
     long hook_calls = 0;
     eng.on_quiescent([&hook_calls](SimTime) { ++hook_calls; });
     for (SimTime i = 0; i < n; ++i) eng.schedule(42, [] {});
@@ -97,21 +65,17 @@ void BM_EngineSameTimestampBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EngineSameTimestampBatch)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 2});
+BENCHMARK(BM_EngineSameTimestampBatch)->Arg(10000);
 
-// Deliberately the typed core's worst case: a recursive chain needs a
-// self-referential callable, and copying a std::function into the queue
-// boxes it (one extra allocation per link vs. the legacy queue, which
-// stores the std::function directly).  Steady-state simulation code never
+// Deliberately the event core's worst case: a recursive chain needs a
+// self-referential callable, so every link boxes a std::function into the
+// callback slab, and with one live event per link the queue drains and
+// re-anchors its wheel on every hop.  Steady-state simulation code never
 // takes this path — it exists to keep the fallback's cost visible.
 void BM_EngineSelfPerpetuatingChain(benchmark::State& state) {
   const long links = state.range(0);
-  const QueueImpl impl = impl_of(state.range(1));
   for (auto _ : state) {
-    istc::sim::Engine eng(impl);
+    istc::sim::Engine eng;
     long count = 0;
     std::function<void()> link = [&] {
       if (++count < links) eng.schedule_in(1, link);
@@ -122,17 +86,12 @@ void BM_EngineSelfPerpetuatingChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * links);
 }
-BENCHMARK(BM_EngineSelfPerpetuatingChain)
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 2});
+BENCHMARK(BM_EngineSelfPerpetuatingChain)->Arg(100000);
 
 // End-to-end: the continual-harvest co-simulation (the heaviest scenario
-// class) with the event core A/B'd across all three queue impls.  Wall ms
-// is the number to compare — this is the event queue's share of a real
-// experiment, everything else held constant.
+// class).  Wall ms is the event core's share of a real experiment plus
+// everything else it drives; queue_heap_allocs counts bucket warm-up.
 void BM_ContinualHarvestEventCore(benchmark::State& state) {
-  const QueueImpl impl = impl_of(state.range(0));
   std::uint64_t seed = 400;
   std::uint64_t heap_allocs = 0;
   for (auto _ : state) {
@@ -142,8 +101,6 @@ void BM_ContinualHarvestEventCore(benchmark::State& state) {
     sc.log_seed = seed++;  // avoid the process-wide cache
     sc.project = istc::core::ProjectSpec::continual_stream(
         32, 120, istc::cluster::site_span(sc.site));
-    sc.typed_events = impl != QueueImpl::kLegacy;
-    sc.queue = impl == QueueImpl::kLegacy ? QueueImpl::kCalendar : impl;
     sc.tracer = &tracer;
     const auto run = istc::core::run_scenario(sc);
     benchmark::DoNotOptimize(run.records.size());
@@ -154,9 +111,6 @@ void BM_ContinualHarvestEventCore(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ContinualHarvestEventCore)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

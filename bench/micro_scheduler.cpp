@@ -44,15 +44,10 @@ void BM_ContinualCoSimulation(benchmark::State& state) {
 BENCHMARK(BM_ContinualCoSimulation)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// A/B of the incremental pass-persistent ResourceProfile (Arg 1) against
-// the old from-scratch per-pass rebuild (Arg 0) on the heaviest pass
-// workload: the continual co-simulation, where every pass used to
-// reconstruct the profile from hundreds of running jobs.  Schedules are
-// identical either way (the determinism suite pins that); only pass cost
-// moves.  `pass_us` is the counter to compare — wall ms includes event-heap
-// and workload-generation time common to both.
+// Scheduler pass cost on the heaviest pass workload, the continual
+// co-simulation.  `pass_us` is the scheduler's share — wall ms also
+// includes event-queue and workload-generation time.
 void BM_ContinualPassWorkload(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
   std::uint64_t seed = 300;
   std::uint64_t pass_us = 0;
   std::uint64_t passes = 0;
@@ -63,7 +58,6 @@ void BM_ContinualPassWorkload(benchmark::State& state) {
     sc.log_seed = seed++;
     sc.project = istc::core::ProjectSpec::continual_stream(
         32, 120, istc::cluster::site_span(sc.site));
-    sc.incremental_profile = incremental;
     sc.tracer = &tracer;
     const auto run = istc::core::run_scenario(sc);
     benchmark::DoNotOptimize(run.records.size());
@@ -76,8 +70,6 @@ void BM_ContinualPassWorkload(benchmark::State& state) {
       static_cast<double>(passes) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ContinualPassWorkload)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

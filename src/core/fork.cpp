@@ -12,8 +12,7 @@ namespace istc::core {
 SimRun::SimRun(const Scenario& scenario)
     : site_(scenario.site),
       span_(cluster::site_span(scenario.site)),
-      metrics_(scenario.metrics),
-      engine_(scenario.queue_impl()) {
+      metrics_(scenario.metrics) {
   workload::JobLog log = scenario.log_seed == 0
                              ? workload::site_log(site_)
                              : workload::site_log(site_, scenario.log_seed);
@@ -29,7 +28,6 @@ SimRun::SimRun(const Scenario& scenario)
 
   sched::PolicySpec policy = sched::site_policy(site_);
   policy.preempt_interstitial = scenario.preempt_interstitial;
-  policy.incremental_profile = scenario.incremental_profile;
   if (scenario.backfill) policy.backfill = *scenario.backfill;
   scheduler_ = std::make_unique<sched::BatchScheduler>(
       engine_, cluster::make_machine(site_), std::move(policy));
@@ -57,7 +55,7 @@ SimRun::SimRun(const Scenario& scenario)
 }
 
 SimRun::SimRun(SimRun& other)
-    : site_(other.site_), span_(other.span_), engine_(other.engine_.queue_impl()) {
+    : site_(other.site_), span_(other.span_) {
   // Order matters: the engine snapshot first (adopt_state checks that no
   // sample is pending and the queue holds no boxed callbacks), then the
   // scheduler clone registers itself as the new engine's sink, then the

@@ -37,12 +37,12 @@
 /// tests/core/test_fork.cpp) — the fork copies the engine's event sequence
 /// counter, so post-fork events tie-break exactly as they would have.
 ///
-/// Restrictions (ISTC_EXPECTS-enforced): forking requires the typed event
-/// core (legacy boxed callbacks can't be copied), no pending metrics
-/// sample, and no scheduler pass in flight (fork between events, not
-/// inside one).  Forks start unobserved — tracer and metrics are not
-/// carried over; attach a fresh tracer via set_tracer if the post-fork
-/// window should be traced.
+/// Restrictions (ISTC_EXPECTS-enforced): forking requires an event queue
+/// holding no generic callbacks (their payloads can't be copied), no
+/// pending metrics sample, and no scheduler pass in flight (fork between
+/// events, not inside one).  Forks start unobserved — tracer and metrics
+/// are not carried over; attach a fresh tracer via set_tracer if the
+/// post-fork window should be traced.
 
 namespace istc::core {
 

@@ -52,7 +52,7 @@ const sched::RunResult& RunCache::continual_run(cluster::Site site,
   return continual_.emplace(key, std::move(result)).first->second;
 }
 
-const sched::RunResult& RunCache::memoized(
+sched::RunResult RunCache::memoized(
     std::uint64_t key, const std::function<sched::RunResult()>& compute) {
   {
     std::lock_guard lk(mu_);
@@ -65,7 +65,7 @@ const sched::RunResult& RunCache::memoized(
   }
   sched::RunResult result = compute();
   std::lock_guard lk(mu_);
-  return memo_.emplace(key, std::move(result)).first->second;
+  return memo_.try_emplace(key, std::move(result)).first->second;
 }
 
 void RunCache::clear() {

@@ -44,13 +44,15 @@ class RunCache {
                                         double utilization_cap = 1.0);
 
   /// Generic memo: a whole-run result under a caller-computed 64-bit key.
-  /// The what-if service keys its reference arm by (session id, baseline
-  /// epoch, horizon), so every query against the same epoch shares one
-  /// reference simulation.  Same discipline as continual_run: computed
-  /// unlocked on miss (concurrent callers may race to simulate; the first
-  /// insert wins and later computes are discarded), cleared by clear().
-  const sched::RunResult& memoized(
-      std::uint64_t key, const std::function<sched::RunResult()>& compute);
+  /// The what-if service keys its reference arm by (baseline epoch,
+  /// frontier, point, horizon), so every query against the same epoch
+  /// shares one reference simulation.  Computed unlocked on miss
+  /// (concurrent callers may race to simulate; the first insert wins and
+  /// later computes are discarded).  Returned by value, copied under the
+  /// cache lock: a concurrent clear() — the service clears on every
+  /// accepted ingest — cannot free the entry while it is being read.
+  sched::RunResult memoized(std::uint64_t key,
+                            const std::function<sched::RunResult()>& compute);
 
   /// Drop every entry (tests use this to bound memory).  Invalidates all
   /// references previously returned.

@@ -10,7 +10,6 @@ namespace istc::grid {
 GridMachine::GridMachine(MachineSetup setup)
     : setup_(std::move(setup)),
       name_(setup_.name.empty() ? setup_.spec.name : setup_.name),
-      engine_(setup_.queue_impl()),
       tracer_(trace::TraceMode::kCountersOnly) {
   scheduler_ = std::make_unique<sched::BatchScheduler>(
       engine_, cluster::Machine(setup_.spec, setup_.downtime), setup_.policy);
@@ -29,7 +28,6 @@ GridMachine::GridMachine(MachineSetup setup)
 GridMachine::GridMachine(GridMachine& other)
     : setup_(other.setup_),
       name_(other.name_),
-      engine_(other.setup_.queue_impl()),
       tracer_(trace::TraceMode::kCountersOnly),
       next_local_id_(other.next_local_id_),
       arrivals_(other.arrivals_),

@@ -10,11 +10,11 @@
 /// Sim-time sampler: a self-scheduling probe of live scheduler state.
 ///
 /// The sampler rides the engine's sample deadline (Engine::schedule_sample),
-/// which is *hook-transparent* in both queue modes: a timestamp reached
-/// only by the sample never triggers a scheduler pass, so sampling on
-/// or off yields bit-identical schedules (pinned by tests) and the
-/// per-tick cost is one probe plus one row append.  Every sampled value is
-/// sim-time derived, so equal-seed runs produce byte-identical series.
+/// which is *hook-transparent*: a timestamp reached only by the sample
+/// never triggers a scheduler pass, so sampling on or off yields
+/// bit-identical schedules (pinned by tests) and the per-tick cost is one
+/// probe plus one row append.  Every sampled value is sim-time derived, so
+/// equal-seed runs produce byte-identical series.
 
 namespace istc::sim {
 class Engine;

@@ -11,11 +11,11 @@
 /// The scheduling pass as a pipeline of composable stages.
 ///
 /// One pass = PriorityStage → DispatchStage → BackfillStage → GateStage,
-/// each an object with its own run/time counters.  Site policies (PBS /
-/// LSF / DPCS) and the ablation baselines differ only in how the stages
-/// are configured — backfill discipline, preemption — not in branches
-/// inside one monolithic function, which is what lets new disciplines be
-/// added as stage configurations.
+/// each an object whose wall time lands in TraceSummary::stage_us.  Site
+/// policies (PBS / LSF / DPCS) and the ablation baselines differ only in
+/// how the stages are configured — backfill discipline, preemption — not
+/// in branches inside one monolithic function, which is what lets new
+/// disciplines be added as stage configurations.
 ///
 /// Stages communicate through a PassState that the scheduler threads
 /// through the pipeline; the scheduler's persistent ResourceProfile and
@@ -69,15 +69,6 @@ struct PassState {
   }
 };
 
-/// Cheap per-stage counters (wall time is recorded only when a counting
-/// tracer is attached, mirroring trace::ScopedPassTimer's contract that
-/// untraced runs never read the clock).
-struct StageStats {
-  std::uint64_t runs = 0;
-  std::uint64_t us_total = 0;
-  std::uint64_t us_max = 0;
-};
-
 /// One stage of the scheduling pass.
 class PassStage {
  public:
@@ -89,14 +80,11 @@ class PassStage {
 
   StageKind kind() const { return kind_; }
   const char* name() const { return stage_name(kind_); }
-  const StageStats& stats() const { return stats_; }
 
   virtual void run(BatchScheduler& sched, PassState& st) = 0;
 
  private:
-  friend class BatchScheduler;
   StageKind kind_;
-  StageStats stats_;
 };
 
 /// Recompute fair-share priorities and sort the queue — or prove nothing

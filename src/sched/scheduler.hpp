@@ -69,11 +69,6 @@ struct PolicySpec {
   /// impact collapses to ~zero; the price is the killed jobs' wasted
   /// cycles, reported via RunResult::killed.
   bool preempt_interstitial = false;
-  /// Maintain the free-CPU profile incrementally across passes (the fast
-  /// path).  OFF rebuilds it from every running job at each pass — kept
-  /// as the A/B baseline for bench/micro_scheduler and as a debugging
-  /// fallback; schedules are identical either way.
-  bool incremental_profile = true;
 };
 
 /// Snapshot handed to the post-pass hook (the interstitial driver).
@@ -129,8 +124,7 @@ struct SchedulerProbe {
   /// job is blocked.
   Seconds head_backfill_wall = -1;
   /// Free CPUs per the free-CPU profile at `now` — the current interstice
-  /// width in the estimated schedule (equals free_cpus between passes when
-  /// incremental maintenance is on).
+  /// width in the estimated schedule (equals free_cpus between passes).
   int interstice_cpus = 0;
   /// Seconds until the free-CPU profile next changes value (how long the
   /// current interstice holds, per estimates); -1 when constant forever.
@@ -247,15 +241,15 @@ class BatchScheduler : private sim::JobEventSink {
   const JobStore& store() const { return store_; }
   const SchedulerStats& stats() const { return stats_; }
 
-  /// The pass pipeline (PriorityStage → DispatchStage → BackfillStage →
-  /// GateStage) with each stage's run counters.
-  const std::vector<std::unique_ptr<PassStage>>& pipeline() const {
-    return pipeline_;
-  }
-
   /// The pass-persistent future free-CPU profile.  Between passes it
   /// describes running jobs only (reservations are pass-local).
   const ResourceProfile& profile() const { return profile_; }
+
+  /// From-scratch profile at `now`: capacity minus every running job's
+  /// estimated remainder and every open capacity outage.  The reference
+  /// the incremental profile must equal between passes — checked every
+  /// pass under ISTC_PARANOID, and by tests from the post-pass hook.
+  ResourceProfile rebuild_profile(SimTime now) const;
 
   /// Snapshot from the most recent completed scheduling pass (zero-valued
   /// before the first pass).  Cached by GateStage whether or not a
@@ -263,9 +257,6 @@ class BatchScheduler : private sim::JobEventSink {
   const PassContext& last_pass() const { return last_pass_; }
 
   /// Instantaneous state probe for the metrics sampler; see SchedulerProbe.
-  /// Profile-derived fields (interstice_hold, profile_steps) reflect the
-  /// last pass when incremental maintenance is off (rebuild mode leaves the
-  /// profile stale between passes).
   SchedulerProbe probe() const;
 
   /// Collect results; requires the simulation to have drained (no pending
@@ -298,29 +289,18 @@ class BatchScheduler : private sim::JobEventSink {
   };
 
   /// Capacity held offline by an unplanned failure until its repair time;
-  /// rebuild-mode profiles must re-reserve these (they are not running
-  /// jobs).  The id travels in the typed kCapacityRepair event, which
-  /// erases the entry when the repair fires.
+  /// rebuild_profile must re-reserve these (they are not running jobs).
+  /// The id travels in the typed kCapacityRepair event, which erases the
+  /// entry when the repair fires.
   struct CapacityOutage {
     std::uint32_t id = 0;
     int cpus = 0;
     SimTime until = 0;
   };
 
-  /// The scheduling pass (engine quiescent hook): advance/rebuild the
-  /// profile, then run the stage pipeline.
+  /// The scheduling pass (engine quiescent hook): advance the profile's
+  /// origin to now, then run the stage pipeline.
   void pass(SimTime now);
-
-  /// Advance the incremental profile's origin to now — or rebuild it from
-  /// the running slots when incremental maintenance is off.  Under
-  /// ISTC_PARANOID the incremental profile is checked against a rebuild
-  /// every pass.
-  void prepare_profile(SimTime now);
-
-  /// From-scratch profile: capacity minus every running job's estimated
-  /// remainder (the old per-pass construction; now the A/B baseline and
-  /// the paranoid cross-check).
-  ResourceProfile rebuild_profile(SimTime now) const;
 
   /// Reserve on the profile for this pass only (blocked-job reservations).
   void reserve_temp(SimTime start, SimTime end, int cpus);

@@ -14,9 +14,7 @@ void Engine::dispatch(Event& e) {
     case EventType::kCallback: {
       // Claim the payload first: the invoked callable may schedule more
       // events and recycle this event's slab slot.
-      CallbackSlot cb = impl_ == QueueImpl::kCalendar
-                            ? calendar_.take_callback(e)
-                            : queue_.take_callback(e);
+      CallbackSlot cb = queue_.take_callback(e);
       cb.invoke();
       break;
     }
@@ -98,29 +96,14 @@ void Engine::drain_current_time() {
   if (sample_due) next_sample_ = kTimeInfinity;
   for (;;) {
     bool fired = false;
-    while (!heap_empty() && heap_next_time() == now_) {
+    while (!queue_.empty() && queue_.next_time() == now_) {
       ++events_processed_;
       ++batch;
       if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
         ++tracer_->counters().engine_events_drained;
       }
-      switch (impl_) {
-        case QueueImpl::kBinaryHeap: {
-          Event e = queue_.pop();
-          dispatch(e);
-          break;
-        }
-        case QueueImpl::kCalendar: {
-          Event e = calendar_.pop();
-          dispatch(e);
-          break;
-        }
-        case QueueImpl::kLegacy: {
-          EventFn fn = legacy_.pop();
-          fn();
-          break;
-        }
-      }
+      Event e = queue_.pop();
+      dispatch(e);
       fired = true;
     }
     // Hook transparency: a timestamp reached only by the sample probes
@@ -132,7 +115,7 @@ void Engine::drain_current_time() {
     for (auto& hook : hooks_) hook(now_);
     ++rounds;
     ISTC_ASSERT(rounds < kMaxRounds);
-    if (heap_empty() || heap_next_time() != now_) break;
+    if (queue_.empty() || queue_.next_time() != now_) break;
   }
   if (sample_due) {
     ++events_processed_;
@@ -143,9 +126,7 @@ void Engine::drain_current_time() {
     if (sample_hook_) sample_hook_(now_);
   }
   if (batch > stats_.max_timestep_batch) stats_.max_timestep_batch = batch;
-  stats_.heap_allocations = impl_ == QueueImpl::kCalendar
-                                ? calendar_.heap_allocations()
-                                : queue_.heap_allocations();
+  stats_.heap_allocations = queue_.heap_allocations();
   if (ISTC_TRACE_COUNTERS_ON(tracer_)) sync_counters();
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
 #include "util/time.hpp"
 
@@ -18,19 +17,14 @@
 /// completing at the same second trigger one pass, exactly like a real
 /// resource manager waking up on a state change.
 ///
-/// Three event representations share the engine (A/B/C selectable at
-/// construction via QueueImpl, `Scenario::queue`):
-///   - calendar: the two-rung calendar/ladder queue of calendar_queue.hpp,
-///     O(1) amortized push/pop for the near-uniform event-time
-///     distributions these replays produce (the production default).
-///   - binary heap: the flat POD heap of event_queue.hpp (PR 3) — typed
-///     schedule_* calls carry a 32-bit argument dispatched to the
-///     registered JobEventSink, generic callbacks use the small-buffer
-///     slot, and a reserve_events()'d steady state allocates nothing.
-///   - legacy: every event a type-erased std::function (the pre-rewrite
-///     behavior, kept as the in-binary benchmark baseline).
-/// All honor the same (time, seq) contract, so schedules are
-/// bit-identical across modes (pinned by tests/trace/test_determinism).
+/// Events live in the calendar/ladder queue of calendar_queue.hpp, O(1)
+/// amortized push/pop for the near-uniform event-time distributions these
+/// replays produce.  Typed schedule_* calls carry a 32-bit argument
+/// dispatched to the registered JobEventSink (or the fault / grid hook);
+/// generic callbacks use the small-buffer slot slab of event.hpp.  Once
+/// the queue's buckets are warm the steady state allocates nothing.
+/// Schedules are pinned by the golden hashes in
+/// tests/trace/test_determinism.
 
 namespace istc::sim {
 
@@ -66,45 +60,20 @@ struct EngineStats {
   /// Largest number of events drained at one timestamp (including events
   /// scheduled for "now" from inside callbacks and hooks).
   std::uint64_t max_timestep_batch = 0;
-  /// Typed-queue heap allocations: backing-vector growth plus boxed
-  /// callbacks.  In legacy mode this stays 0 — the legacy queue's
-  /// std::function allocations are not observable from here, which is
-  /// half the reason the typed core exists.
+  /// Queue heap allocations: backing-vector growth plus boxed callbacks.
   std::uint64_t heap_allocations = 0;
 };
 
 class Engine {
  public:
-  /// \param impl which event-queue representation to run on.
-  explicit Engine(QueueImpl impl) : impl_(impl) {}
-
-  /// Compatibility constructor: the pre-calendar A/B knob.  true selects
-  /// the typed binary heap (the PR 3 default, which existing allocation
-  /// tests pin), false the legacy std::function queue.
-  explicit Engine(bool typed_events = true)
-      : Engine(typed_events ? QueueImpl::kBinaryHeap : QueueImpl::kLegacy) {}
-
-  QueueImpl queue_impl() const { return impl_; }
-  bool typed_events() const { return impl_ != QueueImpl::kLegacy; }
-
   /// Register the receiver of typed job events (nullptr detaches).  Must
   /// be set before schedule_job_submit / schedule_job_finish fire.
   void set_job_sink(JobEventSink* sink) { sink_ = sink; }
 
-  /// Pre-reserve queue slots for `n` additional events, so a known burst
-  /// (e.g. a whole job log's submissions) never grows the heap mid-run.
-  void reserve_events(std::size_t n) {
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        queue_.reserve(queue_.size() + n);
-        break;
-      case QueueImpl::kCalendar:
-        calendar_.reserve(calendar_.size() + n);
-        break;
-      case QueueImpl::kLegacy:
-        break;
-    }
-  }
+  /// Pre-reserve queue capacity for `n` additional events, so a known
+  /// burst (e.g. a whole job log's submissions) grows the callback slab
+  /// and sorted window once instead of in a cascade.
+  void reserve_events(std::size_t n) { queue_.reserve(queue_.size() + n); }
 
   /// Schedule a callback at absolute time t (must not be in the past).
   /// Trivially copyable callables up to CallbackSlot::kInlineBytes are
@@ -113,17 +82,7 @@ class Engine {
   template <class F>
   void schedule(SimTime t, F&& fn) {
     ISTC_EXPECTS(t >= now_);
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        queue_.push_callback(t, std::forward<F>(fn));
-        break;
-      case QueueImpl::kCalendar:
-        calendar_.push_callback(t, std::forward<F>(fn));
-        break;
-      case QueueImpl::kLegacy:
-        legacy_.push(t, EventFn(std::forward<F>(fn)));
-        break;
-    }
+    queue_.push_callback(t, std::forward<F>(fn));
     note_scheduled(EventType::kCallback);
   }
 
@@ -180,13 +139,12 @@ class Engine {
   /// sample invokes the sample hook but skips the quiescent hooks, so
   /// periodic sampling never inserts extra scheduler passes (which would
   /// shift gate decisions) and the schedule stays bit-identical to an
-  /// unsampled run in both queue modes.  The pending sample is a scalar
-  /// deadline beside the event heap, not a heap entry — re-arming every
-  /// tick costs two comparisons, never a sift through the (large,
-  /// submission-preloaded) heap.  At most one may be pending; the sampler
-  /// re-arms from its own hook, after the slot has been claimed.  When a
-  /// sample coincides with real events it fires last, observing the
-  /// settled post-pass state.
+  /// unsampled run.  The pending sample is a scalar deadline beside the
+  /// event queue, not a queue entry — re-arming every tick costs two
+  /// comparisons.  At most one may be pending; the sampler re-arms from
+  /// its own hook, after the slot has been claimed.  When a sample
+  /// coincides with real events it fires last, observing the settled
+  /// post-pass state.
   void schedule_sample(SimTime t) {
     ISTC_EXPECTS(t >= now_);
     ISTC_EXPECTS(next_sample_ == kTimeInfinity);
@@ -210,15 +168,15 @@ class Engine {
   SimTime now() const { return now_; }
   std::uint64_t events_processed() const { return events_processed_; }
   bool finished() const { return queue_empty(); }
-  /// Absolute time of the next pending work item (heap events merged with
-  /// the pending sample); kTimeInfinity when nothing is queued.  The grid
-  /// layer uses this to advance a machine in bounded epoch slices via
+  /// Absolute time of the next pending work item (queued events merged
+  /// with the pending sample); kTimeInfinity when nothing is queued.  The
+  /// grid layer uses this to advance a machine in bounded epoch slices via
   /// step() without ever moving the clock past a real event — run(until)
   /// bumps now_ to `until`, which would shift sim_end across slicings.
   SimTime next_event_time() const { return queue_next_time(); }
-  std::size_t queued_events() const { return queue_size(); }
+  std::size_t queued_events() const { return queue_.size(); }
 
-  /// Event-core statistics (see EngineStats); valid in both modes.
+  /// Event-core statistics (see EngineStats).
   const EngineStats& stats() const { return stats_; }
 
   /// Attach a tracer (nullptr detaches).  The engine only feeds counters
@@ -236,21 +194,13 @@ class Engine {
   bool step();
 
   /// Run-fork support: become a mid-run copy of `other` — pending events,
-  /// push counter, clock, and statistics.  Requires both engines on the
-  /// same typed queue implementation (legacy closures capture their owner
-  /// and cannot be transplanted), no live callback payloads in either
-  /// queue, and no pending sample on `other`.  Sinks and hooks are NOT
-  /// copied: they are identities of the forked stack, which re-registers
-  /// its own (see core/fork.hpp).
+  /// push counter, clock, and statistics.  Requires no live callback
+  /// payloads in either queue and no pending sample on `other`.  Sinks and
+  /// hooks are NOT copied: they are identities of the forked stack, which
+  /// re-registers its own (see core/fork.hpp).
   void adopt_state(const Engine& other) {
-    ISTC_EXPECTS(impl_ == other.impl_);
-    ISTC_EXPECTS(impl_ != QueueImpl::kLegacy);
     ISTC_EXPECTS(other.next_sample_ == kTimeInfinity);
-    if (impl_ == QueueImpl::kBinaryHeap) {
-      queue_.assign_from(other.queue_);
-    } else {
-      calendar_.assign_from(other.calendar_);
-    }
+    queue_.assign_from(other.queue_);
     now_ = other.now_;
     events_processed_ = other.events_processed_;
     stats_ = other.stats_;
@@ -259,88 +209,23 @@ class Engine {
  private:
   void schedule_typed(SimTime t, EventType type, std::uint32_t arg) {
     ISTC_EXPECTS(t >= now_);
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        queue_.push_typed(t, type, arg);
-        break;
-      case QueueImpl::kCalendar:
-        calendar_.push_typed(t, type, arg);
-        break;
-      case QueueImpl::kLegacy:
-        // Legacy baseline: the typed call sites still work, each event
-        // just pays the std::function representation the rewrite removed.
-        switch (type) {
-          case EventType::kJobSubmit:
-            legacy_.push(t, [this, arg] { sink_->job_submit(arg); });
-            break;
-          case EventType::kJobFinish:
-            legacy_.push(t, [this, arg] { sink_->job_finish(arg); });
-            break;
-          case EventType::kCapacityRepair:
-            legacy_.push(t, [this, arg] { sink_->capacity_repair(arg); });
-            break;
-          case EventType::kFaultFire:
-            legacy_.push(t, [this, arg] { fault_hook_(arg); });
-            break;
-          case EventType::kGridArrival:
-            legacy_.push(t, [this, arg] { grid_hook_(arg); });
-            break;
-          default:
-            legacy_.push(t, [] {});
-            break;
-        }
-        break;
-    }
+    queue_.push_typed(t, type, arg);
     note_scheduled(type);
   }
 
   void note_scheduled(EventType type) {
     ++stats_.scheduled_by_type[static_cast<int>(type)];
-    const std::size_t depth = queue_size();
+    const std::size_t depth = queue_.size();
     if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
   }
 
-  /// Heap-only accessors (real events; the pending sample is separate).
-  std::size_t queue_size() const {
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        return queue_.size();
-      case QueueImpl::kCalendar:
-        return calendar_.size();
-      case QueueImpl::kLegacy:
-        break;
-    }
-    return legacy_.size();
-  }
-  bool heap_empty() const {
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        return queue_.empty();
-      case QueueImpl::kCalendar:
-        return calendar_.empty();
-      case QueueImpl::kLegacy:
-        break;
-    }
-    return legacy_.empty();
-  }
-  SimTime heap_next_time() const {
-    switch (impl_) {
-      case QueueImpl::kBinaryHeap:
-        return queue_.next_time();
-      case QueueImpl::kCalendar:
-        return calendar_.next_time();
-      case QueueImpl::kLegacy:
-        break;
-    }
-    return legacy_.next_time();
-  }
-
-  /// Overall next work item: real events merged with the pending sample.
+  /// Overall next work item: queued events merged with the pending
+  /// sample.
   bool queue_empty() const {
-    return heap_empty() && next_sample_ == kTimeInfinity;
+    return queue_.empty() && next_sample_ == kTimeInfinity;
   }
   SimTime queue_next_time() const {
-    const SimTime t = heap_empty() ? kTimeInfinity : heap_next_time();
+    const SimTime t = queue_.empty() ? kTimeInfinity : queue_.next_time();
     return t < next_sample_ ? t : next_sample_;
   }
 
@@ -349,16 +234,13 @@ class Engine {
   /// Mirror the event-core gauges into the attached tracer's counters.
   void sync_counters();
 
-  const QueueImpl impl_;
-  EventQueue queue_;
-  CalendarEventQueue calendar_;
-  LegacyEventQueue legacy_;
+  CalendarEventQueue queue_;
   JobEventSink* sink_ = nullptr;
   std::function<void(std::uint32_t)> fault_hook_;
   std::function<void(std::uint32_t)> grid_hook_;
   std::function<void(SimTime)> sample_hook_;
   /// The single pending sample deadline (kTimeInfinity = none); lives
-  /// beside the heap so per-tick re-arming is O(1) — see schedule_sample.
+  /// beside the queue so per-tick re-arming is O(1) — see schedule_sample.
   SimTime next_sample_ = kTimeInfinity;
   std::vector<std::function<void(SimTime)>> hooks_;
   SimTime now_ = 0;

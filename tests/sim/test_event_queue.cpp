@@ -1,5 +1,4 @@
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,172 +13,8 @@
 namespace istc::sim {
 namespace {
 
-TEST(EventQueue, EmptyInitially) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.heap_allocations(), 0u);
-}
-
-TEST(EventQueue, OrdersTypedEventsByTime) {
-  EventQueue q;
-  q.push_typed(30, EventType::kJobFinish, 3);
-  q.push_typed(10, EventType::kJobFinish, 1);
-  q.push_typed(20, EventType::kJobFinish, 2);
-  std::vector<std::uint32_t> fired;
-  while (!q.empty()) fired.push_back(q.pop().arg);
-  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1, 2, 3}));
-}
-
-TEST(EventQueue, FifoAmongEqualTimes) {
-  EventQueue q;
-  for (std::uint32_t i = 0; i < 50; ++i) q.push_typed(5, EventType::kJobSubmit, i);
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, 5);
-    EXPECT_EQ(e.arg, i);
-  }
-}
-
-TEST(EventQueue, PopCarriesTypeAndArg) {
-  EventQueue q;
-  q.push_typed(7, EventType::kSchedulerWake, 0);
-  q.push_typed(3, EventType::kJobFinish, 42);
-  Event e = q.pop();
-  EXPECT_EQ(e.time, 3);
-  EXPECT_EQ(e.type, EventType::kJobFinish);
-  EXPECT_EQ(e.arg, 42u);
-  e = q.pop();
-  EXPECT_EQ(e.type, EventType::kSchedulerWake);
-}
-
-TEST(EventQueue, NextTime) {
-  EventQueue q;
-  q.push_typed(42, EventType::kSchedulerWake, 0);
-  q.push_typed(7, EventType::kSchedulerWake, 0);
-  EXPECT_EQ(q.next_time(), 7);
-  q.pop();
-  EXPECT_EQ(q.next_time(), 42);
-}
-
-TEST(EventQueue, SizeTracksPushPop) {
-  EventQueue q;
-  q.push_typed(1, EventType::kSchedulerWake, 0);
-  q.push_typed(2, EventType::kSchedulerWake, 0);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.peak_size(), 2u);
-  q.pop();
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.peak_size(), 2u);
-}
-
-TEST(EventQueue, InterleavedPushPopKeepsOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.push_callback(10, [&] { fired.push_back(10); });
-  q.push_callback(5, [&] { fired.push_back(5); });
-  q.take_callback(q.pop()).invoke();  // fires 5
-  q.push_callback(1, [&] { fired.push_back(1); });  // earlier than remaining 10
-  q.take_callback(q.pop()).invoke();
-  q.take_callback(q.pop()).invoke();
-  EXPECT_EQ(fired, (std::vector<int>{5, 1, 10}));
-}
-
-TEST(EventQueue, NegativeTimesAllowedAndOrdered) {
-  // The queue itself is time-agnostic (the engine enforces monotonicity).
-  EventQueue q;
-  q.push_typed(-5, EventType::kJobFinish, 5);
-  q.push_typed(-10, EventType::kJobFinish, 10);
-  EXPECT_EQ(q.pop().time, -10);
-  EXPECT_EQ(q.pop().time, -5);
-}
-
-TEST(EventQueue, SmallTrivialCallbackStaysInline) {
-  EventQueue q;
-  q.reserve(4);
-  long sink = 0;
-  q.push_callback(1, [&sink] { ++sink; });  // 8-byte capture: inline
-  EXPECT_EQ(q.heap_allocations(), 0u);
-  q.take_callback(q.pop()).invoke();
-  EXPECT_EQ(sink, 1);
-}
-
-TEST(EventQueue, CallbackSlotsRecycleThroughFreeList) {
-  // A popped callback's slab slot returns to the free list, so sustained
-  // one-in-flight churn touches a single slot and never allocates.
-  EventQueue q;
-  q.reserve(2);
-  long sink = 0;
-  for (SimTime t = 0; t < 100; ++t) {
-    q.push_callback(t, [&sink] { ++sink; });
-    q.take_callback(q.pop()).invoke();
-  }
-  EXPECT_EQ(sink, 100);
-  EXPECT_EQ(q.heap_allocations(), 0u);
-}
-
-TEST(EventQueue, OversizeOrNonTrivialCallbackIsBoxedAndCounted) {
-  EventQueue q;
-  q.reserve(4);
-  std::string payload = "a string is not trivially copyable";
-  bool fired = false;
-  q.push_callback(1, [payload, &fired] { fired = payload.size() > 0; });
-  EXPECT_EQ(q.boxed_callbacks(), 1u);
-  EXPECT_GE(q.heap_allocations(), 1u);
-  q.take_callback(q.pop()).invoke();
-  EXPECT_TRUE(fired);
-}
-
-TEST(EventQueue, ReservedSteadyStateAllocatesNothing) {
-  // The acceptance criterion of the rewrite: with a reserve()d backing
-  // vector and typed / inline-callback events, a sustained push/pop churn
-  // performs zero heap allocations.
-  EventQueue q;
-  q.reserve(1024);
-  long sink = 0;
-  for (SimTime t = 0; t < 512; ++t) q.push_typed(t, EventType::kJobFinish, 0);
-  for (int round = 0; round < 200; ++round) {
-    const Event e = q.pop();
-    if (e.type == EventType::kCallback) q.take_callback(e).invoke();
-    q.push_typed(e.time + 1000, EventType::kJobSubmit, 1);
-    q.push_callback(e.time + 1001, [&sink] { ++sink; });
-    const Event e2 = q.pop();
-    if (e2.type == EventType::kCallback) q.take_callback(e2).invoke();
-  }
-  EXPECT_EQ(q.heap_allocations(), 0u);
-}
-
-TEST(EventQueue, DestructorDisposesUndrainedBoxedCallbacks) {
-  // Leak-checked under the ASan CI job: destroying a queue that still
-  // holds boxed callbacks must free their boxes without invoking them.
-  auto alive = std::make_shared<int>(7);
-  bool invoked = false;
-  {
-    EventQueue q;
-    q.push_callback(1, [alive, &invoked] { invoked = true; });
-    EXPECT_EQ(q.boxed_callbacks(), 1u);
-    EXPECT_EQ(alive.use_count(), 2);
-  }
-  EXPECT_FALSE(invoked);
-  EXPECT_EQ(alive.use_count(), 1);
-}
-
-TEST(EventQueue, GrowthWithoutReserveIsCounted) {
-  EventQueue q;  // no reserve: vector growth must be visible
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    q.push_typed(static_cast<SimTime>(i), EventType::kSchedulerWake, 0);
-  }
-  EXPECT_GT(q.heap_allocations(), 0u);
-  EXPECT_EQ(q.boxed_callbacks(), 0u);
-}
-
-// -- property test: typed heap vs. a naive reference model ----------------
-//
-// Random push/pop interleavings, with deliberately clumped timestamps (so
-// large same-time batches occur) and pushes at the current minimum time
-// (the "schedule for now from inside a callback" shape), checked against a
-// linear-scan reference model of the (time, insertion-seq) FIFO contract.
-
+// A linear-scan reference model of the (time, insertion-seq) FIFO
+// contract, the oracle for the ordering tests below.
 struct RefEvent {
   SimTime time;
   std::uint64_t seq;
@@ -210,10 +45,211 @@ class ReferenceModel {
   std::uint64_t next_seq_ = 0;
 };
 
+// -- the event-queue contract ----------------------------------------------
+//
+// What every caller of the engine's one queue relies on: (time, seq)
+// order, the payload a pop carries, the size gauges, inline vs. boxed
+// callbacks and the allocation counter.
+
+TEST(EventQueue, EmptyInitially) {
+  CalendarEventQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.heap_allocations(), 0u);
+}
+
+TEST(EventQueue, OrdersTypedEventsByTime) {
+  CalendarEventQueue q;
+  q.push_typed(30, EventType::kJobFinish, 3);
+  q.push_typed(10, EventType::kJobFinish, 1);
+  q.push_typed(20, EventType::kJobFinish, 2);
+  std::vector<std::uint32_t> fired;
+  while (!q.empty()) fired.push_back(q.pop().arg);
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(EventQueue, FifoAmongEqualTimes) {
+  CalendarEventQueue q;
+  for (std::uint32_t i = 0; i < 50; ++i) q.push_typed(5, EventType::kJobSubmit, i);
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    const Event e = q.pop();
+    EXPECT_EQ(e.time, 5);
+    EXPECT_EQ(e.arg, i);
+  }
+}
+
+TEST(EventQueue, PopCarriesTypeAndArg) {
+  CalendarEventQueue q;
+  q.push_typed(7, EventType::kSchedulerWake, 0);
+  q.push_typed(3, EventType::kJobFinish, 42);
+  Event e = q.pop();
+  EXPECT_EQ(e.time, 3);
+  EXPECT_EQ(e.type, EventType::kJobFinish);
+  EXPECT_EQ(e.arg, 42u);
+  e = q.pop();
+  EXPECT_EQ(e.type, EventType::kSchedulerWake);
+}
+
+TEST(EventQueue, NextTime) {
+  CalendarEventQueue q;
+  q.push_typed(42, EventType::kSchedulerWake, 0);
+  q.push_typed(7, EventType::kSchedulerWake, 0);
+  EXPECT_EQ(q.next_time(), 7);
+  q.pop();
+  EXPECT_EQ(q.next_time(), 42);
+}
+
+TEST(EventQueue, SizeTracksPushPop) {
+  CalendarEventQueue q;
+  q.push_typed(1, EventType::kSchedulerWake, 0);
+  q.push_typed(2, EventType::kSchedulerWake, 0);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peak_size(), 2u);
+  q.pop();
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.peak_size(), 2u);
+}
+
+TEST(EventQueue, InterleavedPushPopKeepsOrder) {
+  CalendarEventQueue q;
+  std::vector<int> fired;
+  q.push_callback(10, [&] { fired.push_back(10); });
+  q.push_callback(5, [&] { fired.push_back(5); });
+  q.take_callback(q.pop()).invoke();  // fires 5
+  q.push_callback(1, [&] { fired.push_back(1); });  // earlier than remaining 10
+  q.take_callback(q.pop()).invoke();
+  q.take_callback(q.pop()).invoke();
+  EXPECT_EQ(fired, (std::vector<int>{5, 1, 10}));
+}
+
+TEST(EventQueue, NegativeTimesAllowedAndOrdered) {
+  // The queue itself is time-agnostic (the engine enforces monotonicity).
+  CalendarEventQueue q;
+  q.push_typed(-5, EventType::kJobFinish, 5);
+  q.push_typed(-10, EventType::kJobFinish, 10);
+  EXPECT_EQ(q.pop().time, -10);
+  EXPECT_EQ(q.pop().time, -5);
+}
+
+// The calendar's buckets grow on first contact (see calendar_queue.hpp),
+// so the callback tests below first warm the bucket their times land in
+// with typed events; any allocation after that is the callback's own.
+void warm_buckets(CalendarEventQueue& q, SimTime first, SimTime last) {
+  for (SimTime t = first; t <= last; ++t) {
+    q.push_typed(t, EventType::kSchedulerWake, 0);
+    q.pop();
+  }
+}
+
+TEST(EventQueue, SmallTrivialCallbackStaysInline) {
+  CalendarEventQueue q;
+  q.reserve(4);
+  warm_buckets(q, 1, 1);
+  const std::uint64_t warm = q.heap_allocations();
+  long sink = 0;
+  q.push_callback(1, [&sink] { ++sink; });  // 8-byte capture: inline
+  EXPECT_EQ(q.heap_allocations(), warm);
+  EXPECT_EQ(q.boxed_callbacks(), 0u);
+  q.take_callback(q.pop()).invoke();
+  EXPECT_EQ(sink, 1);
+}
+
+TEST(EventQueue, CallbackSlotsRecycleThroughFreeList) {
+  // A popped callback's slab slot returns to the free list, so sustained
+  // one-in-flight churn touches a single slot and never allocates.
+  CalendarEventQueue q;
+  q.reserve(2);
+  warm_buckets(q, 0, 99);
+  const std::uint64_t warm = q.heap_allocations();
+  long sink = 0;
+  for (SimTime t = 0; t < 100; ++t) {
+    q.push_callback(t, [&sink] { ++sink; });
+    q.take_callback(q.pop()).invoke();
+  }
+  EXPECT_EQ(sink, 100);
+  EXPECT_EQ(q.heap_allocations(), warm);
+  EXPECT_EQ(q.live_callbacks(), 0u);
+}
+
+TEST(EventQueue, OversizeOrNonTrivialCallbackIsBoxedAndCounted) {
+  CalendarEventQueue q;
+  q.reserve(4);
+  std::string payload = "a string is not trivially copyable";
+  bool fired = false;
+  q.push_callback(1, [payload, &fired] { fired = payload.size() > 0; });
+  EXPECT_EQ(q.boxed_callbacks(), 1u);
+  EXPECT_GE(q.heap_allocations(), 1u);
+  q.take_callback(q.pop()).invoke();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, ReservedSteadyStateAllocatesNothing) {
+  // With reserve()d callback storage and typed / inline-callback events,
+  // a sustained push/pop churn performs zero heap allocations once the
+  // buckets are warm.  The first run warms them; the second replays the
+  // same offsets one wheel lap later (same bucket slots) and is measured.
+  CalendarEventQueue q;
+  q.reserve(1024);
+  long sink = 0;
+  const auto churn = [&](SimTime base) {
+    for (SimTime t = 0; t < 512; ++t) {
+      q.push_typed(base + t, EventType::kJobFinish, 0);
+    }
+    for (int round = 0; round < 200; ++round) {
+      const Event e = q.pop();
+      if (e.type == EventType::kCallback) q.take_callback(e).invoke();
+      q.push_typed(e.time + 1000, EventType::kJobSubmit, 1);
+      q.push_callback(e.time + 1001, [&sink] { ++sink; });
+      const Event e2 = q.pop();
+      if (e2.type == EventType::kCallback) q.take_callback(e2).invoke();
+    }
+    while (!q.empty()) {
+      const Event e = q.pop();
+      if (e.type == EventType::kCallback) q.take_callback(e).invoke();
+    }
+  };
+  churn(0);
+  const std::uint64_t warm = q.heap_allocations();
+  churn(SimTime{65536} * 1024 * 4);
+  EXPECT_EQ(q.heap_allocations(), warm);
+  EXPECT_EQ(q.boxed_callbacks(), 0u);
+  EXPECT_EQ(sink, 400);
+}
+
+TEST(EventQueue, DestructorDisposesUndrainedBoxedCallbacks) {
+  // Leak-checked under the ASan CI job: destroying a queue that still
+  // holds boxed callbacks must free their boxes without invoking them.
+  auto alive = std::make_shared<int>(7);
+  bool invoked = false;
+  {
+    CalendarEventQueue q;
+    q.push_callback(1, [alive, &invoked] { invoked = true; });
+    EXPECT_EQ(q.boxed_callbacks(), 1u);
+    EXPECT_EQ(alive.use_count(), 2);
+  }
+  EXPECT_FALSE(invoked);
+  EXPECT_EQ(alive.use_count(), 1);
+}
+
+TEST(EventQueue, GrowthWithoutReserveIsCounted) {
+  CalendarEventQueue q;  // no reserve: vector growth must be visible
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    q.push_typed(static_cast<SimTime>(i), EventType::kSchedulerWake, 0);
+  }
+  EXPECT_GT(q.heap_allocations(), 0u);
+  EXPECT_EQ(q.boxed_callbacks(), 0u);
+}
+
+// -- property tests against the reference model ----------------------------
+//
+// Random push/pop interleavings, with deliberately clumped timestamps (so
+// large same-time batches occur) and pushes at the current minimum time
+// (the "schedule for now from inside a callback" shape).
+
 TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(0xE7E27 + seed);
-    EventQueue q;
+    CalendarEventQueue q;
     ReferenceModel ref;
     std::uint32_t next_arg = 0;
     SimTime floor = 0;  // pops are monotone; pushes never go below this
@@ -256,7 +292,7 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel) {
 }
 
 TEST(EventQueueProperty, LargeSameTimestampBatchDrainsInInsertionOrder) {
-  EventQueue q;
+  CalendarEventQueue q;
   ReferenceModel ref;
   Rng rng(0xBA7C4);
   // A few thousand events on just three timestamps, pushed in random
@@ -282,55 +318,7 @@ TEST(EventQueueProperty, LargeSameTimestampBatchDrainsInInsertionOrder) {
   }
 }
 
-// -- the legacy std::function baseline ------------------------------------
-
-TEST(LegacyEventQueue, OrdersByTime) {
-  LegacyEventQueue q;
-  std::vector<int> fired;
-  q.push(30, [&] { fired.push_back(30); });
-  q.push(10, [&] { fired.push_back(10); });
-  q.push(20, [&] { fired.push_back(20); });
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
-}
-
-TEST(LegacyEventQueue, FifoAmongEqualTimes) {
-  LegacyEventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 50; ++i) q.push(5, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop()();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
-}
-
-TEST(LegacyEventQueue, NextTimeAndSize) {
-  LegacyEventQueue q;
-  q.push(42, [] {});
-  q.push(7, [] {});
-  EXPECT_EQ(q.next_time(), 7);
-  EXPECT_EQ(q.size(), 2u);
-  q.pop();
-  EXPECT_EQ(q.next_time(), 42);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(LegacyEventQueue, MatchesTypedQueueOrderOnRandomWorkload) {
-  // Both implementations must realize the same (time, seq) contract.
-  Rng rng(0x5EED5);
-  EventQueue typed;
-  LegacyEventQueue legacy;
-  std::vector<std::uint32_t> legacy_fired;
-  for (std::uint32_t i = 0; i < 2000; ++i) {
-    const SimTime t = static_cast<SimTime>(rng.below(50));
-    typed.push_typed(t, EventType::kJobSubmit, i);
-    legacy.push(t, [&legacy_fired, i] { legacy_fired.push_back(i); });
-  }
-  std::vector<std::uint32_t> typed_fired;
-  while (!typed.empty()) typed_fired.push_back(typed.pop().arg);
-  while (!legacy.empty()) legacy.pop()();
-  EXPECT_EQ(typed_fired, legacy_fired);
-}
-
-// -- the calendar/ladder queue --------------------------------------------
+// -- calendar-specific behaviour: rungs, re-anchoring, forking -------------
 
 TEST(CalendarQueue, OrdersTypedEventsByTime) {
   CalendarEventQueue q;
@@ -399,10 +387,10 @@ TEST(CalendarQueue, DrainedQueueReanchorsAtDistantTime) {
 }
 
 TEST(CalendarQueue, WarmedUpSteadyStateAllocatesNothing) {
-  // Unlike the binary heap (whose reserve() pre-sizes everything), the
-  // calendar's buckets warm up to their working capacity on first
-  // contact.  Once warm, an identical second phase must not allocate:
-  // bucket vectors recycle modulo the wheel size.
+  // The calendar's buckets warm up to their working capacity on first
+  // contact, and that growth is counted.  Once warm, an identical second
+  // phase must not allocate: bucket vectors recycle modulo the wheel
+  // size.
   CalendarEventQueue q;
   const auto churn = [&](SimTime base) {
     Rng rng(0xCA1E17D);  // same stream both phases: identical offsets
@@ -484,10 +472,10 @@ TEST(CalendarQueue, AssignFromReplaysIdentically) {
 }
 
 TEST(CalendarQueueProperty, RandomInterleavingsMatchReferenceModel) {
-  // The heap property harness, plus calendar-specific hazards: pushes
-  // that jump past the rung-1 window (bucket rollover), past the rung-2
-  // horizon (far overflow + re-anchor), and gap pushes behind the cursor
-  // after such a jump.
+  // The EventQueueProperty harness, plus calendar-specific hazards:
+  // pushes that jump past the rung-1 window (bucket rollover), past the
+  // rung-2 horizon (far overflow + re-anchor), and gap pushes behind the
+  // cursor after such a jump.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(0xCA1E2 + seed);
     CalendarEventQueue q;
@@ -534,27 +522,6 @@ TEST(CalendarQueueProperty, RandomInterleavingsMatchReferenceModel) {
     }
     EXPECT_TRUE(ref.empty());
   }
-}
-
-TEST(CalendarQueueProperty, MatchesBinaryHeapOrderOnRandomWorkload) {
-  // All three implementations realize one contract; this pins calendar
-  // vs. heap directly (legacy vs. heap is pinned above).
-  Rng rng(0x3C4D5);
-  EventQueue heap;
-  CalendarEventQueue cal;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    const SimTime t = static_cast<SimTime>(rng.below(1 << 20));
-    heap.push_typed(t, EventType::kJobSubmit, i);
-    cal.push_typed(t, EventType::kJobSubmit, i);
-  }
-  while (!heap.empty()) {
-    const Event a = heap.pop();
-    const Event b = cal.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
-    ASSERT_EQ(a.arg, b.arg);
-  }
-  EXPECT_TRUE(cal.empty());
 }
 
 }  // namespace

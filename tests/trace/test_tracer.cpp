@@ -78,21 +78,6 @@ TEST(Tracer, DisabledModeIsInert) {
   EXPECT_FALSE(ISTC_TRACE_COUNTERS_ON(null_tracer));
 }
 
-TEST(Tracer, ScopedPassTimerCountsPasses) {
-#if !ISTC_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (ISTC_TRACING=OFF)";
-#endif
-  Tracer tracer(TraceMode::kCountersOnly);
-  { ScopedPassTimer t1(&tracer); }
-  { ScopedPassTimer t2(&tracer); }
-  EXPECT_EQ(tracer.counters().sched_passes, 2u);
-
-  Tracer off(TraceMode::kDisabled);
-  { ScopedPassTimer t3(&off); }
-  { ScopedPassTimer t4(nullptr); }
-  EXPECT_EQ(off.counters().sched_passes, 0u);
-}
-
 TEST(Tracer, ClearResetsEverything) {
   Tracer tracer(TraceMode::kFull, 5);
   for (int i = 0; i < 8; ++i) tracer.record(at(i));
