@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "cluster/presets.hpp"
 #include "metrics/utilization.hpp"
 #include "metrics/waits.hpp"
 
@@ -152,6 +154,27 @@ TEST(Experiment, OmniscientMakespansDeterministicAndPositive) {
   ASSERT_EQ(a.hours.size(), 4u);
   EXPECT_EQ(a.hours, b.hours);
   for (double h : a.hours) EXPECT_GT(h, 0.0);
+}
+
+// Full-size site logs are where the packer's free-capacity profile grows
+// to tens of thousands of breakpoints; pin its makespans there, per site,
+// at the default seed (Table 2's 7.7 Peta-cycle 32-CPU row).
+TEST(Experiment, OmniscientMakespansMatchGolden) {
+  const auto spec = ProjectSpec::paper(2000, 32, 120);
+  const struct {
+    Site site;
+    std::vector<long long> seconds;
+  } golden[] = {
+      {Site::kRoss, {36307, 12648, 45946, 18438}},
+      {Site::kBlueMountain, {135790, 105342, 252811, 14619}},
+      {Site::kBluePacific, {572507, 1008931, 682929, 369858}},
+  };
+  for (const auto& g : golden) {
+    const auto sample = omniscient_makespans(g.site, spec, 4);
+    std::vector<long long> seconds;
+    for (double h : sample.hours) seconds.push_back(std::llround(h * 3600));
+    EXPECT_EQ(seconds, g.seconds) << cluster::machine_spec(g.site).name;
+  }
 }
 
 TEST(Experiment, OmniscientSeedChangesStarts) {
