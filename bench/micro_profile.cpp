@@ -24,15 +24,9 @@ ResourceProfile busy_profile(int segments, Rng& rng) {
   return p;
 }
 
-// Trailing arg A/B's the hole index: 0 = linear scan (kIndexDisabled),
-// 1 = segment-tree descents forced on (threshold 1).  Same seeds, same
-// queries; only the search strategy differs.
 void BM_ProfileEarliestFit(benchmark::State& state) {
   Rng rng(1);
-  auto p = busy_profile(static_cast<int>(state.range(0)), rng);
-  p.set_index_threshold(state.range(1) != 0
-                            ? std::size_t{1}
-                            : ResourceProfile::kIndexDisabled);
+  const auto p = busy_profile(static_cast<int>(state.range(0)), rng);
   Rng qrng(2);
   for (auto _ : state) {
     const int cpus = static_cast<int>(qrng.range(1, 2048));
@@ -40,11 +34,7 @@ void BM_ProfileEarliestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(t);
   }
 }
-BENCHMARK(BM_ProfileEarliestFit)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1});
+BENCHMARK(BM_ProfileEarliestFit)->Arg(100)->Arg(1000);
 
 void BM_ProfileReserveRelease(benchmark::State& state) {
   Rng rng(3);
@@ -103,16 +93,12 @@ void BM_ProfileCoalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileCoalesce);
 
-// Same linear-vs-indexed A/B as BM_ProfileEarliestFit for the window
-// scan, at a short (one-hour) and a long (quarter-span) window: the
-// tree's range_min only amortizes once the window covers many
-// breakpoints, which is the regime the omniscient packer queries in.
+// Window scan at a short (one-hour) and a long (quarter-span) window; the
+// long one covers many breakpoints, the regime the omniscient packer
+// queries in.
 void BM_ProfileMinFree(benchmark::State& state) {
   Rng rng(5);
-  auto p = busy_profile(1000, rng);
-  p.set_index_threshold(state.range(1) != 0
-                            ? std::size_t{1}
-                            : ResourceProfile::kIndexDisabled);
+  const auto p = busy_profile(1000, rng);
   const SimTime window = state.range(0);
   Rng qrng(6);
   for (auto _ : state) {
@@ -120,10 +106,6 @@ void BM_ProfileMinFree(benchmark::State& state) {
     benchmark::DoNotOptimize(p.min_free(a, a + window));
   }
 }
-BENCHMARK(BM_ProfileMinFree)
-    ->Args({3600, 0})
-    ->Args({3600, 1})
-    ->Args({120000, 0})
-    ->Args({120000, 1});
+BENCHMARK(BM_ProfileMinFree)->Arg(3600)->Arg(120000);
 
 }  // namespace

@@ -1,31 +1,13 @@
 #include "sched/resource_profile.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 
 #include "util/assert.hpp"
 
 namespace istc::sched {
 
-namespace {
-/// Relaxed atomic: benches/tests set it up front, profiles built on pool
-/// threads read it; no ordering is implied beyond the value itself.
-std::atomic<std::size_t> g_default_index_threshold{256};
-}  // namespace
-
-void ResourceProfile::set_default_index_threshold(std::size_t threshold) {
-  g_default_index_threshold.store(threshold, std::memory_order_relaxed);
-}
-
-std::size_t ResourceProfile::default_index_threshold() {
-  return g_default_index_threshold.load(std::memory_order_relaxed);
-}
-
 ResourceProfile::ResourceProfile(SimTime origin, int capacity)
-    : origin_(origin),
-      capacity_(capacity),
-      index_threshold_(default_index_threshold()) {
+    : origin_(origin), capacity_(capacity) {
   ISTC_EXPECTS(capacity >= 0);
   pts_.push_back(Pt{origin_, capacity_});
 }
@@ -47,13 +29,6 @@ int ResourceProfile::min_free(SimTime start, SimTime end) const {
   ISTC_EXPECTS(start >= origin_);
   ISTC_EXPECTS(end > start);
   std::size_t i = find(start);
-  if (use_index()) {
-    ensure_index();
-    // Last live segment starting inside [start, end): times are integral,
-    // so that is the segment covering end - 1.
-    const std::size_t last = find(end - 1);
-    return range_min(i - head_, last - head_);
-  }
   int lo = pts_[i].f;
   for (++i; i < pts_.size() && pts_[i].t < end; ++i) {
     lo = std::min(lo, pts_[i].f);
@@ -104,7 +79,6 @@ void ResourceProfile::reserve(SimTime start, SimTime end, int cpus) {
     ISTC_ASSERT(pts_[i].f >= 0);
   }
   coalesce(start, end);
-  index_dirty_ = true;
 }
 
 void ResourceProfile::release(SimTime start, SimTime end, int cpus) {
@@ -118,11 +92,6 @@ void ResourceProfile::release(SimTime start, SimTime end, int cpus) {
     ISTC_ASSERT(pts_[i].f <= capacity_);
   }
   coalesce(start, end);
-  index_dirty_ = true;
-}
-
-SimTime ResourceProfile::next_change(SimTime t) const {
-  return step_at(t).until;
 }
 
 ResourceProfile::Step ResourceProfile::step_at(SimTime t) const {
@@ -162,12 +131,10 @@ void ResourceProfile::advance_origin(SimTime t) {
     pts_.erase(pts_.begin(), pts_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  index_dirty_ = true;
 }
 
 void ResourceProfile::coalesce() {
   coalesce(origin_, pts_.back().t);
-  index_dirty_ = true;
 }
 
 bool ResourceProfile::same_function(const ResourceProfile& other) const {
@@ -206,33 +173,6 @@ SimTime ResourceProfile::earliest_fit(int cpus, Seconds duration,
   ISTC_EXPECTS(cpus <= capacity_);
   SimTime t = std::max(not_before, origin_);
   const std::size_t n = pts_.size();
-  if (use_index()) {
-    // Same candidate walk as the linear scan below, but every "next step
-    // with >= cpus free" / "first blocking step" hop is a tree descent, so
-    // a probe costs O(holes_skipped * log n) instead of O(n).
-    ensure_index();
-    for (;;) {
-      const std::size_t i = find(t);
-      if (pts_[i].f < cpus) {
-        const std::size_t j = first_at_least(i + 1 - head_, cpus);
-        if (j == kNoStep) {
-          ISTC_ASSERT(pts_[n - 1].f >= cpus);
-          return pts_[n - 1].t > t ? pts_[n - 1].t : t;
-        }
-        t = pts_[head_ + j].t;
-        continue;
-      }
-      const SimTime end = t + duration;
-      const std::size_t blocking = first_below(i + 1 - head_, cpus);
-      if (blocking == kNoStep || pts_[head_ + blocking].t >= end) return t;
-      const std::size_t after = first_at_least(blocking + 1, cpus);
-      if (after == kNoStep) {
-        ISTC_ASSERT(pts_[n - 1].f >= cpus);
-        return pts_[n - 1].t;
-      }
-      t = pts_[head_ + after].t;
-    }
-  }
   // Walk candidate start times: current t, then each breakpoint where free
   // capacity rises.  For each candidate, scan the window; on failure, jump
   // to the step after the blocking segment.
@@ -271,62 +211,6 @@ SimTime ResourceProfile::earliest_fit(int cpus, Seconds duration,
     ISTC_ASSERT(after < n || pts_[n - 1].f >= cpus);
     t = after < n ? pts_[after].t : pts_[n - 1].t;
   }
-}
-
-void ResourceProfile::ensure_index() const {
-  if (!index_dirty_) return;
-  const std::size_t n = steps();
-  std::size_t size = 1;
-  while (size < n) size <<= 1;
-  tree_size_ = size;
-  // Padding sentinels satisfy neither descent predicate (min never < cpus,
-  // max never >= cpus), so descents cannot land on a padding leaf.
-  tree_min_.assign(2 * size, std::numeric_limits<int>::max());
-  tree_max_.assign(2 * size, std::numeric_limits<int>::min());
-  for (std::size_t k = 0; k < n; ++k) {
-    tree_min_[size + k] = pts_[head_ + k].f;
-    tree_max_[size + k] = pts_[head_ + k].f;
-  }
-  for (std::size_t v = size; v-- > 1;) {
-    tree_min_[v] = std::min(tree_min_[2 * v], tree_min_[2 * v + 1]);
-    tree_max_[v] = std::max(tree_max_[2 * v], tree_max_[2 * v + 1]);
-  }
-  index_dirty_ = false;
-  ++index_rebuilds_;
-}
-
-std::size_t ResourceProfile::descend_first(std::size_t node, std::size_t nlo,
-                                           std::size_t nhi, std::size_t lo,
-                                           int cpus, bool below) const {
-  if (nhi <= lo) return kNoStep;
-  const bool possible =
-      below ? tree_min_[node] < cpus : tree_max_[node] >= cpus;
-  if (!possible) return kNoStep;
-  if (nhi - nlo == 1) return nlo;
-  const std::size_t mid = nlo + (nhi - nlo) / 2;
-  const std::size_t left =
-      descend_first(2 * node, nlo, mid, lo, cpus, below);
-  if (left != kNoStep) return left;
-  return descend_first(2 * node + 1, mid, nhi, lo, cpus, below);
-}
-
-std::size_t ResourceProfile::first_at_least(std::size_t lo, int cpus) const {
-  return descend_first(1, 0, tree_size_, lo, cpus, /*below=*/false);
-}
-
-std::size_t ResourceProfile::first_below(std::size_t lo, int cpus) const {
-  return descend_first(1, 0, tree_size_, lo, cpus, /*below=*/true);
-}
-
-int ResourceProfile::range_min(std::size_t lo, std::size_t hi) const {
-  ISTC_ASSERT(lo <= hi && hi < steps());
-  int res = std::numeric_limits<int>::max();
-  for (std::size_t l = lo + tree_size_, r = hi + tree_size_ + 1; l < r;
-       l >>= 1, r >>= 1) {
-    if (l & 1) res = std::min(res, tree_min_[l++]);
-    if (r & 1) res = std::min(res, tree_min_[--r]);
-  }
-  return res;
 }
 
 }  // namespace istc::sched

@@ -21,17 +21,7 @@
 /// per-pass advance_origin bumps a head cursor instead of erasing nodes;
 /// the dead prefix is reclaimed in bulk once it dominates the array.
 ///
-/// Large profiles additionally carry a *hole index*: a lazily rebuilt
-/// min/max segment tree over the live breakpoints that turns earliest_fit's
-/// candidate walk and min_free's window scan into O(log n) descents
-/// ("first step with >= c free after i" via the max tree, "first step with
-/// < c free" via the min tree).  The index is a pure accelerator — answers
-/// are identical by construction (pinned by a property test against the
-/// linear scan) — and it only switches on once the live breakpoint count
-/// reaches a threshold, below which the linear scan wins on locality.
-/// Mutations never touch the tree; they mark it dirty and the next indexed
-/// query rebuilds in one O(n) pass, which amortizes because backfill
-/// passes issue many earliest_fit probes per profile mutation batch.
+/// Queries scan the live breakpoints linearly at every profile size.
 
 namespace istc::sched {
 
@@ -62,17 +52,11 @@ class ResourceProfile {
   /// provided cpus <= capacity.
   SimTime earliest_fit(int cpus, Seconds duration, SimTime not_before) const;
 
-  /// First instant strictly after t at which the free-CPU value changes,
-  /// or kTimeInfinity when the function is constant from t onward.  The
-  /// metrics sampler reads this as "how long does the current interstice
-  /// hold"; equal-valued adjacent segments are skipped, so the answer is
-  /// segmentation-agnostic.
-  SimTime next_change(SimTime t) const;
-
-  /// The step in force at t: free CPUs plus the instant that value next
-  /// changes (kTimeInfinity when constant onward).  Equivalent to
-  /// {free_at(t), next_change(t)} in a single descent — the sampler
-  /// probes this every tick, so the paired query is on the hot path.
+  /// The step in force at t: free CPUs plus the first instant strictly
+  /// after t at which that value changes (kTimeInfinity when constant
+  /// onward).  The metrics sampler reads `until` as "how long does the
+  /// current interstice hold" and probes it every tick; equal-valued
+  /// adjacent segments are skipped, so the answer is segmentation-agnostic.
   struct Step {
     int free;
     SimTime until;
@@ -102,27 +86,6 @@ class ResourceProfile {
   /// Number of internal breakpoints (diagnostics / complexity tests).
   std::size_t steps() const { return pts_.size() - head_; }
 
-  // -- hole index ---------------------------------------------------------
-
-  /// Live-breakpoint count at which queries switch to the segment-tree
-  /// hole index.  kIndexDisabled turns the index off entirely.
-  static constexpr std::size_t kIndexDisabled = static_cast<std::size_t>(-1);
-
-  /// Process-wide default threshold for newly constructed profiles
-  /// (tests/benches lower it to force the indexed path on small profiles).
-  static void set_default_index_threshold(std::size_t threshold);
-  static std::size_t default_index_threshold();
-
-  /// Per-instance override (captured from the default at construction).
-  void set_index_threshold(std::size_t threshold) {
-    index_threshold_ = threshold;
-  }
-  std::size_t index_threshold() const { return index_threshold_; }
-
-  /// Index rebuilds performed so far (diagnostics: the amortization claim
-  /// is that this stays far below the query count on big profiles).
-  std::uint64_t index_rebuilds() const { return index_rebuilds_; }
-
  private:
   /// One breakpoint: free CPUs from `t` until the next breakpoint.
   struct Pt {
@@ -139,26 +102,6 @@ class ResourceProfile {
   /// Merge adjacent equal-valued steps around the given key range.
   void coalesce(SimTime lo, SimTime hi);
 
-  // -- hole index internals ----------------------------------------------
-
-  static constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
-
-  bool use_index() const {
-    return index_threshold_ != kIndexDisabled && steps() >= index_threshold_;
-  }
-  /// Rebuild the min/max trees if a mutation dirtied them.
-  void ensure_index() const;
-  /// First live-relative index >= lo whose free count is >= cpus (max-tree
-  /// descent), or kNoStep.
-  std::size_t first_at_least(std::size_t lo, int cpus) const;
-  /// First live-relative index >= lo whose free count is < cpus (min-tree
-  /// descent), or kNoStep.
-  std::size_t first_below(std::size_t lo, int cpus) const;
-  std::size_t descend_first(std::size_t node, std::size_t nlo, std::size_t nhi,
-                            std::size_t lo, int cpus, bool below) const;
-  /// Min free count over live-relative indices [lo, hi] (inclusive).
-  int range_min(std::size_t lo, std::size_t hi) const;
-
   SimTime origin_;
   int capacity_;
   /// Breakpoints sorted by time; the live region is [head_, pts_.size())
@@ -166,17 +109,6 @@ class ResourceProfile {
   /// are consumed history awaiting bulk reclamation.
   std::vector<Pt> pts_;
   std::size_t head_ = 0;
-
-  std::size_t index_threshold_;
-  /// Segment trees over the live breakpoints' free counts, leaves at
-  /// [tree_size_, tree_size_ + steps()); padding leaves hold sentinels
-  /// that never satisfy either descent predicate.  Mutable: queries are
-  /// const but rebuild the dirtied index lazily.
-  mutable std::vector<int> tree_min_;
-  mutable std::vector<int> tree_max_;
-  mutable std::size_t tree_size_ = 0;
-  mutable bool index_dirty_ = true;
-  mutable std::uint64_t index_rebuilds_ = 0;
 };
 
 }  // namespace istc::sched

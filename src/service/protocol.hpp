@@ -51,6 +51,9 @@ enum class Op : unsigned char { kWhatIf, kIngest, kStatus, kStats, kShutdown };
 /// daemon refuses rather than simulates absurd shapes).
 inline constexpr std::size_t kMaxQueryJobs = 100000;
 inline constexpr std::size_t kMaxQueryPoints = 64;
+/// Longest request line the server buffers.  A peer past it without a
+/// newline gets one line_too_long error (HTTP: 414) and is disconnected.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 struct WhatIfQuery {
   std::string project = "adhoc";

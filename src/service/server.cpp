@@ -7,9 +7,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+
+#include "service/protocol.hpp"
 
 namespace istc::service {
 
@@ -179,17 +182,22 @@ void Server::handle_connection(int fd) {
       if (looks_like_http(buffer)) {
         // Wait for the end of the request line, answer, close.  Headers
         // and body (GETs have none) are ignored.
-        while (buffer.find('\n') == std::string::npos) {
+        std::size_t eol = buffer.find('\n');
+        while (eol == std::string::npos && buffer.size() <= kMaxLineBytes) {
           const ssize_t m = ::recv(fd, chunk, sizeof chunk, 0);
           if (m < 0 && errno == EINTR) continue;
           if (m <= 0) break;
           buffer.append(chunk, static_cast<std::size_t>(m));
+          eol = buffer.find('\n');
         }
         const std::size_t sp = buffer.find(' ', 4);
         const std::string path = buffer.substr(4, sp == std::string::npos
                                                       ? std::string::npos
                                                       : sp - 4);
-        if (path == "/metrics") {
+        if (std::min(eol, buffer.size()) > kMaxLineBytes) {
+          send_all(fd, http_response(414, "URI Too Long", "text/plain",
+                                     "request line too long\n"));
+        } else if (path == "/metrics") {
           send_all(fd, http_response(200, "OK",
                                      "text/plain; version=0.0.4",
                                      session_.prometheus_text()));
@@ -204,6 +212,8 @@ void Server::handle_connection(int fd) {
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      // An over-long line stays buffered and trips the cap check below.
+      if (nl - start > kMaxLineBytes) break;
       std::string_view line(buffer.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (!line.empty()) {
@@ -215,6 +225,13 @@ void Server::handle_connection(int fd) {
       start = nl + 1;
     }
     buffer.erase(0, start);
+    if (open && buffer.size() > kMaxLineBytes) {
+      send_all(fd, error_reply("error", "line_too_long",
+                               "request line exceeds " +
+                                   std::to_string(kMaxLineBytes) + " bytes") +
+                       "\n");
+      open = false;
+    }
   }
   // A final unterminated line still gets an answer (clients that close
   // without a trailing newline).

@@ -10,10 +10,11 @@
 /// The NDJSON socket transport around a Session.
 ///
 /// One listener (Unix-domain path or loopback TCP port), one thread per
-/// connection, one request line in / one reply line out.  All protocol
-/// logic lives in Session::handle_line, which never throws — the
-/// transport only moves bytes.  A handled {"op":"shutdown"} makes
-/// serve() stop accepting, join the connection threads, and return.
+/// connection, one request line (at most kMaxLineBytes) in / one reply
+/// line out.  All protocol logic lives in Session::handle_line, which
+/// never throws — the transport only moves bytes.  A handled
+/// {"op":"shutdown"} makes serve() stop accepting, join the connection
+/// threads, and return.
 
 namespace istc::service {
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "grid/fleet.hpp"
-#include "sched/resource_profile.hpp"
 #include "util/rng.hpp"
 
 namespace istc::grid {
@@ -62,17 +61,6 @@ MachineSetup miniature_setup(std::uint64_t seed) {
 TEST(FleetDeterminism, SingleMachineLocalModeMatchesGolden) {
   GridMachine m(miniature_setup(42));
   m.drain();
-  EXPECT_EQ(hash_run(m.take_result()), kScheduleGolden);
-}
-
-TEST(FleetDeterminism, GoldenHashUnchangedWithHoleIndexForced) {
-  // The segment-tree hole index is a pure accelerator: forcing it on for
-  // every profile (threshold 1) must still land on the golden schedule.
-  const std::size_t saved = sched::ResourceProfile::default_index_threshold();
-  sched::ResourceProfile::set_default_index_threshold(1);
-  GridMachine m(miniature_setup(42));
-  m.drain();
-  sched::ResourceProfile::set_default_index_threshold(saved);
   EXPECT_EQ(hash_run(m.take_result()), kScheduleGolden);
 }
 

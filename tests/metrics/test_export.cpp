@@ -71,7 +71,10 @@ TEST(Export, SwfRecordsRoundTripThroughReader) {
 
 class ExportFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/istc_export_test.out";
+  // One file per test: ctest may run the tests as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/istc_export_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".out";
   void TearDown() override { std::remove(path_.c_str()); }
   std::string read_all() {
     std::ifstream in(path_);

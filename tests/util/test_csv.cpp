@@ -19,7 +19,11 @@ std::string read_all(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/istc_csv_test.csv";
+  // ctest runs each test as its own process, possibly in parallel: one
+  // file per test keeps a sibling's TearDown from deleting this one's.
+  std::string path_ =
+      ::testing::TempDir() + "/istc_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
