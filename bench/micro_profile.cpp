@@ -82,7 +82,7 @@ void BM_ProfileRebuild(benchmark::State& state) {
 BENCHMARK(BM_ProfileRebuild)->Arg(64)->Arg(512);
 
 // Full canonicalization sweep on an already-canonical profile: the
-// worst-case steady-state cost GateStage pays once per pass.
+// worst-case steady-state cost the scheduler's gate stage pays per pass.
 void BM_ProfileCoalesce(benchmark::State& state) {
   Rng rng(9);
   auto p = busy_profile(1000, rng);

@@ -1,11 +1,10 @@
 // Tracing overhead on the heaviest continual scenario (Blue Pacific,
 // 12k-job log, 32-CPU x 120 s @ 1 GHz stream).  The acceptance bar for the
-// trace subsystem: full tracing <= 5% wall time over the untraced run,
-// disabled tracing (attached but inert) <= 0.5%.
+// trace subsystem: full tracing <= 5% wall time over the untraced run.
 //
 //   ./bench/micro_trace --benchmark_filter=Continual
 //
-// Compare the four variants' wall times directly; they run the identical
+// Compare the variants' wall times directly; they run the identical
 // seeded scenario, so all schedule work is equal by construction (the
 // determinism tests enforce it).
 
@@ -14,7 +13,6 @@
 #include "core/experiment.hpp"
 #include "core/project.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -37,15 +35,6 @@ void BM_ContinualUntraced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ContinualUntraced)->Unit(benchmark::kMillisecond);
-
-void BM_ContinualTracerDisabled(benchmark::State& state) {
-  for (auto _ : state) {
-    trace::Tracer tracer(trace::TraceMode::kDisabled);
-    auto run = core::run_scenario(bluepac_continual(&tracer));
-    benchmark::DoNotOptimize(run.records.data());
-  }
-}
-BENCHMARK(BM_ContinualTracerDisabled)->Unit(benchmark::kMillisecond);
 
 void BM_ContinualCountersOnly(benchmark::State& state) {
   for (auto _ : state) {
@@ -70,8 +59,8 @@ void BM_ContinualFullTracing(benchmark::State& state) {
 BENCHMARK(BM_ContinualFullTracing)->Unit(benchmark::kMillisecond);
 
 // Wall-clock observability (src/obs) A/B on the same scenario: the span
-// recorder + stage profiler fully enabled, no tracer attached.  Compare
-// against BM_ContinualUntraced — the obs acceptance bar is <= 3%.
+// recorder fully enabled, no tracer attached.  Compare against
+// BM_ContinualUntraced — the obs acceptance bar is <= 3%.
 void BM_ContinualObsEnabled(benchmark::State& state) {
   obs::set_enabled(true);
   for (auto _ : state) {
@@ -80,13 +69,6 @@ void BM_ContinualObsEnabled(benchmark::State& state) {
   }
   obs::set_enabled(false);
   const obs::RecorderStats rec = obs::recorder_stats();
-  state.counters["stage_samples"] = [] {
-    double n = 0;
-    for (const auto& p : obs::profile_snapshot()) {
-      n += static_cast<double>(p.count);
-    }
-    return n;
-  }();
   state.counters["spans"] = static_cast<double>(rec.recorded);
   obs::reset();
 }

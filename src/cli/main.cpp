@@ -144,7 +144,7 @@ void print_stage_timings(const trace::TraceSummary& s) {
   for (int i = 0; i < trace::TraceSummary::kNumStages; ++i) {
     std::printf("  %-8s %8llu us over %llu runs\n", kStageNames[i],
                 static_cast<unsigned long long>(s.stage_us[i]),
-                static_cast<unsigned long long>(s.stage_runs[i]));
+                static_cast<unsigned long long>(s.sched_passes));
   }
   const std::uint64_t sorts = s.priority_recomputes + s.priority_reuses;
   if (sorts > 0) {

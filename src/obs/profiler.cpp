@@ -12,10 +12,10 @@ namespace {
 constexpr int kStages = static_cast<int>(Stage::kCount);
 
 constexpr const char* kStageLabels[kStages] = {
-    "sched_setup",    "sched_priority", "sched_dispatch", "sched_backfill",
-    "sched_gate",     "sweep_prefix",   "sweep_fork",     "sweep_arm",
-    "epoch_advance",  "epoch_boundary", "ingest_apply",   "ingest_rewind",
-    "query_capture",  "query_verdict",
+    "sweep_prefix",  "sweep_fork",     "sweep_arm",
+    "epoch_advance", "epoch_boundary",
+    "ingest_apply",  "ingest_rewind",
+    "query_capture", "query_verdict",
 };
 
 struct ThreadProfile {

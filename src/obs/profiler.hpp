@@ -25,12 +25,7 @@ namespace istc::obs {
 
 /// Where daemon wall-time can go.  One histogram per stage per thread.
 enum class Stage : int {
-  kSchedSetup = 0,   ///< scheduler pass: pre-pipeline bookkeeping
-  kSchedPriority,    ///< scheduler pass: priority stage
-  kSchedDispatch,    ///< scheduler pass: dispatch stage
-  kSchedBackfill,    ///< scheduler pass: backfill stage
-  kSchedGate,        ///< scheduler pass: interstitial gate stage
-  kSweepPrefix,      ///< sweep: shared-prefix simulation
+  kSweepPrefix = 0,  ///< sweep: shared-prefix simulation
   kSweepFork,        ///< sweep: serial fork creation
   kSweepArm,         ///< sweep: one point's advancement
   kEpochAdvance,     ///< fleet: parallel machine advance phase
@@ -42,7 +37,7 @@ enum class Stage : int {
   kCount
 };
 
-/// Stable snake_case label ("sched_backfill", "ingest_rewind", …) used in
+/// Stable snake_case label ("sweep_arm", "ingest_rewind", …) used in
 /// stats JSON, Prometheus labels and the dashboard.
 const char* stage_label(Stage s);
 

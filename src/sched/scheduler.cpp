@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <unordered_map>
 
-#include "obs/profiler.hpp"
 #include "util/assert.hpp"
 
 namespace istc::sched {
@@ -14,8 +15,6 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, cluster::Machine machine,
       machine_(std::move(machine)),
       policy_(std::move(policy)),
       fairshare_(policy_.fairshare),
-      pipeline_(
-          build_pipeline(policy_.backfill, policy_.preempt_interstitial)),
       profile_(engine_.now(), machine_.total_cpus()) {
   busy_integral_at_ = engine_.now();
   engine_.set_job_sink(this);
@@ -40,8 +39,6 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, BatchScheduler& other)
       busy_integral_at_(other.busy_integral_at_),
       last_pass_(other.last_pass_),
       reserved_start_(other.reserved_start_),
-      pipeline_(
-          build_pipeline(policy_.backfill, policy_.preempt_interstitial)),
       profile_(other.profile_),
       prio_(other.prio_),
       prio_epoch_(other.prio_epoch_),
@@ -211,10 +208,10 @@ void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
   // free-CPU count is the interstice width this dispatch landed in.
   if (on_start_) on_start_(job, machine_.free_cpus());
   trace_job(trace::EventKind::kJobStart, job, job.runtime, now + job.estimate);
-  if (const auto it = reserved_start_.find(job.id);
-      it != reserved_start_.end()) {
-    const SimTime reserved = it->second;
-    reserved_start_.erase(it);
+  if (slot < reserved_start_.size() &&
+      reserved_start_[slot] != kTimeInfinity) {
+    const SimTime reserved = reserved_start_[slot];
+    reserved_start_[slot] = kTimeInfinity;
     const bool honored = now <= reserved;
     if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
       ++(honored ? tracer_->counters().reservations_honored
@@ -290,23 +287,23 @@ void BatchScheduler::reserve_temp(SimTime start, SimTime end, int cpus) {
   temp_reservations_.push_back(TempReservation{start, end, cpus});
 }
 
-void BatchScheduler::make_reservation(const workload::Job& job, SimTime t) {
+void BatchScheduler::make_reservation(std::uint32_t slot, SimTime t) {
+  const workload::Job& job = store_.job(slot);
   reserve_temp(t, t + job.estimate, job.cpus);
   ++stats_.reservations;
-  if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-    ++tracer_->counters().reservations_made;
+  if (!ISTC_TRACE_COUNTERS_ON(tracer_)) return;
+  ++tracer_->counters().reservations_made;
+  // Only the newest reservation per job is scored honored/violated;
+  // reservations drift every pass as estimates expire.
+  if (slot >= reserved_start_.size()) {
+    reserved_start_.resize(store_.slots(), kTimeInfinity);
   }
-  if (ISTC_TRACE_EVENTS_ON(tracer_)) {
-    // Only the newest reservation per job is scored honored/violated;
-    // reservations drift every pass as estimates expire.
-    reserved_start_[job.id] = t;
-    trace_job(trace::EventKind::kReservationMade, job, 0, t);
-  }
+  reserved_start_[slot] = t;
+  trace_job(trace::EventKind::kReservationMade, job, 0, t);
 }
 
 bool BatchScheduler::try_dispatch(std::uint32_t slot, SimTime now,
-                                  bool may_start, bool preempt,
-                                  SimTime& earliest_out) {
+                                  bool may_start, SimTime& earliest_out) {
   if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
     ++tracer_->counters().backfill_scans;
   }
@@ -314,8 +311,8 @@ bool BatchScheduler::try_dispatch(std::uint32_t slot, SimTime now,
   SimTime t = earliest_start(profile_, job, now);
   // Preemption extension: a blocked native may evict running interstitial
   // jobs instead of waiting on them.
-  if (preempt && t != now && may_start && !job.interstitial() &&
-      could_start_with_kills(job, now)) {
+  if (policy_.preempt_interstitial && t != now && may_start &&
+      !job.interstitial() && could_start_with_kills(job, now)) {
     if (preempt_for(job, now)) {
       t = earliest_start(profile_, job, now);
     }
@@ -367,25 +364,22 @@ void BatchScheduler::pass(SimTime now) {
   ++stats_.passes;
   stats_.max_queue_length = std::max(stats_.max_queue_length, pending_.size());
   // Pass timing is one chained sequence of clock reads at segment
-  // boundaries, so stage_setup_us + sum(stage_us) == sched_pass_us_total
-  // holds exactly by construction (pinned by tests).  Wall-clock cost
-  // lands in the summary only, never the event stream.  The obs stage
-  // profiler shares the same lap chain, and samples 1 in 16 passes: a
-  // pass is often only a few microseconds, so timing every one would
-  // make the profiler the dominant cost of the thing it profiles.
-  const bool counters = ISTC_TRACE_COUNTERS_ON(tracer_);
-  const bool profiled = obs::enabled() && (obs_sample_tick_++ & 15u) == 0;
-  const bool timed = counters || profiled;
-  std::uint64_t pass_us = 0;
-  std::chrono::steady_clock::time_point mark{};
-  if (timed) mark = std::chrono::steady_clock::now();
-  const auto lap = [&mark]() -> std::uint64_t {
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - mark)
+  // boundaries (setup, then each stage), handed to the summary in ns;
+  // TraceSummary::add_pass keeps stage_setup_us + sum(stage_us) ==
+  // sched_pass_us_total exactly (pinned by tests).  Wall-clock cost lands
+  // in the summary only, never the event stream.
+  using Clock = std::chrono::steady_clock;
+  const bool timed = ISTC_TRACE_COUNTERS_ON(tracer_);
+  std::uint64_t segment_ns[trace::TraceSummary::kNumStages + 1] = {};
+  Clock::time_point mark{};
+  if (timed) mark = Clock::now();
+  const auto lap = [&](int segment) {
+    if (!timed) return;
+    const auto t1 = Clock::now();
+    segment_ns[segment] = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - mark)
             .count());
     mark = t1;
-    return us;
   };
 
   // Wakes scheduled at or before this instant have fired.
@@ -402,38 +396,181 @@ void BatchScheduler::pass(SimTime now) {
 #endif
 
   pass_state_.reset(now, pending_.size());
-  if (timed) {
-    const std::uint64_t us = lap();
-    if (counters) tracer_->counters().stage_setup_us += us;
-    if (profiled) obs::observe_stage_us(obs::Stage::kSchedSetup, us);
-    pass_us += us;
-  }
-  for (const auto& stage : pipeline_) {
-    stage->run(*this, pass_state_);
-    if (!timed) continue;
-    const std::uint64_t us = lap();
-    const auto slot = static_cast<int>(stage->kind());
-    if (counters) {
-      auto& c = tracer_->counters();
-      c.stage_us[slot] += us;
-      ++c.stage_runs[slot];
-    }
-    if (profiled) {
-      obs::observe_stage_us(
-          static_cast<obs::Stage>(
-              static_cast<int>(obs::Stage::kSchedPriority) + slot),
-          us);
-    }
-    pass_us += us;
-  }
-  if (counters) {
-    auto& c = tracer_->counters();
-    ++c.sched_passes;
-    c.sched_pass_us_total += pass_us;
-    c.sched_pass_us_max = std::max(c.sched_pass_us_max, pass_us);
-  }
-  // GateStage cleared in_pass_ and ran the post-pass hook.
+  lap(0);
+  prioritize();
+  lap(1);
+  dispatch();
+  lap(2);
+  backfill();
+  lap(3);
+  gate();
+  lap(4);
+  if (timed) tracer_->counters().add_pass(segment_ns);
+  // gate() cleared in_pass_ and ran the post-pass hook.
   ISTC_ASSERT(!in_pass_);
+}
+
+void BatchScheduler::prioritize() {
+  PassState& st = pass_state_;
+  const std::size_t n = pending_.size();
+  std::iota(st.order.begin(), st.order.end(), std::size_t{0});
+  if (n == 0) return;
+
+  // The cached order (pending_ left in priority order by the previous
+  // pass's gate()) is exact while the fair-share ledger is unchanged and
+  // nothing new entered the queue: between charges every principal's
+  // normalized usage is constant (all accounts decay at the same rate) and
+  // queue aging shifts each pairwise priority gap by a constant, so the
+  // relative order cannot move.
+  const bool reuse =
+      order_cached_ && !pending_dirty_ && prio_epoch_ == fairshare_.epoch();
+  if (reuse) {
+    ++stats_.priority_reuses;
+    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+      ++tracer_->counters().priority_reuses;
+    }
+  } else {
+    ++stats_.priority_recomputes;
+    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+      ++tracer_->counters().priority_recomputes;
+    }
+    prio_.resize(n);
+    // One deficit evaluation per (user, group) principal instead of one per
+    // job; priority() is pure, so the memo is bit-identical to recomputing.
+    std::unordered_map<std::uint32_t, double> deficits;
+    deficits.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const workload::Job& job = store_.job(pending_[i]);
+      const std::uint32_t key =
+          (static_cast<std::uint32_t>(job.user) << 16) |
+          static_cast<std::uint32_t>(job.group);
+      auto [it, fresh] = deficits.try_emplace(key, 0.0);
+      if (fresh) it->second = fairshare_.deficit(job.user, job.group, st.now);
+      prio_[i] = fairshare_.priority_with_deficit(it->second, job, st.now);
+    }
+    std::stable_sort(st.order.begin(), st.order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       if (prio_[a] != prio_[b]) return prio_[a] > prio_[b];
+                       const workload::Job& ja = store_.job(pending_[a]);
+                       const workload::Job& jb = store_.job(pending_[b]);
+                       if (ja.submit != jb.submit) {
+                         return ja.submit < jb.submit;
+                       }
+                       return ja.id < jb.id;
+                     });
+    prio_epoch_ = fairshare_.epoch();
+    pending_dirty_ = false;
+  }
+
+  // Dynamic re-prioritization is observable every pass regardless of
+  // whether the order was reused — the event marks "priorities are current
+  // as of now", and exports depend on that cadence.
+  if (ISTC_TRACE_EVENTS_ON(tracer_)) {
+    trace::TraceEvent e;
+    e.time = st.now;
+    e.kind = trace::EventKind::kFairShareRecompute;
+    e.value = static_cast<std::int64_t>(n);
+    tracer_->record(e);
+  }
+}
+
+void BatchScheduler::dispatch() {
+  PassState& st = pass_state_;
+  std::size_t pos = 0;
+  for (; pos < st.order.size(); ++pos) {
+    const std::size_t idx = st.order[pos];
+    const std::uint32_t slot = pending_[idx];
+    SimTime t = kTimeInfinity;
+    if (try_dispatch(slot, st.now, /*may_start=*/true, t)) {
+      st.started[idx] = 1;
+      continue;
+    }
+    // The highest-priority job that cannot start now: it always holds the
+    // pass's reservation (its shadow time), whatever the backfill mode.
+    st.saw_blocked = true;
+    st.head_earliest = t;
+    st.queue_earliest = std::min(st.queue_earliest, t);
+    make_reservation(slot, t);
+    ++pos;
+    break;
+  }
+  st.resume_pos = pos;
+}
+
+void BatchScheduler::backfill() {
+  PassState& st = pass_state_;
+  if (!st.saw_blocked) return;  // dispatch drained the queue
+  // kNone (ablation baseline): strict priority order — nothing junior may
+  // start, but earliest times still feed the interstitial gate.
+  const bool may_start = policy_.backfill != BackfillMode::kNone;
+  for (std::size_t pos = st.resume_pos; pos < st.order.size(); ++pos) {
+    const std::size_t idx = st.order[pos];
+    const std::uint32_t slot = pending_[idx];
+    SimTime t = kTimeInfinity;
+    if (try_dispatch(slot, st.now, may_start, t)) {
+      // Started while a higher-priority job stayed blocked: backfill.
+      ++stats_.backfilled_starts;
+      st.started[idx] = 1;
+      continue;
+    }
+    st.queue_earliest = std::min(st.queue_earliest, t);
+    // EASY: only the head reserves, so later jobs may start now as long as
+    // they cannot delay it.  Conservative: every blocked job reserves, so
+    // nothing may delay any higher-priority waiter (Ross's more
+    // restrictive backfill).
+    if (policy_.backfill == BackfillMode::kConservative) {
+      make_reservation(slot, t);
+    }
+  }
+}
+
+void BatchScheduler::gate() {
+  PassState& st = pass_state_;
+  // Undo this pass's reservations: between passes the persistent profile
+  // must describe running jobs only.  The undo is exact — integer adds on
+  // the same intervals — and the coalesce keeps segmentation canonical so
+  // the breakpoint count stays bounded by live change points.
+  for (const auto& tr : temp_reservations_) {
+    profile_.release(tr.start, tr.end, tr.cpus);
+  }
+  temp_reservations_.clear();
+  profile_.coalesce();
+
+  // Drop started jobs, leaving pending_ in priority order.  The priority
+  // comparator is a strict total order (ids are unique), so the sorted
+  // sequence is unique regardless of storage order — and storing it sorted
+  // is what makes next pass's cached order the identity permutation.
+  if (!pending_.empty()) {
+    compact_buf_.clear();
+    compact_buf_.reserve(pending_.size());
+    for (const std::size_t idx : st.order) {
+      if (!st.started[idx]) compact_buf_.push_back(pending_[idx]);
+    }
+    pending_.swap(compact_buf_);
+  }
+  order_cached_ = true;
+
+  // If the head job cannot start now, guarantee a future pass at its
+  // earliest possible start even if no completion event lands earlier.
+  if (!pending_.empty() && st.head_earliest < kTimeInfinity) {
+    wake_at(st.head_earliest);
+  }
+
+  in_pass_ = false;
+
+  // Snapshot the pass outcome unconditionally: the metrics probe reads the
+  // cached context (head backfill wall time) even when no post-pass hook
+  // is installed.
+  PassContext ctx;
+  ctx.now = st.now;
+  ctx.free_cpus = machine_.free_cpus();
+  ctx.queue_empty = pending_.empty();
+  ctx.head_earliest_start = pending_.empty() ? kTimeInfinity : st.head_earliest;
+  ctx.queue_earliest_start =
+      pending_.empty() ? kTimeInfinity : st.queue_earliest;
+  last_pass_ = ctx;
+
+  if (post_pass_) post_pass_(ctx);
 }
 
 bool BatchScheduler::could_start_with_kills(const workload::Job& job,

@@ -2,16 +2,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/machine.hpp"
 #include "sched/fairshare.hpp"
 #include "sched/job_store.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/record.hpp"
 #include "sched/resource_profile.hpp"
 #include "sched/timeofday.hpp"
@@ -25,8 +22,8 @@
 /// simulator's stand-in for PBS / LSF / DPCS.
 ///
 /// One scheduling pass runs per distinct event timestamp (engine quiescent
-/// hook).  The pass is a pipeline of stages (see pipeline.hpp): priorities
-/// are re-established (dynamic re-prioritization), jobs start in priority
+/// hook).  The pass runs four stages in fixed order: priorities are
+/// re-established (dynamic re-prioritization), jobs start in priority
 /// order, blocked jobs backfill under the selected policy, and the
 /// post-pass gate hands control to the interstitial driver.  The scheduler
 /// only ever consults *estimated* runtimes — exactly the information a
@@ -252,7 +249,7 @@ class BatchScheduler : private sim::JobEventSink {
   ResourceProfile rebuild_profile(SimTime now) const;
 
   /// Snapshot from the most recent completed scheduling pass (zero-valued
-  /// before the first pass).  Cached by GateStage whether or not a
+  /// before the first pass).  Cached by the gate stage whether or not a
   /// post-pass hook is installed.
   const PassContext& last_pass() const { return last_pass_; }
 
@@ -264,11 +261,6 @@ class BatchScheduler : private sim::JobEventSink {
   RunResult take_result(SimTime span);
 
  private:
-  friend class PriorityStage;
-  friend class DispatchStage;
-  friend class BackfillStage;
-  friend class GateStage;
-
   // -- sim::JobEventSink (typed event dispatch) ---------------------------
   /// A submission event fired: move submission_table_[index] into the
   /// pending queue.
@@ -280,8 +272,8 @@ class BatchScheduler : private sim::JobEventSink {
   /// matching profile reservation expires at the same instant).
   void capacity_repair(std::uint32_t outage_id) override;
 
-  /// A reservation applied to the profile for this pass only; GateStage
-  /// releases it before the post-pass hook runs.
+  /// A reservation applied to the profile for this pass only; the gate
+  /// stage releases it before the post-pass hook runs.
   struct TempReservation {
     SimTime start = 0;
     SimTime end = 0;
@@ -298,23 +290,83 @@ class BatchScheduler : private sim::JobEventSink {
     SimTime until = 0;
   };
 
+  /// Mutable state one scheduling pass threads through its stages.  Reset
+  /// per pass; vectors keep their capacity so a pass allocates nothing in
+  /// steady state.
+  struct PassState {
+    SimTime now = 0;
+    /// Indices into pending_, in priority order (prioritize() output; the
+    /// identity permutation when the cached order is still valid).
+    std::vector<std::size_t> order;
+    /// started[i] marks pending_[i] as started this pass (gate() drops it).
+    std::vector<char> started;
+    /// True once a job could not start now; set by dispatch().
+    bool saw_blocked = false;
+    /// Position in `order` where dispatch() stopped; backfill() resumes
+    /// there.
+    std::size_t resume_pos = 0;
+    /// Earliest (estimate-based) start of the blocked head / of any waiter.
+    SimTime head_earliest = kTimeInfinity;
+    SimTime queue_earliest = kTimeInfinity;
+
+    void reset(SimTime t, std::size_t queue_len) {
+      now = t;
+      order.resize(queue_len);
+      started.assign(queue_len, 0);
+      saw_blocked = false;
+      resume_pos = 0;
+      head_earliest = kTimeInfinity;
+      queue_earliest = kTimeInfinity;
+    }
+  };
+
   /// The scheduling pass (engine quiescent hook): advance the profile's
-  /// origin to now, then run the stage pipeline.
+  /// origin to now, then run the four stages below in order.  With a
+  /// tracer attached, one chain of clock reads times the setup and each
+  /// stage into its TraceSummary.
   void pass(SimTime now);
+
+  /// Stage 1: recompute fair-share priorities and sort the queue, or prove
+  /// nothing changed (same fair-share ledger epoch, no new submissions)
+  /// and reuse the order left by the previous pass.  Reuse is exact, not
+  /// approximate: between charges every principal's deficit is constant
+  /// and queue aging shifts all priorities by the same amount, so the
+  /// relative order cannot change (see FairShareTracker::epoch).
+  void prioritize();
+
+  /// Stage 2: start jobs in priority order until the first one that cannot
+  /// start now; that head job receives the pass's reservation (its shadow
+  /// time).  With preemption enabled, a blocked native may evict
+  /// interstitial jobs first.
+  void dispatch();
+
+  /// Stage 3: walk the jobs behind the blocked head under the configured
+  /// discipline: EASY lets them start wherever the head's reservation
+  /// leaves room, conservative adds a reservation per blocked job, none
+  /// (the ablation baseline) starts nothing but still computes earliest
+  /// starts for the interstitial gate.
+  void backfill();
+
+  /// Stage 4: undo the pass's temporary reservations (the persistent
+  /// profile must describe running jobs only between passes), drop started
+  /// jobs from the queue keeping it in priority order, guarantee a future
+  /// pass at the head's earliest start, and hand the PassContext to the
+  /// post-pass hook (the interstitial driver).
+  void gate();
 
   /// Reserve on the profile for this pass only (blocked-job reservations).
   void reserve_temp(SimTime start, SimTime end, int cpus);
 
   /// Handle one queued job within the dispatch/backfill walk; shared by
-  /// DispatchStage and BackfillStage.  Returns true when the job started;
+  /// dispatch() and backfill().  Returns true when the job started;
   /// otherwise earliest_out holds its earliest (estimate-based) start.
   bool try_dispatch(std::uint32_t slot, SimTime now, bool may_start,
-                    bool preempt, SimTime& earliest_out);
+                    SimTime& earliest_out);
 
   /// Blocked-job reservation: temp-reserve [t, t+estimate), count it, and
   /// record the reservation event (head job always; every blocked job under
   /// conservative backfill).
-  void make_reservation(const workload::Job& job, SimTime t);
+  void make_reservation(std::uint32_t slot, SimTime t);
 
   /// Preemption (policy.preempt_interstitial): can `job` start now if we
   /// killed every running interstitial job?  (space, downtime, gating).
@@ -368,8 +420,8 @@ class BatchScheduler : private sim::JobEventSink {
   JobStore store_;
 
   /// Waiting native jobs as job-store slots.  After every pass this is in
-  /// priority order (GateStage compacts along the sorted walk), which is
-  /// what lets PriorityStage reuse the order when nothing changed.
+  /// priority order (gate() compacts along the sorted walk), which is
+  /// what lets prioritize() reuse the order when nothing changed.
   std::vector<std::uint32_t> pending_;
   /// Completed-job records; copy-on-write so a fork late in a run shares
   /// the (large) history instead of duplicating it.
@@ -394,11 +446,14 @@ class BatchScheduler : private sim::JobEventSink {
   /// Snapshot of the most recent pass (see last_pass()).
   PassContext last_pass_;
   trace::Tracer* tracer_ = nullptr;
-  /// Reservation each waiting job last held, for honored/violated events.
-  std::unordered_map<workload::JobId, SimTime> reserved_start_;
+  /// Reservation each waiting job last held, by job-store slot
+  /// (kTimeInfinity: none), scored honored/violated when the job starts.
+  /// Filled whenever a tracer is attached; a waiting slot is released only
+  /// after its job starts, which clears the entry, so a recycled slot
+  /// never inherits one.
+  std::vector<SimTime> reserved_start_;
 
-  // -- pass pipeline state -------------------------------------------------
-  std::vector<std::unique_ptr<PassStage>> pipeline_;
+  // -- pass state ----------------------------------------------------------
   PassState pass_state_;
   /// Pass-persistent future free-CPU profile (running jobs only between
   /// passes; plus this pass's temporary reservations during one).
@@ -410,7 +465,7 @@ class BatchScheduler : private sim::JobEventSink {
   std::uint64_t prio_epoch_ = 0;
   bool pending_dirty_ = true;
   bool order_cached_ = false;
-  /// Scratch for GateStage's in-order queue compaction.
+  /// Scratch for gate()'s in-order queue compaction.
   std::vector<std::uint32_t> compact_buf_;
   /// Scratch for victim collection (preempt_for / fail_capacity).
   std::vector<std::uint32_t> victim_buf_;
@@ -419,11 +474,6 @@ class BatchScheduler : private sim::JobEventSink {
   /// wake_at dedups against the earliest of these.
   std::set<SimTime> queued_wakes_;
   bool in_pass_ = false;
-
-  /// Pass counter for the wall-clock obs profiler's 1-in-N sampling
-  /// (sampling keeps the stage quantiles representative while the
-  /// per-pass clock reads stay off the hot path).
-  std::uint32_t obs_sample_tick_ = 0;
 
   /// Unrepaired fail_capacity outages (usually zero or one entry).
   std::vector<CapacityOutage> outages_;

@@ -307,7 +307,7 @@ std::vector<SummaryField> summary_fields(const TraceSummary& s) {
       {"interstitial_rejected_by_gate", s.interstitial_rejected_by_gate,
        false},
       {"interstitial_killed", s.interstitial_killed, false},
-      // Pass-pipeline stage timings (one slot per sched::StageKind).
+      // Scheduler pass stage timings, in pass order.
       {"stage_priority_us", s.stage_us[0], true},
       {"stage_dispatch_us", s.stage_us[1], true},
       {"stage_backfill_us", s.stage_us[2], true},

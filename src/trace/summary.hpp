@@ -50,15 +50,16 @@ struct TraceSummary {
   std::uint64_t reservations_honored = 0;
   std::uint64_t reservations_violated = 0;
 
-  // -- scheduler pipeline stages (one slot per sched::StageKind) ----------
-  // Wall µs spent inside each pass stage, and how often the stage ran.
-  // Pass setup (wake pruning, profile origin-advance, the paranoid
-  // cross-check) is timed into its own stage_setup_us slot, so
-  // stage_setup_us + sum(stage_us) == sched_pass_us_total holds exactly
-  // (pinned by tests/trace/test_determinism.cpp).
+  // -- scheduler pass stages ---------------------------------------------
+  // Wall µs spent inside each pass stage, in pass order: priority,
+  // dispatch, backfill, gate.  Every stage runs once per pass, so each
+  // ran sched_passes times.  Pass setup (wake pruning, profile
+  // origin-advance, the paranoid cross-check) is timed into its own
+  // stage_setup_us slot, so stage_setup_us + sum(stage_us) ==
+  // sched_pass_us_total holds exactly (pinned by
+  // tests/trace/test_determinism.cpp).
   static constexpr int kNumStages = 4;
   std::uint64_t stage_us[kNumStages] = {0, 0, 0, 0};
-  std::uint64_t stage_runs[kNumStages] = {0, 0, 0, 0};
   std::uint64_t stage_setup_us = 0;  ///< pre-stage pass setup, wall µs
 
   // -- incremental scheduling state --------------------------------------
@@ -99,6 +100,28 @@ struct TraceSummary {
                              : static_cast<double>(sched_pass_us_total) /
                                    static_cast<double>(sched_passes);
   }
+
+  /// Account one timed scheduler pass from its segment durations in ns:
+  /// [0] is pass setup, [1 + k] is stage_us[k].  Each slot gains whole
+  /// microseconds and carries its sub-µs remainder into its next pass, so
+  /// a segment shorter than 1 µs still adds up instead of reading 0;
+  /// sched_pass_us_total gains exactly what the slots gained.
+  void add_pass(const std::uint64_t (&segment_ns)[kNumStages + 1]) {
+    std::uint64_t pass_ns = 0;
+    for (int k = 0; k <= kNumStages; ++k) {
+      const std::uint64_t ns = segment_ns[k] + carry_ns_[k];
+      (k == 0 ? stage_setup_us : stage_us[k - 1]) += ns / 1000;
+      sched_pass_us_total += ns / 1000;
+      carry_ns_[k] = ns % 1000;
+      pass_ns += segment_ns[k];
+    }
+    ++sched_passes;
+    if (pass_ns / 1000 > sched_pass_us_max) sched_pass_us_max = pass_ns / 1000;
+  }
+
+ private:
+  /// Sub-µs remainder per add_pass slot, below 1000 ns each.
+  std::uint64_t carry_ns_[kNumStages + 1] = {0, 0, 0, 0, 0};
 };
 
 }  // namespace istc::trace

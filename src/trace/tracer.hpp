@@ -11,33 +11,21 @@
 /// The tracing core: a chunked, preallocated event buffer plus the
 /// TraceSummary counters.  Hooks throughout sim/sched/core hold a
 /// `Tracer*` that is null by default, so an untraced run pays one branch
-/// per hook; `ISTC_TRACING_ENABLED=0` compiles even that out.
+/// per hook.
 ///
 /// Determinism contract: `record()` stamps each event with a monotone
 /// sequence number, so the (time, seq) key mirrors the engine's event queue
 /// and equal-seed runs yield identical streams.  Nothing in the tracer
 /// feeds back into the simulation — tracing observes, never perturbs.
 
-// CMake's ISTC_TRACING option defines this to 0 to compile tracing out;
-// the hook macros below then evaluate to constant false / no-ops.
-#ifndef ISTC_TRACING_ENABLED
-#define ISTC_TRACING_ENABLED 1
-#endif
-
-#if ISTC_TRACING_ENABLED
 /// True when `p` (a Tracer*) wants full event records.
 #define ISTC_TRACE_EVENTS_ON(p) ((p) != nullptr && (p)->events_enabled())
-/// True when `p` wants counters (full or counters-only mode).
-#define ISTC_TRACE_COUNTERS_ON(p) ((p) != nullptr && (p)->counters_enabled())
-#else
-#define ISTC_TRACE_EVENTS_ON(p) false
-#define ISTC_TRACE_COUNTERS_ON(p) false
-#endif
+/// True when `p` wants counters: every attached tracer counts.
+#define ISTC_TRACE_COUNTERS_ON(p) ((p) != nullptr)
 
 namespace istc::trace {
 
 enum class TraceMode : std::uint8_t {
-  kDisabled,      ///< attached but inert (overhead measurement baseline)
   kCountersOnly,  ///< summary counters/timers only, no event records
   kFull,          ///< counters plus the event stream
 };
@@ -58,7 +46,6 @@ class Tracer {
 
   TraceMode mode() const { return mode_; }
   bool events_enabled() const { return mode_ == TraceMode::kFull; }
-  bool counters_enabled() const { return mode_ != TraceMode::kDisabled; }
 
   /// Append one event (fields other than `seq` filled by the caller).
   /// No-op unless events are enabled.

@@ -189,9 +189,6 @@ TEST(Driver, TraceRecordsHeadPinnedLivelock) {
   // time (the head's far-future earliest start never moves) while the
   // junior starves; the queue-protective gate instead emits repeated
   // rejected-by-gate decisions against the junior's imminent start.
-#if !ISTC_TRACING_ENABLED
-  GTEST_SKIP() << "tracing compiled out (ISTC_TRACING=OFF)";
-#endif
   auto run_traced = [](GatePolicy gate, trace::Tracer* tracer) {
     sim::Engine eng;
     sched::PolicySpec policy;  // EASY

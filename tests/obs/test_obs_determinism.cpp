@@ -76,9 +76,10 @@ TEST_F(ObsDeterminism, GoldenScheduleHashUnchangedWithObsFullyEnabled) {
   grid::GridMachine m(miniature_setup(42));
   m.drain();
   EXPECT_EQ(grid::hash_run(m.take_result()), kScheduleGolden);
-  // And the run actually exercised the profiler (the scheduler's pass
-  // stages observe when obs is on) — this was not a vacuous A/B.
-  EXPECT_FALSE(obs::profile_snapshot().empty());
+  // The scheduler pass reports its cost only to an attached tracer's
+  // TraceSummary: even with obs on, a single-machine run writes nothing
+  // to the stage profiler.
+  EXPECT_TRUE(obs::profile_snapshot().empty());
 }
 
 std::uint64_t threaded_fleet_hash(std::size_t threads) {

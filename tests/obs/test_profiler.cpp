@@ -69,9 +69,9 @@ TEST_F(Profiler, ScopedTimerObservesElapsedTime) {
 }
 
 TEST_F(Profiler, StageLabelsAreStable) {
-  EXPECT_STREQ(stage_label(Stage::kSchedSetup), "sched_setup");
-  EXPECT_STREQ(stage_label(Stage::kSchedBackfill), "sched_backfill");
   EXPECT_STREQ(stage_label(Stage::kSweepPrefix), "sweep_prefix");
+  EXPECT_STREQ(stage_label(Stage::kSweepFork), "sweep_fork");
+  EXPECT_STREQ(stage_label(Stage::kIngestApply), "ingest_apply");
   EXPECT_STREQ(stage_label(Stage::kEpochAdvance), "epoch_advance");
   EXPECT_STREQ(stage_label(Stage::kEpochBoundary), "epoch_boundary");
   EXPECT_STREQ(stage_label(Stage::kQueryVerdict), "query_verdict");
@@ -98,13 +98,13 @@ TEST_F(Profiler, SnapshotMergesAcrossThreads) {
 }
 
 TEST_F(Profiler, ResetProfilesDropsAllObservations) {
-  observe_stage_us(Stage::kSchedDispatch, 42);
+  observe_stage_us(Stage::kSweepFork, 42);
   EXPECT_FALSE(profile_snapshot().empty());
   reset_profiles();
   EXPECT_TRUE(profile_snapshot().empty());
   // And the profiler keeps working after a reset.
-  observe_stage_us(Stage::kSchedDispatch, 42);
-  EXPECT_EQ(stage_histogram(Stage::kSchedDispatch).total(), 1u);
+  observe_stage_us(Stage::kSweepFork, 42);
+  EXPECT_EQ(stage_histogram(Stage::kSweepFork).total(), 1u);
 }
 
 }  // namespace

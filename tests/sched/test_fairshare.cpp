@@ -199,7 +199,7 @@ TEST(FairShare, EpochAdvancesOnlyOnCharges) {
 }
 
 TEST(FairShare, PriorityComposesDeficitExactly) {
-  // priority() must equal the split form bit-for-bit: PriorityStage
+  // priority() must equal the split form bit-for-bit: the priority stage
   // memoizes deficit() per principal and recombines, and the schedules
   // must not depend on which path computed the number.
   FairShareConfig c = cfg(FairShareMode::kUserAndGroup);

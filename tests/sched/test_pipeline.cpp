@@ -1,5 +1,3 @@
-#include "sched/pipeline.hpp"
-
 #include <gtest/gtest.h>
 
 #include <map>
@@ -44,19 +42,6 @@ void submit_random_burst(BatchScheduler& s, int jobs, std::uint64_t seed) {
   }
 }
 
-TEST(Pipeline, BuildsFourStagesInFixedOrder) {
-  const auto stages = build_pipeline(BackfillMode::kEasy, false);
-  ASSERT_EQ(stages.size(), static_cast<std::size_t>(kNumPassStages));
-  EXPECT_EQ(stages[0]->kind(), StageKind::kPriority);
-  EXPECT_EQ(stages[1]->kind(), StageKind::kDispatch);
-  EXPECT_EQ(stages[2]->kind(), StageKind::kBackfill);
-  EXPECT_EQ(stages[3]->kind(), StageKind::kGate);
-  EXPECT_STREQ(stages[0]->name(), "priority");
-  EXPECT_STREQ(stages[1]->name(), "dispatch");
-  EXPECT_STREQ(stages[2]->name(), "backfill");
-  EXPECT_STREQ(stages[3]->name(), "gate");
-}
-
 TEST(Pipeline, PriorityOrderReusedBetweenLedgerCharges) {
   sim::Engine eng;
   PolicySpec policy;
@@ -83,9 +68,8 @@ TEST(Pipeline, StageTimersLandInTraceSummaryWhenCounting) {
   eng.run();
   const auto& sum = tracer.summary();
   EXPECT_GT(sum.sched_passes, 0u);
-  for (int i = 0; i < trace::TraceSummary::kNumStages; ++i) {
-    EXPECT_EQ(sum.stage_runs[i], sum.sched_passes) << "stage " << i;
-  }
+  // Every pass lands in the summary exactly once.
+  EXPECT_EQ(sum.sched_passes, s.stats().passes);
   // The priority cache counters mirror the scheduler's own stats.
   EXPECT_EQ(sum.priority_recomputes, s.stats().priority_recomputes);
   EXPECT_EQ(sum.priority_reuses, s.stats().priority_reuses);

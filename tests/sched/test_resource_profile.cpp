@@ -196,7 +196,7 @@ TEST(ResourceProfile, SegmentCountBoundedUnderChurn) {
     p.reserve(start, start + dur, cpus);
     ++live;
     if (rng.below(2) == 0) {
-      p.release(start, start + dur, cpus);  // paired undo, like GateStage
+      p.release(start, start + dur, cpus);  // paired undo, like the gate stage
       --live;
     }
     // Live reservations induce at most 2 breakpoints each, plus the origin

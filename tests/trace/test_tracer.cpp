@@ -60,7 +60,9 @@ TEST(Tracer, DropsPastTheCapAndCounts) {
 
 TEST(Tracer, CountersOnlyStoresNoEvents) {
   Tracer tracer(TraceMode::kCountersOnly);
-  EXPECT_TRUE(tracer.counters_enabled());
+  EXPECT_TRUE(ISTC_TRACE_COUNTERS_ON(&tracer));
+  Tracer* null_tracer = nullptr;
+  EXPECT_FALSE(ISTC_TRACE_COUNTERS_ON(null_tracer));
   EXPECT_FALSE(tracer.events_enabled());
   tracer.record(at(1));
   EXPECT_EQ(tracer.size(), 0u);
@@ -68,14 +70,20 @@ TEST(Tracer, CountersOnlyStoresNoEvents) {
   EXPECT_EQ(tracer.summary().sched_passes, 1u);
 }
 
-TEST(Tracer, DisabledModeIsInert) {
-  Tracer tracer(TraceMode::kDisabled);
-  EXPECT_FALSE(tracer.counters_enabled());
-  EXPECT_FALSE(tracer.events_enabled());
-  EXPECT_FALSE(ISTC_TRACE_EVENTS_ON(&tracer));
-  EXPECT_FALSE(ISTC_TRACE_COUNTERS_ON(&tracer));
-  Tracer* null_tracer = nullptr;
-  EXPECT_FALSE(ISTC_TRACE_COUNTERS_ON(null_tracer));
+TEST(TraceSummary, PassLapsCarrySubMicrosecondRemainders) {
+  // 2,000 passes whose five segments each take 600 ns: truncating every
+  // segment to whole microseconds would read 0 everywhere.
+  TraceSummary s;
+  const std::uint64_t segment_ns[TraceSummary::kNumStages + 1] = {
+      600, 600, 600, 600, 600};
+  for (int i = 0; i < 2000; ++i) s.add_pass(segment_ns);
+  EXPECT_EQ(s.sched_passes, 2000u);
+  EXPECT_EQ(s.stage_setup_us, 1200u);
+  for (int k = 0; k < TraceSummary::kNumStages; ++k) {
+    EXPECT_EQ(s.stage_us[k], 1200u) << "stage " << k;
+  }
+  EXPECT_EQ(s.sched_pass_us_total, 6000u);
+  EXPECT_EQ(s.sched_pass_us_max, 3u);  // 3,000 ns per pass
 }
 
 TEST(Tracer, ClearResetsEverything) {
