@@ -13,12 +13,10 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/driver.hpp"
+#include "core/fork.hpp"
 #include "metrics/utilization.hpp"
 #include "metrics/waits.hpp"
 #include "sched/presets.hpp"
-#include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
 #include "util/table.hpp"
@@ -32,21 +30,19 @@ istc::sched::RunResult replay(const istc::workload::JobLog& log,
                               istc::SimTime span, bool with_interstitial,
                               istc::trace::Tracer* tracer = nullptr) {
   using namespace istc;
-  sim::Engine engine;
+  core::RunSetup setup;
+  setup.spec = machine;
   // A generic EASY + user-fair-share policy for foreign traces.
-  sched::PolicySpec policy;
-  policy.name = "EASY + equal-user fair share";
-  sched::BatchScheduler scheduler(engine, cluster::Machine(machine), policy);
-  if (tracer != nullptr) scheduler.set_tracer(tracer);
-  scheduler.load(log);
-  std::optional<core::InterstitialDriver> driver;
+  setup.policy.name = "EASY + equal-user fair share";
+  setup.natives = log;
+  setup.span = span;
   if (with_interstitial) {
-    driver.emplace(scheduler,
-                   core::ProjectSpec::continual_stream(8, 120, span),
-                   static_cast<workload::JobId>(log.size()));
+    setup.project = core::ProjectSpec::continual_stream(8, 120, span);
+    setup.first_id = static_cast<workload::JobId>(log.size());
   }
-  engine.run();
-  return scheduler.take_result(span);
+  core::SimRun run(std::move(setup));
+  if (tracer != nullptr) run.set_tracer(tracer);
+  return run.finish();
 }
 
 }  // namespace

@@ -17,19 +17,17 @@
 #include <thread>
 
 #include "core/advisor.hpp"
-#include "core/driver.hpp"
 #include "core/experiment.hpp"
+#include "core/fork.hpp"
 #include "grid/fleet.hpp"
 #include "grid/report.hpp"
 #include "metrics/report.hpp"
 #include "metrics/utilization.hpp"
 #include "metrics/waits.hpp"
 #include "obs/obs.hpp"
-#include "sched/scheduler.hpp"
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
-#include "sim/engine.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
 #include "util/args.hpp"
@@ -363,20 +361,17 @@ int cmd_replay(const ArgParser& args) {
   std::optional<trace::Tracer> tracer = make_tracer(args);
 
   auto simulate = [&](bool interstitial) {
-    sim::Engine engine;
-    sched::PolicySpec policy;
-    sched::BatchScheduler scheduler(engine, cluster::Machine(machine),
-                                    policy);
-    if (interstitial && tracer) scheduler.set_tracer(&*tracer);
-    scheduler.load(log);
-    std::optional<core::InterstitialDriver> driver;
+    core::RunSetup setup;
+    setup.spec = machine;
+    setup.natives = log;
+    setup.span = span;
     if (interstitial) {
-      driver.emplace(scheduler,
-                     core::ProjectSpec::continual_stream(icpus, isec, span),
-                     static_cast<workload::JobId>(log.size()));
+      setup.project = core::ProjectSpec::continual_stream(icpus, isec, span);
+      setup.first_id = static_cast<workload::JobId>(log.size());
     }
-    engine.run();
-    return scheduler.take_result(span);
+    core::SimRun run(std::move(setup));
+    if (interstitial && tracer) run.set_tracer(&*tracer);
+    return run.finish();
   };
   print_run_summary("trace replay (native only)", simulate(false));
   std::printf("\n");

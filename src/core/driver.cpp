@@ -82,10 +82,8 @@ void InterstitialDriver::on_fault_kill(const sched::JobRecord& victim) {
   const FaultRetryPolicy& policy = spec_.fault_retry;
   const Seconds elapsed = victim.end - victim.start;
   // Work up to the last checkpoint survives the kill; the rest is redone.
-  const Seconds saved = policy.checkpoint_interval > 0
-                            ? (elapsed / policy.checkpoint_interval) *
-                                  policy.checkpoint_interval
-                            : 0;
+  const Seconds saved =
+      checkpointed_seconds(elapsed, policy.checkpoint_interval);
   const Seconds remaining = victim.job.runtime - saved;
   const Seconds lost = elapsed - saved;
   int attempts = 0;
@@ -155,8 +153,7 @@ void InterstitialDriver::on_pass(const sched::PassContext& ctx) {
   bool gate_open = true;
   switch (spec_.gate) {
     case GatePolicy::kQueueProtective:
-      gate_open = ctx.queue_empty ||
-                  ctx.queue_earliest_start - ctx.now > job_runtime_;
+      gate_open = queue_gate_open(ctx, ctx.now, job_runtime_);
       break;
     case GatePolicy::kHeadOnly:
       gate_open = ctx.queue_empty ||

@@ -24,6 +24,23 @@
 
 namespace istc::core {
 
+/// The Figure 1 gate over the whole waiting queue
+/// (GatePolicy::kQueueProtective): an interstitial job of `runtime` may
+/// start at `t` when no native is waiting, or when no waiter could (per
+/// estimates) start before the job would finish.  `pass` is the latest
+/// scheduling pass; the grid broker evaluates it remotely at a job's
+/// arrival time, the driver and grid port at the pass itself.
+inline bool queue_gate_open(const sched::PassContext& pass, SimTime t,
+                            Seconds runtime) {
+  return pass.queue_empty || pass.queue_earliest_start - t > runtime;
+}
+
+/// Seconds of a killed job's `elapsed` run that survive the kill: work up
+/// to the last multiple of the checkpoint `interval` (0 = none survives).
+inline Seconds checkpointed_seconds(Seconds elapsed, Seconds interval) {
+  return interval > 0 ? (elapsed / interval) * interval : 0;
+}
+
 class InterstitialDriver {
  public:
   /// \param scheduler the native scheduler to attach to (registers the

@@ -9,57 +9,58 @@
 
 namespace istc::core {
 
-SimRun::SimRun(const Scenario& scenario)
-    : site_(scenario.site),
-      span_(cluster::site_span(scenario.site)),
-      metrics_(scenario.metrics) {
-  workload::JobLog log = scenario.log_seed == 0
-                             ? workload::site_log(site_)
-                             : workload::site_log(site_, scenario.log_seed);
+namespace {
+
+RunSetup scenario_setup(const Scenario& scenario) {
+  const cluster::Site site = scenario.site;
+  RunSetup setup;
+  setup.spec = cluster::machine_spec(site);
+  setup.downtime = cluster::site_downtime(site);
+  setup.policy = sched::site_policy(site);
+  setup.policy.preempt_interstitial = scenario.preempt_interstitial;
+  if (scenario.backfill) setup.policy.backfill = *scenario.backfill;
+  setup.natives = scenario.log_seed == 0
+                      ? workload::site_log(site)
+                      : workload::site_log(site, scenario.log_seed);
   if (scenario.perfect_estimates) {
-    log = workload::with_perfect_estimates(log);
+    setup.natives = workload::with_perfect_estimates(setup.natives);
   }
   if (scenario.native_time_factor != 1.0 ||
       scenario.native_size_factor != 1.0) {
-    log = workload::with_scaled_jobs(log, scenario.native_time_factor,
-                                     scenario.native_size_factor,
-                                     cluster::machine_spec(site_).cpus);
+    setup.natives = workload::with_scaled_jobs(
+        setup.natives, scenario.native_time_factor,
+        scenario.native_size_factor, setup.spec.cpus);
   }
-
-  sched::PolicySpec policy = sched::site_policy(site_);
-  policy.preempt_interstitial = scenario.preempt_interstitial;
-  if (scenario.backfill) policy.backfill = *scenario.backfill;
-  scheduler_ = std::make_unique<sched::BatchScheduler>(
-      engine_, cluster::make_machine(site_), std::move(policy));
-  if (scenario.tracer != nullptr) scheduler_->set_tracer(scenario.tracer);
-  scheduler_->load(log);
-
-  if (scenario.project) {
-    driver_.emplace(*scheduler_, *scenario.project,
-                    static_cast<workload::JobId>(log.size()));
-  }
-
-  // Constructed after the driver so the fault timeline's event sequence
-  // numbers follow the driver's initial wake — times are unaffected.
-  if (scenario.faults.enabled()) {
-    fault::FaultSpec faults = scenario.faults;
-    faults.stop = std::min(faults.stop, span_);
-    injector_.emplace(*scheduler_, faults);
-  }
-
-  // Attached last so the sampler's first tick follows every constructor's
-  // initial events in sequence order; attach only observes the run.
-  if (metrics_ != nullptr) {
-    metrics_->attach(engine_, *scheduler_, span_);
-  }
+  setup.span = cluster::site_span(site);
+  setup.project = scenario.project;
+  setup.first_id = static_cast<workload::JobId>(setup.natives.size());
+  setup.faults = scenario.faults;
+  return setup;
 }
 
-SimRun::SimRun(SimRun& other)
-    : site_(other.site_), span_(other.span_) {
-  // Order matters: the engine snapshot first (adopt_state checks that no
-  // sample is pending and the queue holds no boxed callbacks), then the
-  // scheduler clone registers itself as the new engine's sink, then the
-  // driver/injector clones re-register their hooks on the new scheduler.
+}  // namespace
+
+SimRun::SimRun(RunSetup setup) : span_(setup.span) {
+  scheduler_ = std::make_unique<sched::BatchScheduler>(
+      engine_,
+      cluster::Machine(std::move(setup.spec), std::move(setup.downtime)),
+      std::move(setup.policy));
+  scheduler_->load(setup.natives);
+  if (setup.project) add_stream(std::move(*setup.project), setup.first_id);
+  if (setup.faults.enabled()) add_faults(setup.faults);
+}
+
+SimRun::SimRun(const Scenario& scenario) : SimRun(scenario_setup(scenario)) {
+  if (scenario.tracer != nullptr) set_tracer(scenario.tracer);
+  // Attached last so the sampler's first tick follows every constructor's
+  // initial events in sequence order; attach only observes the run.
+  metrics_ = scenario.metrics;
+  if (metrics_ != nullptr) metrics_->attach(engine_, *scheduler_, span_);
+}
+
+SimRun::SimRun(SimRun& other) : span_(other.span_) {
+  // adopt_state checks that no sample is pending and the queue holds no
+  // boxed callbacks.
   engine_.adopt_state(other.engine_);
   scheduler_ =
       std::make_unique<sched::BatchScheduler>(engine_, *other.scheduler_);
@@ -75,6 +76,12 @@ void SimRun::run_until(SimTime t) {
   while (engine_.next_event_time() <= t) engine_.step();
 }
 
+void SimRun::add_stream(ProjectSpec spec, workload::JobId first_id) {
+  ISTC_EXPECTS(!driver_);
+  spec.start_time = std::max(spec.start_time, engine_.now());
+  driver_.emplace(*scheduler_, std::move(spec), first_id);
+}
+
 void SimRun::add_faults(fault::FaultSpec spec) {
   ISTC_EXPECTS(!injector_);
   ISTC_EXPECTS(spec.start >= engine_.now());
@@ -87,6 +94,11 @@ sched::RunResult SimRun::finish() {
   sched::RunResult result = scheduler_->take_result(span_);
   if (metrics_ != nullptr) metrics_->ingest(result);
   return result;
+}
+
+std::uint64_t SimRun::state_hash() const {
+  return sched::schedule_hash(scheduler_->completed_records(),
+                              scheduler_->killed_records(), engine_.now());
 }
 
 }  // namespace istc::core

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -8,13 +9,17 @@
 #include "fault/fault.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "workload/job.hpp"
 
 /// \file fork.hpp
 /// Run forks: copy-on-write snapshots of a live simulation.
 ///
-/// A SimRun owns one scenario's full simulation stack (engine, scheduler,
+/// A SimRun owns one machine's full simulation stack (engine, scheduler,
 /// driver, fault injector) and can be advanced to any sim time, *forked*,
-/// and finished.  Forking captures the complete mid-run state — pending
+/// and finished.  It is the only code that builds or forks that stack:
+/// scenarios and sweeps use it directly, the what-if service's
+/// service::TailRun is a thin subclass, and every grid::GridMachine shard
+/// holds one.  Forking captures the complete mid-run state — pending
 /// event queue, SoA job store, free-CPU profile, submission bookkeeping —
 /// so a sweep whose variants share a prefix (same scenario up to time T,
 /// divergent knobs after) simulates the prefix once and forks per variant
@@ -46,8 +51,35 @@
 
 namespace istc::core {
 
+/// One machine's simulation inputs: everything SimRun builds its stack
+/// from.  SimRun(const Scenario&) fills it from the site presets;
+/// service::TailRun and grid::GridMachine fill it from their own configs.
+struct RunSetup {
+  cluster::MachineSpec spec;
+  cluster::DowntimeCalendar downtime;
+  sched::PolicySpec policy;
+  /// Native log, loaded into the scheduler at construction.  Move it in:
+  /// the scheduler's copy-on-write submission table then holds the only
+  /// copy, shared by every fork.
+  workload::JobLog natives;
+  /// Native log span: the take_result() span and the fault horizon.
+  SimTime span = 0;
+  /// Interstitial project / stream; nullopt = no driver.
+  std::optional<ProjectSpec> project;
+  /// The project's job ids count up from here (clear of the natives').
+  workload::JobId first_id = 0;
+  /// Unplanned-failure timeline (inert by default; stop clamped to span).
+  fault::FaultSpec faults;
+};
+
 class SimRun {
  public:
+  /// Build the stack for one machine, leaving the clock at 0.  Order:
+  /// engine, scheduler (natives loaded), driver (its initial wake), then
+  /// the fault injector, so the fault timeline's event sequence numbers
+  /// follow the driver's wake — times are unaffected either way.
+  explicit SimRun(RunSetup setup);
+
   /// Build the full simulation stack for `scenario`, exactly as
   /// run_scenario does, but leave the clock at 0.  The scenario's tracer
   /// and metrics (if any) attach to this primary run only; forks start
@@ -68,9 +100,19 @@ class SimRun {
   std::unique_ptr<SimRun> fork();
 
   /// Advance until every event at time <= t has fired.  The clock does not
-  /// jump to t on an empty queue (mirrors grid::GridMachine::advance), so
-  /// fork points land on real event boundaries.
+  /// jump to t on an empty queue, so fork points land on real event
+  /// boundaries and a sliced run keeps the unsliced sim_end.
   void run_until(SimTime t);
+
+  /// Feed one job into the live run (job.submit must be >= now()).  The
+  /// submission is an engine event; nothing simulates until run_until.
+  void submit(const workload::Job& job) { scheduler_->submit(job); }
+
+  /// Attach a bounded interstitial stream from here on (spec.start_time is
+  /// clamped up to now()).  One driver per run: ISTC_EXPECTS(!driver()).
+  /// The what-if service uses this to evaluate speculative interstitial
+  /// projects on a natives-only baseline fork.
+  void add_stream(ProjectSpec spec, workload::JobId first_id);
 
   /// Inject a failure process from here on: spec.start must be >= now().
   /// Typical use: fork a fault-free prefix, then give each fork its own
@@ -81,30 +123,40 @@ class SimRun {
   /// cover the post-attach window only).  Not owned; must outlive finish().
   void set_tracer(trace::Tracer* tracer) { scheduler_->set_tracer(tracer); }
 
-  /// Drain every remaining event and collect the result.  If the
+  /// Drain every remaining event and collect the result.  Requires the run
+  /// to be finite (every stream's stop_time < infinity).  If the
   /// originating scenario carried metrics, they are ingested here (primary
   /// run only; forks never carry metrics).
   sched::RunResult finish();
 
+  /// sched::schedule_hash over the *observable mid-run state* (completed
+  /// records, kills, now()), usable without draining.  Two runs fed the
+  /// same jobs and advanced to the same time hash equal.
+  std::uint64_t state_hash() const;
+
   SimTime now() const { return engine_.now(); }
   sim::Engine& engine() { return engine_; }
   sched::BatchScheduler& scheduler() { return *scheduler_; }
+  const sched::BatchScheduler& scheduler() const { return *scheduler_; }
   const InterstitialDriver* driver() const {
     return driver_ ? &*driver_ : nullptr;
   }
-  /// Mutable driver access, for post-fork sweep knobs that only affect
-  /// behavior ahead of the fork point (InterstitialDriver::set_fault_retry).
+  /// Mutable driver access, for post-fork knobs that only affect behavior
+  /// ahead of the fork point (InterstitialDriver::set_fault_retry,
+  /// set_stop_time).
   InterstitialDriver* driver() { return driver_ ? &*driver_ : nullptr; }
   const fault::FaultInjector* injector() const {
     return injector_ ? &*injector_ : nullptr;
   }
 
- private:
+ protected:
   /// Fork constructor (use fork(); `other` is mutated only to freeze its
-  /// copy-on-write log prefixes).
+  /// copy-on-write log prefixes).  Order: the engine snapshot, then the
+  /// scheduler clone registers itself as the new engine's sink, then the
+  /// driver and injector clones re-register their hooks on it.
   explicit SimRun(SimRun& other);
 
-  cluster::Site site_;
+ private:
   SimTime span_ = 0;
   metrics::RunMetrics* metrics_ = nullptr;
   sim::Engine engine_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/driver.hpp"
 #include "util/assert.hpp"
 
 namespace istc::grid {
@@ -174,10 +175,7 @@ int GridBroker::pick_machine(const GridJob& job, SimTime now,
     // Remote evaluation of the Figure-1 gate: never ship a job to a
     // machine whose native queue would (per estimates) reclaim the CPUs
     // before the job could finish — it would only land and bounce.
-    const auto& pass = m->last_pass();
-    if (!pass.queue_empty && pass.queue_earliest_start - arrive <= runtime) {
-      continue;
-    }
+    if (!core::queue_gate_open(m->last_pass(), arrive, runtime)) continue;
     std::int64_t score = 0;
     switch (cfg_.policy) {
       case BrokerPolicy::kBestFit:

@@ -6,41 +6,15 @@
 #include "obs/profiler.hpp"
 #include "sched/presets.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/presets.hpp"
 
 namespace istc::grid {
 
-namespace {
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-}  // namespace
-
 std::uint64_t hash_run(const sched::RunResult& run) {
-  std::uint64_t h = kFnvOffset;
-  for (const auto& r : run.records) {
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.job.cpus));
-  }
-  for (const auto& r : run.killed) {
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
-  }
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(run.sim_end));
-  return h;
+  return sched::schedule_hash(run.records, run.killed, run.sim_end);
 }
 
 double jain_fairness(const std::vector<double>& xs) {
@@ -167,14 +141,14 @@ FleetResult FleetRun::finish() {
 
   FleetResult out;
   out.epochs = epochs_;
-  out.hash = kFnvOffset;
+  out.hash = util::kFnvOffset;
   for (auto* m : machines_) {
     FleetMachineOutcome mo;
     mo.name = m->name();
     mo.port = m->port_stats();
     mo.run = m->take_result();
     mo.hash = hash_run(mo.run);
-    out.hash = fnv1a_u64(out.hash, mo.hash);
+    out.hash = util::fnv1a_u64(out.hash, mo.hash);
     out.sim_end = std::max(out.sim_end, mo.run.sim_end);
     out.machines.push_back(std::move(mo));
   }

@@ -56,7 +56,7 @@ struct FleetResult {
   double fairness = 1.0;    ///< Jain's index over harvested work per share
 };
 
-/// FNV-1a over a run's observable schedule — records (id, start, end,
+/// sched::schedule_hash over a drained run — records (id, start, end,
 /// cpus), kills (id, start, end), sim_end — the exact recipe of the
 /// determinism test pins, exported so grid tests and the bench gate can
 /// compare against the existing goldens.

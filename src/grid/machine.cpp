@@ -8,27 +8,28 @@
 namespace istc::grid {
 
 GridMachine::GridMachine(MachineSetup setup)
-    : setup_(std::move(setup)),
-      name_(setup_.name.empty() ? setup_.spec.name : setup_.name),
-      tracer_(trace::TraceMode::kCountersOnly) {
-  scheduler_ = std::make_unique<sched::BatchScheduler>(
-      engine_, cluster::Machine(setup_.spec, setup_.downtime), setup_.policy);
-  scheduler_->set_tracer(&tracer_);
-  scheduler_->load(setup_.natives);
-  next_local_id_ = setup_.first_interstitial_id.value_or(
-      static_cast<workload::JobId>(setup_.natives.size()));
-  if (setup_.local_project) {
-    driver_.emplace(*scheduler_, *setup_.local_project, next_local_id_);
-  } else {
-    register_port_hooks();
-  }
-  if (setup_.faults.enabled()) injector_.emplace(*scheduler_, setup_.faults);
+    : name_(setup.name.empty() ? setup.spec.name : setup.name),
+      bounce_patience_(setup.bounce_patience),
+      tracer_(trace::TraceMode::kCountersOnly),
+      next_local_id_(setup.first_interstitial_id.value_or(
+          static_cast<workload::JobId>(setup.natives.size()))) {
+  run_ = std::make_unique<core::SimRun>(
+      core::RunSetup{.spec = std::move(setup.spec),
+                     .downtime = std::move(setup.downtime),
+                     .policy = std::move(setup.policy),
+                     .natives = std::move(setup.natives),
+                     .span = setup.span,
+                     .project = std::move(setup.local_project),
+                     .first_id = next_local_id_,
+                     .faults = setup.faults});
+  attach_port();
 }
 
 GridMachine::GridMachine(GridMachine& other)
-    : setup_(other.setup_),
-      name_(other.name_),
+    : name_(other.name_),
+      bounce_patience_(other.bounce_patience_),
       tracer_(trace::TraceMode::kCountersOnly),
+      run_(other.run_->fork()),
       next_local_id_(other.next_local_id_),
       arrivals_(other.arrivals_),
       landed_(other.landed_),
@@ -42,39 +43,25 @@ GridMachine::GridMachine(GridMachine& other)
   other.delivery_spans_.freeze();
   delivery_jobs_ = other.delivery_jobs_;
   delivery_spans_ = other.delivery_spans_;
-  // Same order as SimRun's fork ctor: engine snapshot first (adopt_state
-  // checks the queue holds no boxed callbacks — guaranteed since the port
-  // delivers through typed events), then the scheduler clone registers
-  // itself on the new engine, then driver/injector clones or the port
-  // hooks re-attach to the new stack.
-  engine_.adopt_state(other.engine_);
-  scheduler_ =
-      std::make_unique<sched::BatchScheduler>(engine_, *other.scheduler_);
-  scheduler_->set_tracer(&tracer_);
-  if (other.driver_) {
-    driver_.emplace(*scheduler_, *other.driver_);
-  } else {
-    register_port_hooks();
-  }
-  if (other.injector_) injector_.emplace(*scheduler_, *other.injector_);
+  attach_port();
 }
 
 std::unique_ptr<GridMachine> GridMachine::fork() {
   return std::unique_ptr<GridMachine>(new GridMachine(*this));
 }
 
-void GridMachine::register_port_hooks() {
-  scheduler_->set_post_pass_hook(
+void GridMachine::attach_port() {
+  run_->set_tracer(&tracer_);
+  if (!accepts_routed()) return;  // local mode: the driver owns the hooks
+  sched::BatchScheduler& scheduler = run_->scheduler();
+  scheduler.set_post_pass_hook(
       [this](const sched::PassContext& ctx) { on_pass(ctx); });
-  scheduler_->set_kill_hook(
+  scheduler.set_kill_hook(
       [this](const sched::JobRecord& victim, sched::KillReason reason) {
         on_kill(victim, reason);
       });
-  engine_.set_grid_hook([this](std::uint32_t span) { on_arrival(span); });
-}
-
-void GridMachine::advance(SimTime until) {
-  while (engine_.next_event_time() <= until) engine_.step();
+  run_->engine().set_grid_hook(
+      [this](std::uint32_t span) { on_arrival(span); });
 }
 
 SimTime GridMachine::next_report_time(SimTime asap) const {
@@ -83,10 +70,10 @@ SimTime GridMachine::next_report_time(SimTime asap) const {
   // An in-flight or landed job resolves (start or bounce) no later than
   // its arrival plus the patience window.
   for (const SimTime at : arrivals_) {
-    t = std::min(t, std::max(at + setup_.bounce_patience, asap));
+    t = std::min(t, std::max(at + bounce_patience_, asap));
   }
   for (const auto& l : landed_) {
-    t = std::min(t, std::max(l.arrived + setup_.bounce_patience, asap));
+    t = std::min(t, std::max(l.arrived + bounce_patience_, asap));
   }
   for (const auto& r : running_) t = std::min(t, r.end);
   return t;
@@ -96,7 +83,7 @@ void GridMachine::deliver_batch(SimTime at, std::span<const GridJob> jobs) {
   obs::ScopedSpan span("grid.deliver",
                        static_cast<std::int64_t>(jobs.size()));
   ISTC_EXPECTS(accepts_routed());
-  ISTC_EXPECTS(at >= engine_.now());
+  ISTC_EXPECTS(at >= now());
   ISTC_EXPECTS(!jobs.empty());
   const std::size_t begin = delivery_jobs_.size();
   for (const GridJob& job : jobs) delivery_jobs_.push_back(job);
@@ -106,7 +93,8 @@ void GridMachine::deliver_batch(SimTime at, std::span<const GridJob> jobs) {
                              static_cast<std::uint32_t>(jobs.size())});
   stats_.delivered += jobs.size();
   arrivals_.push_back(at);
-  engine_.schedule_grid_arrival(at, static_cast<std::uint32_t>(span_index));
+  run_->engine().schedule_grid_arrival(at,
+                                       static_cast<std::uint32_t>(span_index));
 }
 
 void GridMachine::on_arrival(std::uint32_t span_index) {
@@ -114,7 +102,7 @@ void GridMachine::on_arrival(std::uint32_t span_index) {
   arrivals_.pop_front();
   const DeliverySpan s = delivery_spans_[span_index];
   for (std::uint32_t k = 0; k < s.count; ++k) {
-    landed_.push_back({delivery_jobs_[s.begin + k], engine_.now()});
+    landed_.push_back({delivery_jobs_[s.begin + k], now()});
   }
 }
 
@@ -123,13 +111,8 @@ void GridMachine::on_pass(const sched::PassContext& ctx) {
   std::size_t kept = 0;
   for (auto& l : landed_) {
     const Seconds runtime = runtime_for(l.job.work_per_cpu);
-    // The Figure-1 gate, same predicate as InterstitialDriver: start only
-    // when no waiting native could (per estimates) start before this job
-    // would finish.
-    const bool gate_open =
-        ctx.queue_empty || ctx.queue_earliest_start - ctx.now > runtime;
     bool started = false;
-    if (gate_open) {
+    if (core::queue_gate_open(ctx, ctx.now, runtime)) {
       workload::Job j;
       j.id = next_local_id_;
       j.klass = workload::JobClass::kInterstitial;
@@ -139,7 +122,7 @@ void GridMachine::on_pass(const sched::PassContext& ctx) {
       j.submit = l.arrived;
       j.runtime = runtime;
       j.estimate = runtime;
-      if (scheduler_->try_start_immediately(j)) {
+      if (run_->scheduler().try_start_immediately(j)) {
         ++next_local_id_;
         ++stats_.started;
         running_.push_back({j.id, l.job, ctx.now, ctx.now + runtime});
@@ -159,13 +142,9 @@ void GridMachine::on_kill(const sched::JobRecord& victim,
                    [&](const RunningGrid& r) { return r.local_id == victim.job.id; });
   if (it == running_.end()) return;
   const Seconds elapsed = victim.end - victim.start;
-  // Checkpoint arithmetic mirrors InterstitialDriver::on_fault_kill: work
-  // up to the last checkpoint survives; the remainder is re-routed by the
-  // broker (possibly to a machine with a different clock, which is why the
-  // remainder travels as machine-neutral cycles).
-  const Seconds saved =
-      it->job.checkpoint > 0 ? (elapsed / it->job.checkpoint) * it->job.checkpoint
-                             : 0;
+  // The remainder is re-routed by the broker, possibly to a machine with a
+  // different clock, which is why it travels as machine-neutral cycles.
+  const Seconds saved = core::checkpointed_seconds(elapsed, it->job.checkpoint);
   GridJob rest = it->job;
   rest.work_per_cpu -= machine().spec().cycles_in(saved);
   ISTC_ASSERT(rest.work_per_cpu > 0);
@@ -194,7 +173,7 @@ void GridMachine::collect_reports(SimTime now, std::vector<PortReport>& out) {
   running_.resize(kept);
   kept = 0;
   for (auto& l : landed_) {
-    if (l.arrived + setup_.bounce_patience <= now) {
+    if (l.arrived + bounce_patience_ <= now) {
       ++stats_.bounced;
       out.push_back({ReportKind::kBounced, l.job, now, 0});
     } else {
@@ -205,7 +184,7 @@ void GridMachine::collect_reports(SimTime now, std::vector<PortReport>& out) {
 }
 
 int GridMachine::lookahead_min_free(SimTime t, Seconds dur) const {
-  const sched::ResourceProfile& profile = scheduler_->profile();
+  const sched::ResourceProfile& profile = run_->scheduler().profile();
   const SimTime start = std::max(t, profile.origin());
   return profile.min_free(start, start + std::max<Seconds>(dur, 1));
 }

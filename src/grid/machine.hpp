@@ -8,11 +8,10 @@
 #include <vector>
 
 #include "cluster/machine.hpp"
-#include "core/driver.hpp"
+#include "core/fork.hpp"
 #include "core/project.hpp"
 #include "fault/fault.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
 #include "trace/tracer.hpp"
 #include "util/cow_log.hpp"
 #include "workload/job.hpp"
@@ -21,16 +20,16 @@
 /// GridMachine — one shard of a federated fleet simulation.
 ///
 /// The component/link model (after SST): a GridMachine is a component
-/// wrapping today's entire per-machine stack (Engine + BatchScheduler +
-/// optional InterstitialDriver + optional FaultInjector + counting tracer)
-/// behind a message interface.  The only ways in are timed deliveries
-/// (deliver_batch()) and the only ways out are timed reports
-/// (collect_reports()), both stamped with simulation times strictly ahead
-/// of the sender's clock — the "link" with its routing latency.  Between
-/// epoch boundaries a machine touches no shared state, which is what lets
-/// the fleet advance shards on a thread pool with bit-identical results at
-/// any thread count (see fleet.hpp for the conservative synchronization
-/// argument).
+/// wrapping one core::SimRun — the per-machine stack (Engine +
+/// BatchScheduler + optional InterstitialDriver + optional FaultInjector)
+/// — plus a counting tracer behind a message interface.  The only ways in
+/// are timed deliveries (deliver_batch()) and the only ways out are timed
+/// reports (collect_reports()), both stamped with simulation times
+/// strictly ahead of the sender's clock — the "link" with its routing
+/// latency.  Between epoch boundaries a machine touches no shared state,
+/// which is what lets the fleet advance shards on a thread pool with
+/// bit-identical results at any thread count (see fleet.hpp for the
+/// conservative synchronization argument).
 ///
 /// Deliveries are *batched*: one timed message carries a packed span of
 /// jobs (everything the broker routed to this machine at one boundary),
@@ -38,16 +37,16 @@
 /// of one per job.  The payload lives in an append-only copy-on-write log
 /// and the event carries a 32-bit span index — a mid-run queue therefore
 /// holds only POD entries, which is what makes a whole fleet shard
-/// *forkable*: fork() snapshots the machine exactly (engine queue, SoA job
-/// store, port state), sharing the delivery/submission/record logs with
-/// the parent, so a fleet-level sweep can simulate the common prefix once
-/// and fork a shard per parameter point (core/sweep.hpp).
+/// *forkable*: fork() snapshots the machine exactly (SimRun::fork plus the
+/// port state), sharing the delivery/submission/record logs with the
+/// parent, so a fleet-level sweep can simulate the common prefix once and
+/// fork a shard per parameter point (core/sweep.hpp).
 ///
 /// A machine runs one of two interstitial modes, exclusive because the
 /// scheduler's post-pass hook is singular:
-///   - local: an InterstitialDriver with its own ProjectSpec (exactly the
-///     single-machine stack of core::run_scenario; the determinism tests
-///     pin that this mode reproduces the golden schedule hashes), or
+///   - local: the run's own InterstitialDriver and ProjectSpec (the same
+///     SimRun stack core::run_scenario builds; the determinism tests pin
+///     that this mode reproduces the golden schedule hashes), or
 ///   - brokered: a grid port — routed jobs land, are meta-backfilled
 ///     through the same Figure-1 gate the driver uses, and completions /
 ///     kills / bounces are reported back to the GridBroker.
@@ -122,36 +121,40 @@ class GridMachine {
     std::size_t killed = 0;
   };
 
+  /// Build the machine's SimRun from `setup` (its native log moves into
+  /// the run's scheduler); the machine keeps only the name and the bounce
+  /// patience.
   explicit GridMachine(MachineSetup setup);
 
   GridMachine(const GridMachine&) = delete;
   GridMachine& operator=(const GridMachine&) = delete;
 
   /// Fork: a new GridMachine whose state is a copy-on-write snapshot of
-  /// this one at the current sim time — same protocol as core::SimRun.
-  /// Requires a callback-free event queue (adopt_state) and a quiescent
-  /// machine (between events, i.e. at a fleet epoch boundary).  `this` is
-  /// mutated only to freeze its shared log prefixes.  The fork starts with
-  /// a fresh counters-only tracer; port statistics carry over.
+  /// this one at the current sim time — core::SimRun::fork plus the port
+  /// state.  Requires a quiescent machine (between events, i.e. at a fleet
+  /// epoch boundary).  `this` is mutated only to freeze its shared log
+  /// prefixes.  The fork starts with a fresh counters-only tracer; port
+  /// statistics carry over.
   std::unique_ptr<GridMachine> fork();
 
   const std::string& name() const { return name_; }
-  const cluster::Machine& machine() const { return scheduler_->machine(); }
-  SimTime span() const { return setup_.span; }
-  bool accepts_routed() const { return !driver_.has_value(); }
+  const cluster::Machine& machine() const {
+    return run_->scheduler().machine();
+  }
+  bool accepts_routed() const { return driver() == nullptr; }
 
   // -- epoch surface (called by the fleet loop) ---------------------------
 
-  SimTime now() const { return engine_.now(); }
-  SimTime next_event_time() const { return engine_.next_event_time(); }
+  SimTime now() const { return run_->now(); }
+  SimTime next_event_time() const { return run_->engine().next_event_time(); }
 
-  /// Process every event with time <= until.  Implemented as a step()
-  /// loop, so the clock ends on the last *processed* event and a sliced
-  /// run leaves the same sim_end as an unsliced one.
-  void advance(SimTime until);
+  /// Process every event with time <= until (SimRun::run_until: the clock
+  /// ends on the last *processed* event, so a sliced run leaves the same
+  /// sim_end as an unsliced one).
+  void advance(SimTime until) { run_->run_until(until); }
 
   /// Run to quiescence (end-of-run native drain).
-  void drain() { engine_.run(); }
+  void drain() { run_->engine().run(); }
 
   /// Earliest future time this machine will have something to tell the
   /// broker: `asap` when reports are already queued, else the earliest of
@@ -197,7 +200,7 @@ class GridMachine {
   /// Snapshot of the most recent scheduling pass (gate inputs: queue
   /// emptiness and the earliest native start the gate protects).
   const sched::PassContext& last_pass() const {
-    return scheduler_->last_pass();
+    return run_->scheduler().last_pass();
   }
   /// Minimum free CPUs over [t, t+dur) per the estimate-based free-CPU
   /// profile — the "current interstice estimate" best-fit routing ranks by.
@@ -206,7 +209,7 @@ class GridMachine {
   bool can_run_at(SimTime t, Seconds dur) const {
     return machine().downtime().can_run(t, dur);
   }
-  sched::SchedulerProbe probe() const { return scheduler_->probe(); }
+  sched::SchedulerProbe probe() const { return run_->scheduler().probe(); }
 
   // -- results ------------------------------------------------------------
 
@@ -215,17 +218,11 @@ class GridMachine {
   /// message-batching win is port_stats().delivered / delivery_batches().
   std::size_t delivery_batches() const { return delivery_spans_.size(); }
   const trace::Tracer& tracer() const { return tracer_; }
-  const core::InterstitialDriver* driver() const {
-    return driver_ ? &*driver_ : nullptr;
-  }
-  const fault::FaultInjector* injector() const {
-    return injector_ ? &*injector_ : nullptr;
-  }
+  const core::InterstitialDriver* driver() const { return run_->driver(); }
+  const fault::FaultInjector* injector() const { return run_->injector(); }
 
   /// Collect the run result (requires the machine to have drained).
-  sched::RunResult take_result() {
-    return scheduler_->take_result(setup_.span);
-  }
+  sched::RunResult take_result() { return run_->finish(); }
 
  private:
   /// A delivered job waiting for a pass that can start it.
@@ -252,25 +249,22 @@ class GridMachine {
   /// copy-on-write log prefixes).
   explicit GridMachine(GridMachine& other);
 
-  /// Register the port-mode hooks (post-pass backfill, kill accounting,
-  /// grid-arrival dispatch) on this machine's own engine/scheduler; both
-  /// constructors share it because hooks are identities of the stack and
-  /// are never copied by the clone ctors.
-  void register_port_hooks();
+  /// Attach the counting tracer and, in brokered mode, register the port
+  /// hooks (post-pass backfill, kill accounting, grid-arrival dispatch)
+  /// on the run's scheduler and engine.  Both constructors call it after
+  /// the run is built: hooks are identities of a stack, never copied by
+  /// the clone ctors, and registering one schedules no event.
+  void attach_port();
   void on_arrival(std::uint32_t span_index);
   void on_pass(const sched::PassContext& ctx);
   void on_kill(const sched::JobRecord& victim, sched::KillReason reason);
 
-  MachineSetup setup_;
   std::string name_;
-  sim::Engine engine_;
-  // unique_ptr keeps the scheduler's address stable across the fork ctor
-  // (the driver and injector hold references to it) and lets the fork
-  // adopt the engine state before cloning the scheduler.
-  std::unique_ptr<sched::BatchScheduler> scheduler_;
+  Seconds bounce_patience_ = 0;
   trace::Tracer tracer_;
-  std::optional<core::InterstitialDriver> driver_;
-  std::optional<fault::FaultInjector> injector_;
+  // Declared after the tracer it reports into.  unique_ptr because
+  // SimRun::fork returns one (a SimRun is not movable).
+  std::unique_ptr<core::SimRun> run_;
 
   workload::JobId next_local_id_ = 0;
   /// Arrival times of delivery batches still in flight (scheduled, not

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/machine.hpp"
 #include "trace/summary.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/time.hpp"
 #include "workload/job.hpp"
 
@@ -98,6 +101,31 @@ inline double RunResult::wasted_cpu_seconds() const {
              static_cast<double>(r.end - r.start);
   }
   return total;
+}
+
+/// FNV-1a over an observable schedule: completed records (id, start, end,
+/// cpus), kills (id, start, end), then `end_time`.  Generic over the two
+/// containers (anything with size() and operator[]) so a drained
+/// RunResult (grid::hash_run) and a live scheduler's logs
+/// (core::SimRun::state_hash) share this one walk.
+template <class Records, class Kills>
+std::uint64_t schedule_hash(const Records& records, const Kills& killed,
+                            SimTime end_time) {
+  std::uint64_t h = util::kFnvOffset;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const JobRecord& r = records[i];
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.cpus));
+  }
+  for (std::size_t i = 0; i < killed.size(); ++i) {
+    const JobRecord& r = killed[i];
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
+  }
+  return util::fnv1a_u64(h, static_cast<std::uint64_t>(end_time));
 }
 
 }  // namespace istc::sched

@@ -13,6 +13,7 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "service/json.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/swf.hpp"
 
@@ -24,17 +25,6 @@ namespace {
 /// outside generated populations and distinct from kInterstitialUser.
 constexpr workload::UserId kWhatIfUser = 59000;
 constexpr workload::GroupId kWhatIfGroup = 590;
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::string hex_hash(std::uint64_t h) {
   char buf[24];
@@ -367,11 +357,11 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
     // Reference arms are memoized per (epoch, point, horizon): concurrent
     // same-epoch queries share one baseline-window simulation.
     for (std::size_t i = 0; i < npoints; ++i) {
-      std::uint64_t key = kFnvOffset;
-      key = fnv1a_u64(key, base.epoch);
-      key = fnv1a_u64(key, static_cast<std::uint64_t>(frontier));
-      key = fnv1a_u64(key, static_cast<std::uint64_t>(q.points_s[i]));
-      key = fnv1a_u64(key, static_cast<std::uint64_t>(q.horizon_s));
+      std::uint64_t key = util::kFnvOffset;
+      key = util::fnv1a_u64(key, base.epoch);
+      key = util::fnv1a_u64(key, static_cast<std::uint64_t>(frontier));
+      key = util::fnv1a_u64(key, static_cast<std::uint64_t>(q.points_s[i]));
+      key = util::fnv1a_u64(key, static_cast<std::uint64_t>(q.horizon_s));
       refs[i] = ref_cache_.memoized(key, [&]() -> sched::RunResult {
         std::unique_ptr<TailRun> run = base.ref_prefix->fork();
         return finish_ref(*run, i);

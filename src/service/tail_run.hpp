@@ -1,29 +1,23 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 
 #include "cluster/presets.hpp"
-#include "core/driver.hpp"
+#include "core/fork.hpp"
 #include "core/project.hpp"
-#include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
 
 /// \file tail_run.hpp
 /// TailRun — a live simulation stack fed from a streaming workload tail.
 ///
-/// Where core::SimRun wraps one *scenario* (a fixed pre-generated log),
-/// TailRun wraps an *open-ended* run: it starts empty and jobs arrive one
-/// at a time through submit() as the daemon ingests an SWF tail.  It
-/// exposes the same fork protocol as SimRun and grid::FleetRun —
-///
-///   std::unique_ptr<TailRun> fork();
-///   void run_until(SimTime t);
-///
-/// — so a core::SweepRunner<TailRun> can evaluate multi-point what-if
-/// queries against a forked baseline, and service::SnapshotChain can keep
-/// a rewindable snapshot history for out-of-order tail lines.
+/// Where a scenario's core::SimRun loads a fixed pre-generated log,
+/// TailRun is the *open-ended* SimRun: it starts with no natives and jobs
+/// arrive one at a time through submit() as the daemon ingests an SWF
+/// tail.  Everything else — run_until, add_stream, finish, state_hash —
+/// is SimRun's; fork() is SimRun's fork typed as a TailRun, so a
+/// core::SweepRunner<TailRun> can evaluate multi-point what-if queries
+/// against a forked baseline, and service::SnapshotChain can keep a
+/// rewindable snapshot history for out-of-order tail lines.
 ///
 /// Id discipline (the streaming analogue of SimRun's "driver ids start
 /// after the log"): ingested native jobs get dense ids assigned by the
@@ -45,69 +39,17 @@ struct TailConfig {
   std::optional<core::ProjectSpec> stream;
 };
 
-class TailRun {
+class TailRun final : public core::SimRun {
  public:
+  /// The site's machine, downtime and policy with no natives loaded.
   explicit TailRun(const TailConfig& cfg);
 
-  TailRun(const TailRun&) = delete;
-  TailRun& operator=(const TailRun&) = delete;
-  TailRun(TailRun&&) = delete;
-
-  /// Feed one job into the live run (job.submit must be >= now()).  The
-  /// submission is an engine event; nothing simulates until run_until.
-  void submit(const workload::Job& job) { scheduler_->submit(job); }
-
-  /// Advance until every event at time <= t has fired (same contract as
-  /// SimRun::run_until: the clock stands at the last real event boundary).
-  void run_until(SimTime t);
-
-  /// Copy-on-write snapshot at the current boundary (see core/fork.hpp for
-  /// the machinery; `this` is mutated only to freeze shared log prefixes).
+  /// Copy-on-write snapshot at the current boundary (core::SimRun::fork;
+  /// `this` is mutated only to freeze shared log prefixes).
   std::unique_ptr<TailRun> fork();
 
-  /// Attach a bounded interstitial stream from here on (spec.start_time is
-  /// clamped up to now()).  One driver per run: ISTC_EXPECTS(!driver()).
-  /// Queries use this to evaluate speculative interstitial projects on a
-  /// natives-only baseline fork.
-  void add_stream(const core::ProjectSpec& spec, workload::JobId first_id);
-
-  /// Drain every remaining event and collect the result.  Requires the
-  /// run to be finite: every ingested job bounded, and any stream's
-  /// stop_time < infinity (query forks cut continual streams short via
-  /// InterstitialDriver::set_stop_time).
-  sched::RunResult finish();
-
-  SimTime now() const { return engine_.now(); }
-  cluster::Site site() const { return site_; }
-  sched::BatchScheduler& scheduler() { return *scheduler_; }
-  const sched::BatchScheduler& scheduler() const { return *scheduler_; }
-  core::InterstitialDriver* driver() {
-    return driver_ ? &*driver_ : nullptr;
-  }
-  const core::InterstitialDriver* driver() const {
-    return driver_ ? &*driver_ : nullptr;
-  }
-
-  /// FNV-1a over the *observable mid-run state*: completed records (id,
-  /// start, end, cpus), kills (id, start, end), and now() — the streaming
-  /// analogue of grid::hash_run, usable without draining.  Two runs that
-  /// ingested the same tail and advanced to the same time hash equal; the
-  /// staleness differential test pins incremental == scratch with it.
-  std::uint64_t state_hash() const;
-
  private:
-  /// Fork constructor (use fork()); mirrors SimRun's clone order: engine
-  /// snapshot, then scheduler clone (registers as the new engine's sink),
-  /// then the driver clone re-registers its hooks.
-  explicit TailRun(TailRun& other);
-
-  cluster::Site site_;
-  SimTime span_ = 0;
-  sim::Engine engine_;
-  // unique_ptr keeps the scheduler's address stable (the driver holds a
-  // reference to it); engine_ is referenced by everything, declared first.
-  std::unique_ptr<sched::BatchScheduler> scheduler_;
-  std::optional<core::InterstitialDriver> driver_;
+  explicit TailRun(TailRun& other) : core::SimRun(other) {}
 };
 
 }  // namespace istc::service

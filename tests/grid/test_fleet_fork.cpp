@@ -39,8 +39,10 @@ std::vector<workload::Job> random_natives(std::uint64_t seed) {
 }
 
 // Three brokered miniature machines (the ShardThreadCountIsInvisible
-// fleet), kept small so every test runs in milliseconds.
-std::vector<MachineSetup> mini_fleet() {
+// fleet), kept small so every test runs in milliseconds.  With `faults`,
+// every machine also loses 48-CPU nodes (MTBF 120 s) until t = 5000,
+// inside the span, so faults are still pending at every fork time.
+std::vector<MachineSetup> mini_fleet(bool faults = false) {
   std::vector<MachineSetup> fleet;
   for (std::uint64_t seed : {42ull, 43ull, 44ull}) {
     MachineSetup setup;
@@ -51,18 +53,26 @@ std::vector<MachineSetup> mini_fleet() {
     setup.natives = workload::JobLog(random_natives(seed));
     setup.span = kSpan;
     setup.bounce_patience = 300;
+    if (faults) {
+      setup.faults.seed = seed;
+      setup.faults.node_mtbf = 120;
+      setup.faults.node_repair = 120;
+      setup.faults.node_cpus = 48;
+      setup.faults.stop = 5000;
+    }
     fleet.push_back(std::move(setup));
   }
   return fleet;
 }
 
 std::unique_ptr<FleetRun> mini_run(BrokerPolicy policy = BrokerPolicy::kBestFit,
-                                   std::size_t threads = 1) {
+                                   std::size_t threads = 1,
+                                   bool faults = false) {
   FleetConfig cfg;
   cfg.broker.policy = policy;
   cfg.threads = threads;
   return std::make_unique<FleetRun>(
-      mini_fleet(), sweep_projects(3, 25, 3 * 64, 0.5, 0xFEEDu), cfg);
+      mini_fleet(faults), sweep_projects(3, 25, 3 * 64, 0.5, 0xFEEDu), cfg);
 }
 
 bool same_fleet(const FleetResult& a, const FleetResult& b) {
@@ -92,17 +102,41 @@ TEST(FleetFork, FleetRunMatchesRunFleet) {
 }
 
 // The core contract: fork the whole fleet at a mid boundary, drain both
-// sides, get the same answer as never having forked.
+// sides, get the same answer as never having forked.  The faulted input
+// also forks every machine's injector mid-timeline, and every grid job a
+// failure (or a preempting native) kills must reach the broker as one
+// port kill report.
 TEST(FleetFork, ForkMatchesUnforkedAtSeveralTimes) {
-  const auto scratch = mini_run()->finish();
-  for (const SimTime t0 : {kSpan / 4, kSpan / 2, kSpan / 4 * 3}) {
-    auto prefix = mini_run();
-    prefix->run_until(t0);
-    auto forked = prefix->fork();
-    // Fork finishes first: its result must not depend on the source's
-    // subsequent progress.
-    EXPECT_TRUE(same_fleet(forked->finish(), scratch)) << "fork @" << t0;
-    EXPECT_TRUE(same_fleet(prefix->finish(), scratch)) << "source @" << t0;
+  for (const bool faults : {false, true}) {
+    auto whole = mini_run(BrokerPolicy::kBestFit, 1, faults);
+    const auto scratch = whole->finish();
+    for (const SimTime t0 : {kSpan / 4, kSpan / 2, kSpan / 4 * 3}) {
+      auto prefix = mini_run(BrokerPolicy::kBestFit, 1, faults);
+      prefix->run_until(t0);
+      auto forked = prefix->fork();
+      // Fork finishes first: its result must not depend on the source's
+      // subsequent progress.
+      EXPECT_TRUE(same_fleet(forked->finish(), scratch))
+          << "fork @" << t0 << " faults " << faults;
+      EXPECT_TRUE(same_fleet(prefix->finish(), scratch))
+          << "source @" << t0 << " faults " << faults;
+    }
+    if (!faults) continue;
+    std::size_t fired = 0, grid_jobs_hit = 0, port_kills = 0;
+    for (std::size_t m = 0; m < whole->machine_count(); ++m) {
+      const fault::FaultInjector* injector = whole->machine(m).injector();
+      ASSERT_NE(injector, nullptr);
+      fired += injector->stats().node_failures;
+      grid_jobs_hit += injector->stats().interstitial_kills;
+      const FleetMachineOutcome& out = scratch.machines[m];
+      std::size_t grid_kills = 0;
+      for (const auto& k : out.run.killed) grid_kills += k.interstitial();
+      EXPECT_EQ(out.port.killed, grid_kills) << out.name;
+      port_kills += out.port.killed;
+    }
+    EXPECT_GT(fired, 0u);
+    EXPECT_GT(grid_jobs_hit, 0u);
+    EXPECT_GT(port_kills, 0u);
   }
 }
 
