@@ -27,7 +27,6 @@
 
 #include "common.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "service/json.hpp"
 #include "service/session.hpp"
 
@@ -106,7 +105,7 @@ struct BenchResult {
   double throughput_qps = 0.0;
   bool purity_equal = false;
   // Observability overhead gate: the same serial query sweep with the
-  // span recorder + stage profiler off vs fully on.
+  // span recorder and its per-name profile off vs fully on.
   double obs_off_ms = 0.0;
   double obs_on_ms = 0.0;
   double obs_overhead = 0.0;      ///< on/off - 1 (best-of-reps)

@@ -484,8 +484,8 @@ int cmd_serve(const ArgParser& args) {
   const auto endpoint = parse_endpoint(args);
   if (!endpoint) return usage();
 
-  // Wall-clock observability: --obs turns on the span recorder and the
-  // stage profiler (feeding the stats verb and /metrics); --obs-trace PATH
+  // Wall-clock observability: --obs turns on the span recorder and its
+  // per-name profile (feeding the stats verb and /metrics); --obs-trace PATH
   // additionally exports the span rings as chrome://tracing JSON on
   // shutdown.  Neither changes any reply byte (the purity tests run with
   // observability fully enabled).

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time.hpp"
@@ -116,7 +115,6 @@ class SweepRunner {
     std::unique_ptr<Run> prefix;
     {
       obs::ScopedSpan span("sweep.prefix");
-      obs::ScopedTimer timer(obs::Stage::kSweepPrefix);
       prefix = make_run_(0);
       prefix->run_until(t0);
     }
@@ -131,7 +129,6 @@ class SweepRunner {
     {
       obs::ScopedSpan span("sweep.fork",
                            static_cast<std::int64_t>(points_));
-      obs::ScopedTimer timer(obs::Stage::kSweepFork);
       forks.reserve(points_);
       for (std::size_t i = 0; i < points_; ++i) {
         forks.push_back(prefix->fork());
@@ -197,26 +194,11 @@ class SweepRunner {
   }
 
   void each_point(const std::function<void(std::size_t)>& fn) {
-    // Span causality crosses the pool: capture the caller's context (the
-    // query/sweep span) here and adopt it inside each task, so every
-    // "sweep.arm" parents correctly in the exported trace regardless of
-    // which worker ran it.  One simulation per call amortizes the
-    // wrapper; with obs disabled the adopt/span/timer are inert.
-    const obs::TraceContext ctx = obs::current_context();
-    const auto instrumented = [&fn, ctx](std::size_t i) {
-      obs::ScopedContext adopt(ctx);
-      obs::ScopedSpan span("sweep.arm", static_cast<std::int64_t>(i));
-      obs::ScopedTimer timer(obs::Stage::kSweepArm);
-      fn(i);
-    };
     const std::size_t threads =
         threads_ > 0 ? threads_ : default_thread_count();
-    if (threads > 1 && points_ > 1) {
-      ThreadPool pool(threads);
-      parallel_for(pool, points_, instrumented);
-    } else {
-      for (std::size_t i = 0; i < points_; ++i) instrumented(i);
-    }
+    std::optional<ThreadPool> pool;
+    if (threads > 1 && points_ > 1) pool.emplace(threads);
+    obs::traced_for(pool ? &*pool : nullptr, points_, "sweep.arm", fn);
   }
 
   std::size_t points_;

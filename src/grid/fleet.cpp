@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "sched/presets.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -82,19 +81,8 @@ SimTime FleetRun::next_boundary() const {
 }
 
 void FleetRun::each_machine(const std::function<void(std::size_t)>& fn) {
-  // Same causality bridge as SweepRunner::each_point: machine-advance
-  // spans opened on pool workers parent under the caller's epoch span.
-  const obs::TraceContext ctx = obs::current_context();
-  const auto instrumented = [&fn, ctx](std::size_t i) {
-    obs::ScopedContext adopt(ctx);
-    obs::ScopedSpan span("fleet.machine", static_cast<std::int64_t>(i));
-    fn(i);
-  };
-  if (pool_) {
-    parallel_for(*pool_, machines_.size(), instrumented);
-  } else {
-    for (std::size_t i = 0; i < machines_.size(); ++i) instrumented(i);
-  }
+  obs::traced_for(pool_ ? &*pool_ : nullptr, machines_.size(),
+                  "fleet.machine", fn);
 }
 
 void FleetRun::run_until(SimTime t) {
@@ -109,7 +97,6 @@ void FleetRun::run_until(SimTime t) {
     // lookahead), so this fans out without any cross-shard ordering.
     {
       obs::ScopedSpan span("fleet.advance");
-      obs::ScopedTimer timer(obs::Stage::kEpochAdvance);
       each_machine([&](std::size_t i) { machines_[i]->advance(next); });
     }
     now_ = next;
@@ -118,7 +105,6 @@ void FleetRun::run_until(SimTime t) {
     // regardless of how the advance phase was threaded.
     {
       obs::ScopedSpan span("fleet.boundary");
-      obs::ScopedTimer timer(obs::Stage::kEpochBoundary);
       for (auto* m : machines_) {
         report_buf_.clear();
         m->collect_reports(now_, report_buf_);

@@ -1,17 +1,20 @@
 #include "obs/obs.hpp"
 
-#include "obs/profiler.hpp"
-
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
-#include <vector>
+
+#include "metrics/histogram.hpp"
+#include "util/thread_pool.hpp"
 
 namespace istc::obs {
 
@@ -20,29 +23,54 @@ namespace {
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_next_span{1};
 std::atomic<std::uint64_t> g_next_trace{1};
-std::atomic<std::size_t> g_ring_capacity{16384};
 
-/// One thread's span ring.  The owning thread writes without locks; the
-/// atomic pushed counter is the only field other threads may read while
-/// the owner is live (export walks the slots only after quiesce).
+/// Distinct span-name pointers one ring profiles, well above the number
+/// of span names in the program.  Spans under further names still
+/// record, unprofiled.
+constexpr std::size_t kProfileNames = 32;
+
+struct NameProfile {
+  const char* name = nullptr;
+  metrics::Log2Histogram us;
+};
+
+/// One thread's span ring and per-name profile.  The owning thread writes
+/// without locks.  While the owner is live, other threads read only the
+/// atomic pushed counter and, without synchronisation, the profile table
+/// (profile_snapshot); export walks the slots only after quiesce.  A ring
+/// outlives its thread and passes to the next new thread through the
+/// registry's free list.
 struct ThreadRing {
-  explicit ThreadRing(std::size_t capacity) : slots(capacity) {}
-  std::vector<SpanRecord> slots;
+  std::array<SpanRecord, kRingCapacity> slots{};
   std::atomic<std::uint64_t> pushed{0};
+  std::array<NameProfile, kProfileNames> profile{};
 
   void push(const SpanRecord& r) {
     const std::uint64_t n = pushed.load(std::memory_order_relaxed);
-    slots[n % slots.size()] = r;
+    slots[n % kRingCapacity] = r;
     pushed.store(n + 1, std::memory_order_release);
+  }
+
+  /// Span names are string literals, so the pointer is the key; equal
+  /// names behind distinct pointers merge in profile_snapshot().
+  void observe(const char* name, std::uint64_t us) {
+    for (NameProfile& p : profile) {
+      if (p.name == nullptr) p.name = name;
+      if (p.name == name) {
+        p.us.add(us);
+        return;
+      }
+    }
   }
 };
 
-/// Registry of every ring ever handed to a thread.  shared_ptr keeps a
-/// ring alive past its thread's death so shutdown-time export still sees
-/// spans from short-lived pool workers.
+/// Every ring handed out since the last reset, in allocation order (the
+/// export list), and those whose threads have exited.  shared_ptr keeps a
+/// ring valid for a thread that still holds it across a reset.
 struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadRing>> rings;
+  std::vector<std::shared_ptr<ThreadRing>> free;
 };
 
 Registry& registry() {
@@ -50,27 +78,52 @@ Registry& registry() {
   return *r;
 }
 
-/// Epoch bumped by reset(): thread-local ring handles from before the
-/// reset re-register instead of writing into a detached ring.
+/// Epoch bumped by reset(): a thread holding a ring from before the reset
+/// takes a new one instead of writing into a detached ring.
 std::atomic<std::uint64_t> g_reset_epoch{0};
 
-struct ThreadSlot {
-  std::shared_ptr<ThreadRing> ring;
-  std::uint64_t epoch = 0;
+/// The calling thread's ring.  Its destructor runs at thread exit and
+/// hands the ring back for the next new thread to adopt.
+class ThreadSlot {
+ public:
+  ThreadSlot() = default;
+  ThreadSlot(const ThreadSlot&) = delete;
+  ThreadSlot& operator=(const ThreadSlot&) = delete;
+
+  ~ThreadSlot() {
+    if (!ring_) return;
+    Registry& reg = registry();
+    std::lock_guard lk(reg.mu);
+    if (epoch_ == g_reset_epoch.load(std::memory_order_relaxed)) {
+      reg.free.push_back(std::move(ring_));
+    }
+  }
+
+  ThreadRing& ring() {
+    if (ring_ && epoch_ == g_reset_epoch.load(std::memory_order_acquire)) {
+      return *ring_;
+    }
+    Registry& reg = registry();
+    std::lock_guard lk(reg.mu);
+    epoch_ = g_reset_epoch.load(std::memory_order_relaxed);
+    if (reg.free.empty()) {
+      ring_ = std::make_shared<ThreadRing>();
+      reg.rings.push_back(ring_);
+    } else {
+      ring_ = std::move(reg.free.back());
+      reg.free.pop_back();
+    }
+    return *ring_;
+  }
+
+ private:
+  std::shared_ptr<ThreadRing> ring_;
+  std::uint64_t epoch_ = 0;
 };
 
 ThreadRing& my_ring() {
   thread_local ThreadSlot slot;
-  const std::uint64_t epoch = g_reset_epoch.load(std::memory_order_acquire);
-  if (!slot.ring || slot.epoch != epoch) {
-    slot.ring = std::make_shared<ThreadRing>(
-        g_ring_capacity.load(std::memory_order_relaxed));
-    slot.epoch = epoch;
-    Registry& reg = registry();
-    std::lock_guard lk(reg.mu);
-    reg.rings.push_back(slot.ring);
-  }
-  return *slot.ring;
+  return slot.ring();
 }
 
 thread_local TraceContext t_context;
@@ -125,7 +178,9 @@ ScopedSpan::~ScopedSpan() {
   r.start_ns = start_ns_;
   r.end_ns = now_ns();
   r.arg = arg_;
-  my_ring().push(r);
+  ThreadRing& ring = my_ring();
+  ring.push(r);
+  ring.observe(name_, (r.end_ns - r.start_ns) / 1000);
   t_context = saved_;
 }
 
@@ -133,33 +188,67 @@ TraceContext ScopedSpan::context() const {
   return active_ ? mine_ : t_context;
 }
 
+void traced_for(ThreadPool* pool, std::size_t n, const char* name,
+                const std::function<void(std::size_t)>& fn) {
+  const TraceContext ctx = current_context();
+  const auto traced = [&fn, name, ctx](std::size_t i) {
+    ScopedContext adopt(ctx);
+    ScopedSpan span(name, static_cast<std::int64_t>(i));
+    fn(i);
+  };
+  if (pool != nullptr) {
+    parallel_for(*pool, n, traced);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) traced(i);
+  }
+}
+
 RecorderStats recorder_stats() {
   RecorderStats s;
   Registry& reg = registry();
   std::lock_guard lk(reg.mu);
   s.threads = reg.rings.size();
-  s.ring_capacity = g_ring_capacity.load(std::memory_order_relaxed);
   for (const auto& ring : reg.rings) {
     const std::uint64_t pushed = ring->pushed.load(std::memory_order_acquire);
-    const std::uint64_t cap = ring->slots.size();
     s.recorded += pushed;
-    if (pushed > cap) s.dropped += pushed - cap;
+    if (pushed > kRingCapacity) s.dropped += pushed - kRingCapacity;
   }
   return s;
 }
 
-void set_ring_capacity(std::size_t records) {
-  g_ring_capacity.store(records > 0 ? records : 1, std::memory_order_relaxed);
-}
-
-void reset() {
+std::vector<StageProfile> profile_snapshot() {
+  std::map<std::string, metrics::Log2Histogram> merged;
   {
     Registry& reg = registry();
     std::lock_guard lk(reg.mu);
-    reg.rings.clear();
-    g_reset_epoch.fetch_add(1, std::memory_order_release);
+    for (const auto& ring : reg.rings) {
+      for (const NameProfile& p : ring->profile) {
+        if (p.name == nullptr) break;
+        std::string label = p.name;
+        std::replace(label.begin(), label.end(), '.', '_');
+        merged[label].merge(p.us);
+      }
+    }
   }
-  reset_profiles();
+  std::vector<StageProfile> out;
+  out.reserve(merged.size());
+  for (const auto& [label, h] : merged) {
+    out.push_back({.label = label,
+                   .count = h.total(),
+                   .total_us = h.sum(),
+                   .p50_us = h.quantile(0.50),
+                   .p90_us = h.quantile(0.90),
+                   .p99_us = h.quantile(0.99)});
+  }
+  return out;
+}
+
+void reset() {
+  Registry& reg = registry();
+  std::lock_guard lk(reg.mu);
+  reg.rings.clear();
+  reg.free.clear();
+  g_reset_epoch.fetch_add(1, std::memory_order_release);
 }
 
 void write_chrome_spans(std::ostream& out) {
@@ -184,15 +273,15 @@ void write_chrome_spans(std::ostream& out) {
   for (std::size_t t = 0; t < rings.size(); ++t) {
     const ThreadRing& ring = *rings[t];
     const std::uint64_t pushed = ring.pushed.load(std::memory_order_acquire);
-    const std::uint64_t cap = ring.slots.size();
     std::snprintf(buf, sizeof buf,
                   "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                   "\"tid\":%zu,\"args\":{\"name\":\"obs-thread-%zu\"}}",
                   t + 1, t + 1);
     emit(buf);
-    const std::uint64_t lo = pushed > cap ? pushed - cap : 0;
+    const std::uint64_t lo =
+        pushed > kRingCapacity ? pushed - kRingCapacity : 0;
     for (std::uint64_t i = lo; i < pushed; ++i) {
-      const SpanRecord& r = ring.slots[i % cap];
+      const SpanRecord& r = ring.slots[i % kRingCapacity];
       std::snprintf(
           buf, sizeof buf,
           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%zu,"

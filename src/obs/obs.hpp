@@ -2,8 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 /// \file obs.hpp
 /// Causal wall-clock spans — the operational half of the telemetry story.
@@ -19,19 +21,27 @@
 /// Model: a thread-local TraceContext carries (trace id, current span id).
 /// ScopedSpan opens a child of the current context, times itself with the
 /// steady clock, and on close appends one fixed-size SpanRecord to a
-/// per-thread ring buffer — no locks, no allocation on the hot path (the
-/// ring is preallocated at first use per thread).  Cross-thread fan-out
-/// (SweepRunner arms, fleet machine advancement on util::ThreadPool)
-/// propagates causality by capturing current_context() before submit and
-/// adopting it in the task via ScopedContext, so a query's arms hang off
-/// the query span in the exported trace.
+/// per-thread ring buffer and adds its duration to that ring's histogram
+/// for its name — no locks, no allocation on the hot path.  A thread
+/// takes a ring at its first closing span: the ring of a thread that has
+/// exited when one is free, a new one otherwise, so the number of rings
+/// is bounded by the peak number of threads closing spans at once.
+/// Cross-thread fan-out (SweepRunner arms, fleet machine advancement on
+/// util::ThreadPool) goes through traced_for, which adopts the caller's
+/// context in each task, so a query's arms hang off the query span in the
+/// exported trace.
 ///
 /// Everything is inert until set_enabled(true): a disabled ScopedSpan is
 /// two branch-predicted loads.  Export (write_chrome_spans) walks the
 /// per-thread rings and emits Chrome-trace JSON ("X" complete events, ts
 /// and dur in microseconds) loadable in chrome://tracing or Perfetto.
 /// Export expects quiesced writers — the CLI exports after serve()
-/// returns; live surfaces only read the atomic record/drop counters.
+/// returns; live surfaces read only the atomic record/drop counters and
+/// profile_snapshot().
+
+namespace istc {
+class ThreadPool;
+}
 
 namespace istc::obs {
 
@@ -44,7 +54,7 @@ struct TraceContext {
   SpanId span = 0;          ///< 0 = no open span (next span is a root)
 };
 
-/// Master switch for spans + the stage profiler.  Off by default; the
+/// Master switch for spans and their profile.  Off by default; the
 /// daemon turns it on for --obs / --obs-trace, benches A/B it.
 bool enabled();
 void set_enabled(bool on);
@@ -106,28 +116,47 @@ class ScopedSpan {
   bool active_ = false;
 };
 
-/// Live counters over every per-thread ring (atomics; safe concurrently).
+/// Run fn(i) for i in [0, n) on `pool`, or serially when it is null, each
+/// inside a span `name` with arg i.  Every span parents under the
+/// caller's current span, whichever worker runs it.
+void traced_for(ThreadPool* pool, std::size_t n, const char* name,
+                const std::function<void(std::size_t)>& fn);
+
+/// Records per ring; a full ring overwrites its oldest record.
+inline constexpr std::size_t kRingCapacity = 16384;
+
+/// Live counters over every ring (atomics; safe concurrently).
 struct RecorderStats {
   std::uint64_t recorded = 0;  ///< spans written (wrapped ones included)
   std::uint64_t dropped = 0;   ///< spans that overwrote an unread slot
-  std::size_t threads = 0;     ///< rings registered (threads that spanned)
-  std::size_t ring_capacity = 0;  ///< records per thread ring
+  std::size_t threads = 0;     ///< rings allocated
 };
 RecorderStats recorder_stats();
 
-/// Per-thread ring capacity for rings created after this call (existing
-/// rings keep their size).  Default 16384 records/thread.
-void set_ring_capacity(std::size_t records);
+/// One span name's wall-clock profile, merged across every ring.
+struct StageProfile {
+  std::string label;  ///< the span name with '.' replaced by '_'
+  std::uint64_t count = 0;
+  std::uint64_t total_us = 0;
+  double p50_us = 0.0;
+  double p90_us = 0.0;
+  double p99_us = 0.0;
+};
 
-/// Drop all recorded spans, reset counters and stage profiles, and detach
-/// retired rings.  For bench A/B sections and test isolation; callers
-/// must quiesce span-writing threads first.
+/// Every span name closed since the last reset, ordered by label.  It
+/// does not stop span writers, so a span closing meanwhile may be missed.
+std::vector<StageProfile> profile_snapshot();
+
+/// Drop all recorded spans, counters and profiles, and detach every ring.
+/// For bench A/B sections and test isolation; callers must quiesce
+/// span-writing threads first.
 void reset();
 
 /// Export every recorded span as a Chrome-trace JSON array.  Writers must
 /// be quiesced (the daemon exports after serve() returns).  Spans come
-/// out grouped per thread (tid = ring registration order) with "M"
-/// metadata naming the process, ready for chrome://tracing / Perfetto.
+/// out grouped per ring (tid = ring allocation order; a ring holds the
+/// spans of each thread that owned it in turn) with "M" metadata naming
+/// the process, ready for chrome://tracing / Perfetto.
 void write_chrome_spans(std::ostream& out);
 void write_chrome_spans_file(const std::string& path);
 

@@ -11,7 +11,6 @@
 #include "core/sweep.hpp"
 #include "obs/exposition.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "service/json.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
@@ -95,7 +94,7 @@ std::string Session::handle_line(std::string_view line) {
         return do_whatif(req.query);
       }
       case Op::kIngest: {
-        obs::ScopedSpan span("query.ingest");
+        obs::ScopedSpan span("ingest.apply");
         return do_ingest(req.line);
       }
       case Op::kStatus:
@@ -164,7 +163,6 @@ void Session::ingest_job(workload::Job job) {
     // accepted tail in ingest order — the order the from-scratch oracle
     // uses, so the rebuilt baseline is bit-identical to it.
     obs::ScopedSpan span("ingest.rewind");
-    obs::ScopedTimer timer(obs::Stage::kIngestRewind);
     accepted_.push_back(job);
     const std::size_t seq = chain_.rewind_to(job.submit);
     for (std::size_t i = seq; i < accepted_.size(); ++i) {
@@ -185,7 +183,6 @@ void Session::ingest_job(workload::Job job) {
 }
 
 std::string Session::do_ingest(const std::string& line) {
-  obs::ScopedTimer timer(obs::Stage::kIngestApply);
   std::lock_guard lk(mu_);
   registry_.add(ingests_);
   const workload::SwfLineOutcome out = workload::parse_swf_line(line);
@@ -254,7 +251,6 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
   QueryBase base;
   {
     obs::ScopedSpan span("query.capture");
-    obs::ScopedTimer timer(obs::Stage::kQueryCapture);
     std::lock_guard lk(mu_);
     registry_.add(queries_);
     if (q.cpus > machine_cpus_) {
@@ -372,7 +368,6 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
   // -- verdict --------------------------------------------------------------
 
   obs::ScopedSpan verdict_span("query.verdict");
-  obs::ScopedTimer verdict_timer(obs::Stage::kQueryVerdict);
   JsonWriter w;
   w.begin_object();
   w.member("schema", kWhatIfSchema);
@@ -509,7 +504,7 @@ std::string Session::do_status() {
 std::string Session::do_stats() {
   const auto pool = ThreadPool::global_stats();
   const obs::RecorderStats rec = obs::recorder_stats();
-  const std::vector<obs::StageProfile> profile = obs::profile_snapshot();
+  const auto profile = obs::profile_snapshot();
 
   std::lock_guard lk(mu_);
   JsonWriter w;
@@ -564,7 +559,7 @@ std::string Session::do_stats() {
 
   w.key("profile");
   w.begin_array();
-  for (const obs::StageProfile& p : profile) {
+  for (const auto& p : profile) {
     w.comma();
     w.begin_object();
     w.member("stage", p.label);
@@ -583,7 +578,7 @@ std::string Session::do_stats() {
 std::string Session::prometheus_text() {
   const auto pool = ThreadPool::global_stats();
   const obs::RecorderStats rec = obs::recorder_stats();
-  const std::vector<obs::StageProfile> profile = obs::profile_snapshot();
+  const auto profile = obs::profile_snapshot();
   obs::PrometheusWriter prom;
 
   std::lock_guard lk(mu_);
@@ -648,15 +643,15 @@ std::string Session::prometheus_text() {
   if (!profile.empty()) {
     prom.family("istc_obs_stage_us", "summary",
                 "wall-clock stage profile (microseconds, log2-bucketed)");
-    for (const obs::StageProfile& p : profile) {
+    for (const auto& p : profile) {
       char label[96];
       std::snprintf(label, sizeof label, "stage=\"%s\",quantile=\"0.5\"",
-                    p.label);
+                    p.label.c_str());
       prom.sample("istc_obs_stage_us", label, p.p50_us);
       std::snprintf(label, sizeof label, "stage=\"%s\",quantile=\"0.99\"",
-                    p.label);
+                    p.label.c_str());
       prom.sample("istc_obs_stage_us", label, p.p99_us);
-      std::snprintf(label, sizeof label, "stage=\"%s\"", p.label);
+      std::snprintf(label, sizeof label, "stage=\"%s\"", p.label.c_str());
       prom.sample("istc_obs_stage_us_count", label,
                   static_cast<double>(p.count));
       prom.sample("istc_obs_stage_us_sum", label,

@@ -1,8 +1,8 @@
 // Causal span recorder (src/obs): nesting, cross-thread propagation,
-// ring wrap accounting, Chrome-trace export validity, and disabled
-// inertness.  Every test quiesces its writer threads before exporting
-// (the recorder's contract) and leaves observability disabled + reset so
-// suites compose.
+// ring wrap accounting, ring reuse across threads, Chrome-trace export
+// validity, and disabled inertness.  Every test quiesces its writer
+// threads before exporting (the recorder's contract) and leaves
+// observability disabled + reset so suites compose.
 
 #include "obs/obs.hpp"
 
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/profiler.hpp"
 #include "service/json.hpp"
 
 namespace istc::obs {
@@ -28,7 +27,6 @@ struct ObsFixture : ::testing::Test {
   }
   void TearDown() override {
     set_enabled(false);
-    set_ring_capacity(16384);
     reset();
   }
 };
@@ -136,7 +134,8 @@ TEST_F(ObsSpans, ContextBridgesAcrossThreads) {
   }
   const RecorderStats s = recorder_stats();
   EXPECT_EQ(s.recorded, 2u);
-  EXPECT_EQ(s.threads, 2u);  // main + worker each own a ring
+  // The joined worker handed its ring back and main adopted it.
+  EXPECT_EQ(s.threads, 1u);
   const service::Value doc = exported();
   const service::Value* child = find_event(doc, "worker.child");
   ASSERT_NE(child, nullptr);
@@ -149,16 +148,14 @@ TEST_F(ObsSpans, ContextBridgesAcrossThreads) {
 }
 
 TEST_F(ObsSpans, RingWrapCountsDropsAndKeepsNewest) {
-  set_ring_capacity(8);
-  reset();  // this thread re-registers with the small ring
-  for (int i = 0; i < 20; ++i) {
+  constexpr int kSpans = static_cast<int>(kRingCapacity) + 12;
+  for (int i = 0; i < kSpans; ++i) {
     ScopedSpan span("wrap.me", i);
   }
   const RecorderStats s = recorder_stats();
-  EXPECT_EQ(s.recorded, 20u);
+  EXPECT_EQ(s.recorded, static_cast<std::uint64_t>(kSpans));
   EXPECT_EQ(s.dropped, 12u);
-  EXPECT_EQ(s.ring_capacity, 8u);
-  // Export holds exactly the newest capacity-many spans: args 12..19.
+  // Export holds exactly the newest capacity-many spans: args 12 and up.
   const service::Value doc = exported();
   int events = 0;
   double min_arg = 1e18;
@@ -169,8 +166,25 @@ TEST_F(ObsSpans, RingWrapCountsDropsAndKeepsNewest) {
       min_arg = std::min(min_arg, args->num_or("arg", 1e18));
     }
   }
-  EXPECT_EQ(events, 8);
+  EXPECT_EQ(events, static_cast<int>(kRingCapacity));
   EXPECT_EQ(min_arg, 12.0);
+}
+
+TEST_F(ObsSpans, ExitedThreadsHandTheirRingBack) {
+  constexpr int kThreads = 100;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t] { ScopedSpan span("short.lived", t); }).join();
+  }
+  const RecorderStats s = recorder_stats();
+  EXPECT_LE(s.threads, 2u);
+  EXPECT_EQ(s.recorded, static_cast<std::uint64_t>(kThreads));
+  // A handed-back ring stays in the export list: every span survives.
+  const service::Value doc = exported();
+  EXPECT_EQ(std::count_if(doc.array.begin(), doc.array.end(),
+                          [](const service::Value& e) {
+                            return e.str_or("ph", "") == "X";
+                          }),
+            kThreads);
 }
 
 TEST_F(ObsSpans, ExportEmitsProcessAndThreadMetadata) {
@@ -192,9 +206,9 @@ TEST_F(ObsSpans, ExportEmitsProcessAndThreadMetadata) {
 TEST_F(ObsSpans, ResetClearsSpansAndProfiles) {
   {
     ScopedSpan span("gone");
-    ScopedTimer timer(Stage::kSweepArm);
   }
   EXPECT_GT(recorder_stats().recorded, 0u);
+  EXPECT_FALSE(profile_snapshot().empty());
   reset();
   EXPECT_EQ(recorder_stats().recorded, 0u);
   EXPECT_EQ(recorder_stats().dropped, 0u);

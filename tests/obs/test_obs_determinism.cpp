@@ -13,7 +13,6 @@
 
 #include "grid/fleet.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "service/json.hpp"
 #include "service/session.hpp"
 #include "util/rng.hpp"

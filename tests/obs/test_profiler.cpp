@@ -1,14 +1,19 @@
-// Wall-clock stage profiler (src/obs/profiler): attribution, labels,
-// cross-thread merge, snapshot ordering, and the disabled no-op path.
-
-#include "obs/profiler.hpp"
+// The span profile (obs::profile_snapshot): closing spans attribute to
+// their name, rows merge across rings, reset drops them, disabled spans
+// add none; and a what-if daemon lists the labels its dashboards read
+// while its ring count stays bounded.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "service/json.hpp"
+#include "service/session.hpp"
+#include "util/thread_pool.hpp"
 
 namespace istc::obs {
 namespace {
@@ -29,82 +34,126 @@ using Profiler = ProfilerFixture;
 TEST(ProfilerDisabled, ObserveIsANoopWhenDisabled) {
   set_enabled(false);
   reset();
-  observe_stage_us(Stage::kSweepArm, 100);
   {
-    ScopedTimer timer(Stage::kSweepFork);
+    ScopedSpan span("sweep.fork");
   }
   EXPECT_TRUE(profile_snapshot().empty());
-  EXPECT_EQ(stage_histogram(Stage::kSweepArm).total(), 0u);
 }
 
 TEST_F(Profiler, ObservationsAttributeToTheirStage) {
-  observe_stage_us(Stage::kSweepArm, 100);
-  observe_stage_us(Stage::kSweepArm, 100);
-  observe_stage_us(Stage::kSweepArm, 100);
-  observe_stage_us(Stage::kIngestRewind, 7);
+  for (int i = 0; i < 3; ++i) {
+    ScopedSpan span("sweep.arm");
+  }
+  {
+    ScopedSpan span("ingest.rewind");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
 
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 2u);
-  // Snapshot comes out in Stage declaration order.
-  EXPECT_EQ(profile[0].stage, Stage::kSweepArm);
-  EXPECT_STREQ(profile[0].label, "sweep_arm");
-  EXPECT_EQ(profile[0].count, 3u);
-  EXPECT_EQ(profile[0].total_us, 300u);
-  // 100 lives in log2 bucket [64,128): quantiles must stay inside it.
-  EXPECT_GE(profile[0].p50_us, 64.0);
-  EXPECT_LT(profile[0].p50_us, 128.0);
-  EXPECT_GE(profile[0].p99_us, profile[0].p50_us);
-
-  EXPECT_EQ(profile[1].stage, Stage::kIngestRewind);
-  EXPECT_STREQ(profile[1].label, "ingest_rewind");
-  EXPECT_EQ(profile[1].count, 1u);
-}
-
-TEST_F(Profiler, ScopedTimerObservesElapsedTime) {
-  {
-    ScopedTimer timer(Stage::kQueryCapture);
-  }
-  const auto h = stage_histogram(Stage::kQueryCapture);
-  EXPECT_EQ(h.total(), 1u);
-}
-
-TEST_F(Profiler, StageLabelsAreStable) {
-  EXPECT_STREQ(stage_label(Stage::kSweepPrefix), "sweep_prefix");
-  EXPECT_STREQ(stage_label(Stage::kSweepFork), "sweep_fork");
-  EXPECT_STREQ(stage_label(Stage::kIngestApply), "ingest_apply");
-  EXPECT_STREQ(stage_label(Stage::kEpochAdvance), "epoch_advance");
-  EXPECT_STREQ(stage_label(Stage::kEpochBoundary), "epoch_boundary");
-  EXPECT_STREQ(stage_label(Stage::kQueryVerdict), "query_verdict");
+  // Rows come out ordered by label; a label is the span name with '.'
+  // replaced by '_'.
+  EXPECT_EQ(profile[0].label, "ingest_rewind");
+  EXPECT_EQ(profile[0].count, 1u);
+  EXPECT_GE(profile[0].total_us, 2000u);
+  EXPECT_GE(profile[0].p50_us, 1024.0);
+  EXPECT_EQ(profile[1].label, "sweep_arm");
+  EXPECT_EQ(profile[1].count, 3u);
+  EXPECT_GE(profile[1].p99_us, profile[1].p50_us);
 }
 
 TEST_F(Profiler, SnapshotMergesAcrossThreads) {
   constexpr int kThreads = 4;
   constexpr int kEach = 250;
+  // The same name behind a second pointer merges into the same row.
+  static const char kSameName[] = "fleet.advance";
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([t] {
       for (int i = 0; i < kEach; ++i) {
-        observe_stage_us(Stage::kEpochAdvance,
-                         static_cast<std::uint64_t>(10 + t));
+        ScopedSpan span(t % 2 == 0 ? "fleet.advance" : kSameName);
       }
     });
   }
   for (auto& w : workers) w.join();
-  const auto h = stage_histogram(Stage::kEpochAdvance);
-  EXPECT_EQ(h.total(), static_cast<std::uint64_t>(kThreads * kEach));
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 1u);
+  EXPECT_EQ(profile[0].label, "fleet_advance");
   EXPECT_EQ(profile[0].count, static_cast<std::uint64_t>(kThreads * kEach));
 }
 
 TEST_F(Profiler, ResetProfilesDropsAllObservations) {
-  observe_stage_us(Stage::kSweepFork, 42);
+  {
+    ScopedSpan span("sweep.fork");
+  }
   EXPECT_FALSE(profile_snapshot().empty());
-  reset_profiles();
+  reset();
   EXPECT_TRUE(profile_snapshot().empty());
-  // And the profiler keeps working after a reset.
-  observe_stage_us(Stage::kSweepFork, 42);
-  EXPECT_EQ(stage_histogram(Stage::kSweepFork).total(), 1u);
+  // And the profile keeps working after a reset.
+  {
+    ScopedSpan span("sweep.fork");
+  }
+  const auto profile = profile_snapshot();
+  ASSERT_EQ(profile.size(), 1u);
+  EXPECT_EQ(profile[0].count, 1u);
+}
+
+std::string ingest(SimTime submit) {
+  const std::string line = "1 " + std::to_string(submit) +
+                           " 0 600 16 -1 -1 16 900 -1 1 3 2 -1 -1 -1 -1 -1";
+  return "{\"op\":\"ingest\",\"line\":\"" + line + "\"}";
+}
+
+/// The labels perfbench and the CI smoke read from a daemon, and the ring
+/// bound: one ring for the test thread plus one per sweep-pool worker,
+/// however many per-query pools come and go.
+TEST(ObsDaemonProfile, StatsListDaemonLabelsWithBoundedRings) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr int kQueries = 20;
+  reset();
+  set_enabled(true);
+  set_default_thread_count(kWorkers);
+
+  service::SessionConfig cfg;
+  cfg.site = cluster::Site::kRoss;
+  cfg.snapshot_interval = 1000;
+  service::Session session(cfg);
+  const std::vector<SimTime> submits = {100, 1300, 2500, 3700, 700};
+  for (const SimTime at : submits) {
+    const std::string reply = session.handle_line(ingest(at));
+    EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  }
+  for (int q = 0; q < kQueries; ++q) {
+    const std::string reply = session.handle_line(
+        "{\"op\":\"whatif\",\"jobs\":2,\"cpus\":16,\"runtime_s\":300,"
+        "\"horizon_s\":3600,\"points_s\":[0,600,1200,1800]}");
+    EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  }
+  const service::ParseResult stats =
+      service::parse(session.handle_line("{\"op\":\"stats\"}"));
+  set_default_thread_count(0);
+  set_enabled(false);
+  reset();
+
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  const service::Value* o = stats.value.find("obs");
+  ASSERT_NE(o, nullptr);
+  EXPECT_LE(o->num_or("span_threads", 1e9), 1.0 + kWorkers);
+  const service::Value* prof = stats.value.find("profile");
+  ASSERT_NE(prof, nullptr);
+  const auto count = [prof](const std::string& label) {
+    for (const service::Value& row : prof->array) {
+      if (row.str_or("stage", "") == label) return row.num_or("count", 0);
+    }
+    return -1.0;
+  };
+  EXPECT_EQ(count("ingest_apply"), static_cast<double>(submits.size()));
+  EXPECT_GE(count("ingest_rewind"), 1.0);
+  EXPECT_EQ(count("query_capture"), kQueries);
+  EXPECT_EQ(count("query_verdict"), kQueries);
+  EXPECT_EQ(count("sweep_arm"), 4.0 * kQueries);
+  EXPECT_GT(count("sweep_prefix"), 0.0);
+  EXPECT_GT(count("sweep_fork"), 0.0);
 }
 
 }  // namespace
