@@ -58,7 +58,10 @@ SimRun::SimRun(const Scenario& scenario) : SimRun(scenario_setup(scenario)) {
   if (metrics_ != nullptr) metrics_->attach(engine_, *scheduler_, span_);
 }
 
-SimRun::SimRun(SimRun& other) : span_(other.span_) {
+SimRun::SimRun(SimRun& other)
+    : span_(other.span_),
+      records_hash_(other.records_hash_),
+      hashed_records_(other.hashed_records_) {
   // adopt_state checks that no sample is pending and the queue holds no
   // boxed callbacks.
   engine_.adopt_state(other.engine_);
@@ -96,9 +99,16 @@ sched::RunResult SimRun::finish() {
   return result;
 }
 
-std::uint64_t SimRun::state_hash() const {
-  return sched::schedule_hash(scheduler_->completed_records(),
-                              scheduler_->killed_records(), engine_.now());
+std::uint64_t SimRun::state_hash() {
+  const auto& records = scheduler_->completed_records();
+  if (records.size() < hashed_records_) {  // finish() took the log
+    records_hash_ = util::kFnvOffset;
+    hashed_records_ = 0;
+  }
+  records_hash_ = sched::hash_records(records_hash_, records, hashed_records_);
+  hashed_records_ = records.size();
+  return sched::hash_kills_and_end(records_hash_, scheduler_->killed_records(),
+                                   engine_.now());
 }
 
 }  // namespace istc::core

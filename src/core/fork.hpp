@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -9,6 +10,7 @@
 #include "fault/fault.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "util/hash.hpp"
 #include "workload/job.hpp"
 
 /// \file fork.hpp
@@ -30,9 +32,10 @@
 ///     fault events carry 32-bit args, never closures), so the queue is
 ///     memcpy-able (sim::Engine::adopt_state);
 ///   - the scheduler's append-only logs (submission table, completed
-///     records) are CowLog<T>: the fork shares the frozen prefix and each
-///     side appends to a private tail — indices stay stable, so queued
-///     event args remain valid across the fork boundary;
+///     records) are CowLog<T>: the fork shares their frozen chunks and
+///     each side appends to a private tail — indices stay stable, so
+///     queued event args remain valid across the fork boundary, and forks
+///     kept side by side hold one copy of history between them;
 ///   - all randomness (native log, fault timeline) is pre-generated, so
 ///     there is no live RNG state to capture: the shared fault timeline is
 ///     an immutable shared_ptr.
@@ -93,10 +96,12 @@ class SimRun {
 
   /// Fork: a new SimRun whose state is a copy-on-write snapshot of this
   /// one at the current sim time.  Cheap (no event replay; the logs share
-  /// their prefix) and exact (advancing the fork reproduces the source
-  /// bit-for-bit).  The source must be quiescent: between events, with no
-  /// metrics sampler attached.  `this` is non-const only because forking
-  /// freezes the shared log prefixes (an O(tail) fold, amortized O(1)).
+  /// their frozen chunks) and exact (advancing the fork reproduces the
+  /// source bit-for-bit).  The source must be quiescent: between events,
+  /// with no metrics sampler attached.  `this` is non-const only because
+  /// forking freezes the logs, which copies at most util::CowLog::kChunk
+  /// entries per log; the fork then copies one pointer per chunk of
+  /// history, whatever the history's length.
   std::unique_ptr<SimRun> fork();
 
   /// Advance until every event at time <= t has fired.  The clock does not
@@ -131,8 +136,10 @@ class SimRun {
 
   /// sched::schedule_hash over the *observable mid-run state* (completed
   /// records, kills, now()), usable without draining.  Two runs fed the
-  /// same jobs and advanced to the same time hash equal.
-  std::uint64_t state_hash() const;
+  /// same jobs and advanced to the same time hash equal.  Folds only the
+  /// records completed since the previous call (hence non-const); the
+  /// kills and now() are hashed afresh each time.
+  std::uint64_t state_hash();
 
   SimTime now() const { return engine_.now(); }
   sim::Engine& engine() { return engine_; }
@@ -166,6 +173,10 @@ class SimRun {
   std::unique_ptr<sched::BatchScheduler> scheduler_;
   std::optional<InterstitialDriver> driver_;
   std::optional<fault::FaultInjector> injector_;
+  /// state_hash's running FNV-1a state over completed records
+  /// [0, hashed_records_); forks inherit it with the shared log prefix.
+  std::uint64_t records_hash_ = util::kFnvOffset;
+  std::size_t hashed_records_ = 0;
 };
 
 }  // namespace istc::core

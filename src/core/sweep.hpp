@@ -46,9 +46,12 @@
 ///     with per-arm wall clocks so the same call also yields the speedup.
 ///
 /// Determinism: forks are created serially (forking freezes the source's
-/// copy-on-write log prefixes), each fork is advanced by exactly one task,
+/// copy-on-write logs, sealing what it appended since its last fork into
+/// shared immutable chunks), each fork is advanced by exactly one task,
 /// and results are written to pre-sized slots — so a sweep's output is
 /// bit-identical at 1, 2 or 8 threads (pinned by tests/core/test_sweep.cpp).
+/// The forks then only read the chunks they share, so the tasks need no
+/// lock; each fork's appends go to its own private tail.
 
 namespace istc::core {
 

@@ -36,9 +36,10 @@ GridMachine::GridMachine(GridMachine& other)
       running_(other.running_),
       reports_(other.reports_),
       stats_(other.stats_) {
-  // Share the delivery logs copy-on-write: freeze the source's prefix so
-  // both sides append privately, and in-flight kGridArrival events (whose
-  // args index these logs) resolve identically in either machine.
+  // Share the delivery logs copy-on-write: freeze the source's logs into
+  // shared chunks so both sides append privately, and in-flight
+  // kGridArrival events (whose args index these logs) resolve identically
+  // in either machine.
   other.delivery_jobs_.freeze();
   other.delivery_spans_.freeze();
   delivery_jobs_ = other.delivery_jobs_;

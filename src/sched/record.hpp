@@ -103,22 +103,28 @@ inline double RunResult::wasted_cpu_seconds() const {
   return total;
 }
 
-/// FNV-1a over an observable schedule: completed records (id, start, end,
-/// cpus), kills (id, start, end), then `end_time`.  Generic over the two
-/// containers (anything with size() and operator[]) so a drained
-/// RunResult (grid::hash_run) and a live scheduler's logs
-/// (core::SimRun::state_hash) share this one walk.
-template <class Records, class Kills>
-std::uint64_t schedule_hash(const Records& records, const Kills& killed,
-                            SimTime end_time) {
-  std::uint64_t h = util::kFnvOffset;
-  for (std::size_t i = 0; i < records.size(); ++i) {
+/// The records step of schedule_hash: fold completed records [from, size)
+/// (id, start, end, cpus) into `h`.  FNV-1a is sequential, so folding
+/// [0, n) and later [n, m) equals folding [0, m) at once; that is what
+/// lets core::SimRun::state_hash carry the state between calls.
+template <class Records>
+std::uint64_t hash_records(std::uint64_t h, const Records& records,
+                           std::size_t from) {
+  for (std::size_t i = from; i < records.size(); ++i) {
     const JobRecord& r = records[i];
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.cpus));
   }
+  return h;
+}
+
+/// The tail of schedule_hash: fold kills (id, start, end), then
+/// `end_time`, into the records state `h`.
+template <class Kills>
+std::uint64_t hash_kills_and_end(std::uint64_t h, const Kills& killed,
+                                 SimTime end_time) {
   for (std::size_t i = 0; i < killed.size(); ++i) {
     const JobRecord& r = killed[i];
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.job.id));
@@ -126,6 +132,17 @@ std::uint64_t schedule_hash(const Records& records, const Kills& killed,
     h = util::fnv1a_u64(h, static_cast<std::uint64_t>(r.end));
   }
   return util::fnv1a_u64(h, static_cast<std::uint64_t>(end_time));
+}
+
+/// FNV-1a over an observable schedule: completed records, kills, then
+/// `end_time`.  Generic over the two containers (anything with size() and
+/// operator[]) so a drained RunResult (grid::hash_run) and a live
+/// scheduler's logs (core::SimRun::state_hash) share one walk.
+template <class Records, class Kills>
+std::uint64_t schedule_hash(const Records& records, const Kills& killed,
+                            SimTime end_time) {
+  return hash_kills_and_end(hash_records(util::kFnvOffset, records, 0),
+                            killed, end_time);
 }
 
 }  // namespace istc::sched

@@ -50,7 +50,7 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, BatchScheduler& other)
       failed_cpus_(other.failed_cpus_) {
   ISTC_EXPECTS(!other.in_pass_);
   // The big append-only logs travel copy-on-write: freeze the source's
-  // prefix, then share it.
+  // logs into shared chunks, then share them.
   other.submission_table_.freeze();
   other.records_.freeze();
   submission_table_ = other.submission_table_;

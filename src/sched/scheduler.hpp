@@ -411,8 +411,8 @@ class BatchScheduler : private sim::JobEventSink {
   /// Submitted-but-not-yet-arrived jobs, indexed by the 32-bit argument of
   /// their kJobSubmit event.  Grows monotonically (the log is finite);
   /// keeping entries after arrival keeps indices stable — including across
-  /// fork boundaries, which is why this is a CowLog: forks share the
-  /// frozen prefix instead of copying the whole native log.
+  /// fork boundaries, which is why this is a CowLog: forks share its
+  /// frozen chunks instead of copying the whole native log.
   util::CowLog<workload::Job> submission_table_;
 
   /// SoA storage for every live job (pending / running / zombie); finish
@@ -424,7 +424,7 @@ class BatchScheduler : private sim::JobEventSink {
   /// what lets prioritize() reuse the order when nothing changed.
   std::vector<std::uint32_t> pending_;
   /// Completed-job records; copy-on-write so a fork late in a run shares
-  /// the (large) history instead of duplicating it.
+  /// the (large) history's chunks instead of duplicating it.
   util::CowLog<JobRecord> records_;
   std::vector<JobRecord> killed_records_;
   std::function<void(const PassContext&)> post_pass_;

@@ -63,6 +63,11 @@ class SnapshotChain {
   const Run& live() const { return *live_; }
 
   std::size_t snapshot_count() const { return snaps_.size(); }
+  /// The i-th kept snapshot, oldest (the time-zero fork) first.
+  const Run& snapshot(std::size_t i) const {
+    ISTC_EXPECTS(i < snaps_.size());
+    return *snaps_[i].run;
+  }
 
   /// Sequence number the *live* run has been fed up to; the caller bumps
   /// it via note_submitted after feeding jobs into live().

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "metrics/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "util/cow_log.hpp"
 #include "util/rng.hpp"
 
 namespace istc::core {
@@ -251,6 +253,40 @@ TEST(ForkDeterminism, MiniatureForkHitsGoldenScheduleHash) {
   // The abandoned source still drains to the same schedule.
   eng.run();
   EXPECT_EQ(hash_run(s.take_result(kMiniSpan)), 0x4cb3857a75f8d6bfull);
+}
+
+
+// Forks kept side by side hold one copy of history between them: across
+// one fork per 6 simulated hours of a streamed Blue Mountain run, the
+// distinct record entries behind completed_records() stay within the live
+// history plus less than a chunk per fork.  A log that copied its frozen
+// prefix at every fork would hold about N * history / 2.
+TEST(ForkMemory, KeptForksShareOneHistory) {
+  Scenario scenario;
+  scenario.site = cluster::Site::kBlueMountain;
+  scenario.project = ProjectSpec::continual_stream(
+      32, 120, cluster::site_span(scenario.site));
+  SimRun live(scenario);
+  std::vector<std::unique_ptr<SimRun>> kept;
+  for (SimTime t = hours(6); t <= days(21); t += hours(6)) {
+    live.run_until(t);
+    kept.push_back(live.fork());
+  }
+
+  std::vector<const sched::JobRecord*> entries;
+  for (const auto& run : kept) {
+    const auto& records = run->scheduler().completed_records();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      entries.push_back(&records[i]);
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(entries.begin(), entries.end()) - entries.begin());
+  const std::size_t history = live.scheduler().completed_count();
+  ASSERT_GT(history, 20 * util::CowLog<sched::JobRecord>::kChunk);
+  EXPECT_LE(distinct,
+            history + kept.size() * util::CowLog<sched::JobRecord>::kChunk);
 }
 
 }  // namespace

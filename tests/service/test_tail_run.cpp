@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "sched/record.hpp"
 #include "service/baseline.hpp"
+#include "util/cow_log.hpp"
+#include "workload/presets.hpp"
 
 namespace istc::service {
 namespace {
@@ -32,6 +37,13 @@ std::vector<workload::Job> sample_tail() {
                             300 + 40 * static_cast<Seconds>(i % 11)));
   }
   return jobs;
+}
+
+/// sched::schedule_hash walked over every record, the value state_hash()
+/// must reproduce by folding only the records new since its last call.
+std::uint64_t full_walk(const TailRun& run) {
+  return sched::schedule_hash(run.scheduler().completed_records(),
+                              run.scheduler().killed_records(), run.now());
 }
 
 TEST(TailRun, ForkReproducesSourceBitForBit) {
@@ -184,6 +196,81 @@ TEST(SnapshotChain, RewindReplayMatchesUninterrupted) {
   straight.run_until(2500);
 
   EXPECT_EQ(chain.live().state_hash(), straight.state_hash());
+}
+
+// The running state hash equals the full walk at every point: on the
+// live run, on a fork (which inherits the running state), after a
+// SnapshotChain rewind (whose new live run inherits a snapshot's state),
+// and after finish() takes the record log.
+TEST(TailRun, RunningStateHashEqualsTheFullWalk) {
+  const auto tail = sample_tail();
+  const TailConfig cfg{cluster::Site::kRoss,
+                       core::ProjectSpec::continual_stream(8, 120,
+                                                           kTimeInfinity)};
+  SnapshotChain<TailRun> chain(std::make_unique<TailRun>(cfg), 700);
+  for (const auto& j : tail) chain.live().submit(j);
+  chain.note_submitted(tail.size());
+  for (SimTime t = 0; t <= 3000; t += 150) {
+    chain.advance_to(t);
+    ASSERT_EQ(chain.live().state_hash(), full_walk(chain.live())) << t;
+  }
+
+  auto fork = chain.live().fork();
+  for (SimTime t = 3000; t <= 4500; t += 150) {
+    fork->run_until(t);
+    ASSERT_EQ(fork->state_hash(), full_walk(*fork)) << t;
+  }
+
+  const std::size_t seq = chain.rewind_to(1600);
+  for (std::size_t i = seq; i < tail.size(); ++i) chain.live().submit(tail[i]);
+  chain.note_submitted(tail.size());
+  for (SimTime t = 1600; t <= 4500; t += 150) {
+    chain.advance_to(t);
+    ASSERT_EQ(chain.live().state_hash(), full_walk(chain.live())) << t;
+  }
+
+  fork->driver()->set_stop_time(fork->now() + 2000);
+  const sched::RunResult drained = fork->finish();
+  EXPECT_GT(drained.records.size(), 40u);
+  EXPECT_EQ(fork->state_hash(), full_walk(*fork));
+}
+
+// Snapshots kept by a chain hold one copy of history between them: over
+// two weeks of a streamed Blue Mountain tail with a 6-hour cadence, the
+// distinct record entries across every snapshot stay within the live
+// history plus less than a chunk per snapshot.
+TEST(SnapshotChain, KeptSnapshotsShareOneHistory) {
+  const cluster::Site site = cluster::Site::kBlueMountain;
+  const SimTime frontier = days(14);
+  SnapshotChain<TailRun> chain(
+      std::make_unique<TailRun>(TailConfig{
+          site, core::ProjectSpec::continual_stream(32, 120, kTimeInfinity)}),
+      hours(6));
+  const workload::JobLog natives = workload::site_log(site);
+  std::size_t accepted = 0;
+  for (workload::Job job : natives.jobs()) {
+    if (job.submit > frontier) continue;
+    job.id = static_cast<workload::JobId>(accepted++);
+    chain.live().submit(job);
+  }
+  chain.note_submitted(accepted);
+  chain.advance_to(frontier);
+
+  std::vector<const sched::JobRecord*> entries;
+  for (std::size_t s = 0; s < chain.snapshot_count(); ++s) {
+    const auto& records = chain.snapshot(s).scheduler().completed_records();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      entries.push_back(&records[i]);
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(entries.begin(), entries.end()) - entries.begin());
+  constexpr std::size_t kChunk = util::CowLog<sched::JobRecord>::kChunk;
+  const std::size_t history = chain.live().scheduler().completed_count();
+  ASSERT_EQ(chain.snapshot_count(), 57u);
+  ASSERT_GT(history, 10 * kChunk);
+  EXPECT_LE(distinct, history + chain.snapshot_count() * kChunk);
 }
 
 }  // namespace
