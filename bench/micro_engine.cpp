@@ -2,6 +2,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "core/experiment.hpp"
 #include "sim/engine.hpp"
 #include "trace/tracer.hpp"
@@ -10,31 +12,40 @@ namespace {
 
 using istc::SimTime;
 
+/// Counts the job events it receives.  `chain`, when set, runs on every
+/// submit (the self-perpetuating chain schedules its next link there).
+struct CountingSink final : istc::sim::JobEventSink {
+  long submits = 0;
+  long finishes = 0;
+  std::function<void()> chain;
+  void job_submit(std::uint32_t) override {
+    ++submits;
+    if (chain) chain();
+  }
+  void job_finish(std::uint32_t) override { ++finishes; }
+};
+
+// One event per distinct time, each dispatched to the sink.
 void BM_EngineScheduleAndDrain(benchmark::State& state) {
   const auto n = static_cast<SimTime>(state.range(0));
   for (auto _ : state) {
     istc::sim::Engine eng;
+    CountingSink sink;
+    eng.set_job_sink(&sink);
     eng.reserve_events(static_cast<std::size_t>(n));
-    long sink = 0;
     for (SimTime t = 0; t < n; ++t) {
-      eng.schedule(t, [&sink] { ++sink; });
+      eng.schedule_job_submit(t, static_cast<std::uint32_t>(t));
     }
     eng.run();
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sink.submits);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineScheduleAndDrain)->Arg(1000)->Arg(100000);
 
-// The steady-state shape of a site replay: every event a typed job event
-// dispatched through the JobEventSink vtable, no callbacks at all.
+// The steady-state shape of a site replay: a submit and a finish per job,
+// dispatched through the JobEventSink vtable.
 void BM_EngineTypedJobStream(benchmark::State& state) {
-  struct CountingSink final : istc::sim::JobEventSink {
-    long submits = 0;
-    long finishes = 0;
-    void job_submit(std::uint32_t) override { ++submits; }
-    void job_finish(std::uint32_t) override { ++finishes; }
-  };
   const auto n = static_cast<SimTime>(state.range(0));
   for (auto _ : state) {
     istc::sim::Engine eng;
@@ -57,9 +68,13 @@ void BM_EngineSameTimestampBatch(benchmark::State& state) {
   const auto n = static_cast<SimTime>(state.range(0));
   for (auto _ : state) {
     istc::sim::Engine eng;
+    CountingSink sink;
+    eng.set_job_sink(&sink);
     long hook_calls = 0;
     eng.on_quiescent([&hook_calls](SimTime) { ++hook_calls; });
-    for (SimTime i = 0; i < n; ++i) eng.schedule(42, [] {});
+    for (SimTime i = 0; i < n; ++i) {
+      eng.schedule_job_submit(42, static_cast<std::uint32_t>(i));
+    }
     eng.run();
     benchmark::DoNotOptimize(hook_calls);
   }
@@ -67,22 +82,22 @@ void BM_EngineSameTimestampBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSameTimestampBatch)->Arg(10000);
 
-// Deliberately the event core's worst case: a recursive chain needs a
-// self-referential callable, so every link boxes a std::function into the
-// callback slab, and with one live event per link the queue drains and
-// re-anchors its wheel on every hop.  Steady-state simulation code never
-// takes this path — it exists to keep the fallback's cost visible.
+// The calendar's worst shape: one live event at a time, each link's
+// handler scheduling the next one second later, so the queue drains and
+// re-anchors its wheel on every hop.  No replay drains the queue per
+// event (a replay preloads its whole log); the row bounds that path.
 void BM_EngineSelfPerpetuatingChain(benchmark::State& state) {
   const long links = state.range(0);
   for (auto _ : state) {
     istc::sim::Engine eng;
-    long count = 0;
-    std::function<void()> link = [&] {
-      if (++count < links) eng.schedule_in(1, link);
+    CountingSink sink;
+    eng.set_job_sink(&sink);
+    sink.chain = [&] {
+      if (sink.submits < links) eng.schedule_job_submit(eng.now() + 1, 0);
     };
-    eng.schedule(0, link);
+    eng.schedule_job_submit(0, 0);
     eng.run();
-    benchmark::DoNotOptimize(count);
+    benchmark::DoNotOptimize(sink.submits);
   }
   state.SetItemsProcessed(state.iterations() * links);
 }

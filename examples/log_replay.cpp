@@ -37,8 +37,7 @@ istc::sched::RunResult replay(const istc::workload::JobLog& log,
   setup.natives = log;
   setup.span = span;
   if (with_interstitial) {
-    setup.project = core::ProjectSpec::continual_stream(8, 120, span);
-    setup.first_id = static_cast<workload::JobId>(log.size());
+    setup.local_project = core::ProjectSpec::continual_stream(8, 120, span);
   }
   core::SimRun run(std::move(setup));
   if (tracer != nullptr) run.set_tracer(tracer);

@@ -157,12 +157,10 @@ void print_stage_timings(const trace::TraceSummary& s) {
               static_cast<unsigned long long>(s.engine_peak_queue_depth),
               static_cast<unsigned long long>(s.engine_max_timestep_batch),
               static_cast<unsigned long long>(s.engine_heap_allocations));
-  std::printf("  events scheduled: %llu submit, %llu finish, %llu wake, "
-              "%llu callback\n",
+  std::printf("  events scheduled: %llu submit, %llu finish, %llu wake\n",
               static_cast<unsigned long long>(s.engine_events_job_submit),
               static_cast<unsigned long long>(s.engine_events_job_finish),
-              static_cast<unsigned long long>(s.engine_events_wake),
-              static_cast<unsigned long long>(s.engine_events_callback));
+              static_cast<unsigned long long>(s.engine_events_wake));
   if (s.faults_injected > 0) {
     std::printf("faults: %llu injected (%llu crashes, %llu node failures)\n",
                 static_cast<unsigned long long>(s.faults_injected),
@@ -366,8 +364,8 @@ int cmd_replay(const ArgParser& args) {
     setup.natives = log;
     setup.span = span;
     if (interstitial) {
-      setup.project = core::ProjectSpec::continual_stream(icpus, isec, span);
-      setup.first_id = static_cast<workload::JobId>(log.size());
+      setup.local_project =
+          core::ProjectSpec::continual_stream(icpus, isec, span);
     }
     core::SimRun run(std::move(setup));
     if (interstitial && tracer) run.set_tracer(&*tracer);

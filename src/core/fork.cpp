@@ -32,8 +32,7 @@ RunSetup scenario_setup(const Scenario& scenario) {
         scenario.native_size_factor, setup.spec.cpus);
   }
   setup.span = cluster::site_span(site);
-  setup.project = scenario.project;
-  setup.first_id = static_cast<workload::JobId>(setup.natives.size());
+  setup.local_project = scenario.project;
   setup.faults = scenario.faults;
   return setup;
 }
@@ -46,7 +45,9 @@ SimRun::SimRun(RunSetup setup) : span_(setup.span) {
       cluster::Machine(std::move(setup.spec), std::move(setup.downtime)),
       std::move(setup.policy));
   scheduler_->load(setup.natives);
-  if (setup.project) add_stream(std::move(*setup.project), setup.first_id);
+  if (setup.local_project) {
+    add_stream(std::move(*setup.local_project), setup.stream_first_id());
+  }
   if (setup.faults.enabled()) add_faults(setup.faults);
 }
 
@@ -62,8 +63,7 @@ SimRun::SimRun(SimRun& other)
     : span_(other.span_),
       records_hash_(other.records_hash_),
       hashed_records_(other.hashed_records_) {
-  // adopt_state checks that no sample is pending and the queue holds no
-  // boxed callbacks.
+  // adopt_state checks that no sample is pending.
   engine_.adopt_state(other.engine_);
   scheduler_ =
       std::make_unique<sched::BatchScheduler>(engine_, *other.scheduler_);

@@ -28,9 +28,9 @@
 /// instead of re-simulating from scratch.
 ///
 /// What makes the fork cheap and exact:
-///   - the typed event core is POD-only mid-run (job/wake/sample/repair/
-///     fault events carry 32-bit args, never closures), so the queue is
-///     memcpy-able (sim::Engine::adopt_state);
+///   - every engine event is a typed 24-byte entry carrying a 32-bit arg,
+///     never a closure, so a mid-run queue is plain data and copies
+///     exactly (sim::Engine::adopt_state);
 ///   - the scheduler's append-only logs (submission table, completed
 ///     records) are CowLog<T>: the fork shares their frozen chunks and
 ///     each side appends to a private tail — indices stay stable, so
@@ -45,10 +45,9 @@
 /// tests/core/test_fork.cpp) — the fork copies the engine's event sequence
 /// counter, so post-fork events tie-break exactly as they would have.
 ///
-/// Restrictions (ISTC_EXPECTS-enforced): forking requires an event queue
-/// holding no generic callbacks (their payloads can't be copied), no
-/// pending metrics sample, and no scheduler pass in flight (fork between
-/// events, not inside one).  Forks start unobserved — tracer and metrics
+/// Restrictions (ISTC_EXPECTS-enforced): forking requires no pending
+/// metrics sample and no scheduler pass in flight (fork between events,
+/// not inside one).  Forks start unobserved — tracer and metrics
 /// are not carried over; attach a fresh tracer via set_tracer if the
 /// post-fork window should be traced.
 
@@ -56,7 +55,8 @@ namespace istc::core {
 
 /// One machine's simulation inputs: everything SimRun builds its stack
 /// from.  SimRun(const Scenario&) fills it from the site presets;
-/// service::TailRun and grid::GridMachine fill it from their own configs.
+/// service::TailRun fills it from its own config, and grid::MachineSetup
+/// is a RunSetup plus the fleet's per-machine fields.
 struct RunSetup {
   cluster::MachineSpec spec;
   cluster::DowntimeCalendar downtime;
@@ -67,12 +67,22 @@ struct RunSetup {
   workload::JobLog natives;
   /// Native log span: the take_result() span and the fault horizon.
   SimTime span = 0;
-  /// Interstitial project / stream; nullopt = no driver.
-  std::optional<ProjectSpec> project;
-  /// The project's job ids count up from here (clear of the natives').
-  workload::JobId first_id = 0;
+  /// The machine's own interstitial project / stream, run by a local
+  /// InterstitialDriver; nullopt = no driver (a grid machine then takes
+  /// brokered deliveries instead).
+  std::optional<ProjectSpec> local_project;
+  /// Interstitial job ids count up from here; nullopt = right after the
+  /// native log's (see stream_first_id).
+  std::optional<workload::JobId> first_interstitial_id;
   /// Unplanned-failure timeline (inert by default; stop clamped to span).
   fault::FaultSpec faults;
+
+  /// The first interstitial job id: first_interstitial_id if set, else
+  /// natives.size(), so stream ids start after the native log's.
+  workload::JobId stream_first_id() const {
+    return first_interstitial_id.value_or(
+        static_cast<workload::JobId>(natives.size()));
+  }
 };
 
 class SimRun {

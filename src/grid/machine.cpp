@@ -11,17 +11,8 @@ GridMachine::GridMachine(MachineSetup setup)
     : name_(setup.name.empty() ? setup.spec.name : setup.name),
       bounce_patience_(setup.bounce_patience),
       tracer_(trace::TraceMode::kCountersOnly),
-      next_local_id_(setup.first_interstitial_id.value_or(
-          static_cast<workload::JobId>(setup.natives.size()))) {
-  run_ = std::make_unique<core::SimRun>(
-      core::RunSetup{.spec = std::move(setup.spec),
-                     .downtime = std::move(setup.downtime),
-                     .policy = std::move(setup.policy),
-                     .natives = std::move(setup.natives),
-                     .span = setup.span,
-                     .project = std::move(setup.local_project),
-                     .first_id = next_local_id_,
-                     .faults = setup.faults});
+      next_local_id_(setup.stream_first_id()) {
+  run_ = std::make_unique<core::SimRun>(std::move(setup));
   attach_port();
 }
 

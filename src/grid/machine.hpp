@@ -86,24 +86,13 @@ struct PortReport {
   std::uint64_t cpu_sec = 0;
 };
 
-/// Everything needed to stand up one machine of a fleet.  Site presets
-/// (fleet.hpp) fill this from cluster/workload/sched presets; tests build
-/// miniatures directly.
-struct MachineSetup {
+/// Everything needed to stand up one machine of a fleet: the machine's
+/// core::RunSetup (a set local_project selects local mode, see the file
+/// comment) plus the fleet's per-machine fields.  Site presets (fleet.hpp)
+/// fill this from cluster/workload/sched presets; tests build miniatures
+/// directly.
+struct MachineSetup : core::RunSetup {
   std::string name;  ///< display name; defaults to spec.name when empty
-  cluster::MachineSpec spec;
-  cluster::DowntimeCalendar downtime;
-  sched::PolicySpec policy;
-  workload::JobLog natives;
-  /// Native log span, i.e. the take_result() span.
-  SimTime span = 0;
-  /// Local-mode interstitial stream (mutually exclusive with brokered
-  /// deliveries; see file comment).
-  std::optional<core::ProjectSpec> local_project;
-  /// Interstitial job ids count up from here; defaults to natives.size().
-  std::optional<workload::JobId> first_interstitial_id;
-  /// Unplanned-failure timeline (inert by default).
-  fault::FaultSpec faults;
   /// How long a delivered job may sit unstarted (gate closed, no space)
   /// before the port bounces it back to the broker for re-routing.
   Seconds bounce_patience = 0;
@@ -121,9 +110,9 @@ class GridMachine {
     std::size_t killed = 0;
   };
 
-  /// Build the machine's SimRun from `setup` (its native log moves into
-  /// the run's scheduler); the machine keeps only the name and the bounce
-  /// patience.
+  /// Build the machine's SimRun from `setup`'s RunSetup (its native log
+  /// moves into the run's scheduler); the machine keeps only the name and
+  /// the bounce patience.
   explicit GridMachine(MachineSetup setup);
 
   GridMachine(const GridMachine&) = delete;

@@ -1,34 +1,17 @@
 #include "grid/report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
 #include "metrics/report.hpp"
 #include "metrics/utilization.hpp"
+#include "util/json_text.hpp"
 
 namespace istc::grid {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-}  // namespace
+using util::format_double;
+using util::json_escape;
 
 void write_fleet_report(std::ostream& out, const FleetResult& fleet) {
   out << "{\n";

@@ -1,7 +1,6 @@
 #include "metrics/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -11,6 +10,7 @@
 #include "trace/export.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
+#include "util/json_text.hpp"
 
 namespace istc::metrics {
 
@@ -85,23 +85,8 @@ void RunMetrics::ingest(const sched::RunResult& result) {
 
 namespace {
 
-// The report only ever quotes instrument and machine names; escape the two
-// characters that could break the document rather than full JSON strings.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  return out;
-}
-
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
+using util::format_double;
+using util::json_escape;
 
 void write_counter_object(std::ostream& out, const Registry& reg,
                           Determinism det) {

@@ -60,8 +60,8 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, BatchScheduler& other)
 }
 
 void BatchScheduler::load(const workload::JobLog& log) {
-  // One reservation covers every arrival event; completion events reuse
-  // the slots arrivals vacate, so steady state stays allocation-free.
+  // One reservation sizes the event queue's sorted window for the arrival
+  // burst; its calendar buckets warm up on first contact.
   engine_.reserve_events(log.size());
   submission_table_.reserve_extra(log.size());
   for (const auto& job : log.jobs()) submit(job);

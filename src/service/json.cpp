@@ -1,7 +1,6 @@
 #include "service/json.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace istc::service {
@@ -263,36 +262,6 @@ class Parser {
 }  // namespace
 
 ParseResult parse(std::string_view text) { return Parser(text).run(); }
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out.push_back('\\');
-      out.push_back(ch);
-    } else if (ch == '\n') {
-      out += "\\n";
-    } else if (ch == '\t') {
-      out += "\\t";
-    } else if (ch == '\r') {
-      out += "\\r";
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-    } else {
-      out.push_back(ch);
-    }
-  }
-  return out;
-}
-
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 void JsonWriter::key(std::string_view k) {
   if (!first_) out_ += ',';

@@ -137,14 +137,25 @@ Server::Server(Session& session, const Endpoint& endpoint)
 
 Server::~Server() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  reap(true);
   if (!endpoint_.unix_path.empty()) ::unlink(endpoint_.unix_path.c_str());
+}
+
+void Server::reap(bool all) {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (all || it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Server::serve() {
   while (!session_.shutdown_requested()) {
+    // A finished thread keeps its stack mapped until it is joined.
+    reap(false);
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -159,12 +170,13 @@ void Server::serve() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       fail("accept");
     }
-    threads_.emplace_back([this, fd] { handle_connection(fd); });
+    Connection& c = connections_.emplace_back();
+    c.thread = std::thread([this, fd, &c] {
+      handle_connection(fd);
+      c.done.store(true, std::memory_order_release);
+    });
   }
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  reap(true);
 }
 
 void Server::handle_connection(int fd) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,9 +14,10 @@
 /// One listener (Unix-domain path or loopback TCP port), one thread per
 /// connection, one request line (at most kMaxLineBytes) in / one reply
 /// line out.  All protocol logic lives in Session::handle_line, which
-/// never throws — the transport only moves bytes.  A handled
-/// {"op":"shutdown"} makes serve() stop accepting, join the connection
-/// threads, and return.
+/// never throws — the transport only moves bytes.  The accept loop joins
+/// each finished connection thread, so a long-lived daemon holds stacks
+/// only for open connections.  A handled {"op":"shutdown"} makes serve()
+/// stop accepting, join the connection threads, and return.
 
 namespace istc::service {
 
@@ -41,12 +44,21 @@ class Server {
   void serve();
 
  private:
+  /// One connection's thread; `done` is set as the thread exits.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void handle_connection(int fd);
+  /// Join every connection thread (finished ones only unless `all`).
+  void reap(bool all);
 
   Session& session_;
   Endpoint endpoint_;
   int listen_fd_ = -1;
-  std::vector<std::thread> threads_;
+  /// A list, so a running thread's Connection never moves.
+  std::list<Connection> connections_;
 };
 
 /// Client side (`istc ask`): connect to `endpoint`, send each request

@@ -12,8 +12,8 @@ core::RunSetup tail_setup(const TailConfig& cfg) {
   setup.downtime = cluster::site_downtime(cfg.site);
   setup.policy = sched::site_policy(cfg.site);
   setup.span = cluster::site_span(cfg.site);
-  setup.project = cfg.stream;
-  setup.first_id = kStreamIdBase;
+  setup.local_project = cfg.stream;
+  setup.first_interstitial_id = kStreamIdBase;
   return setup;
 }
 

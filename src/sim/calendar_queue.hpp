@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -11,7 +10,9 @@
 
 /// \file calendar_queue.hpp
 /// The engine's event queue: a two-rung calendar/ladder queue over the
-/// typed 24-byte Event.
+/// typed 24-byte Event.  Every entry is trivially copyable, so the queue
+/// is plain data and assign_from (the run-fork primitive) is a copy of
+/// its vectors.
 ///
 /// A replay preloads every submission, so the queue holds thousands of
 /// entries for months of simulated time, and a binary heap would pay
@@ -46,10 +47,10 @@
 /// (schedules are pinned by the golden hashes in
 /// tests/trace/test_determinism).
 ///
-/// reserve() pre-sizes only the callback slab and the sorted window: the
-/// buckets allocate while they warm up to their working capacity (counted
-/// in heap_allocations()); once warm, the bucket vectors recycle modulo
-/// the wheel size and the steady state allocates nothing (asserted in
+/// reserve() pre-sizes only the sorted window: the buckets allocate while
+/// they warm up to their working capacity (counted in heap_allocations());
+/// once warm, the bucket vectors recycle modulo the wheel size and the
+/// steady state allocates nothing (asserted in
 /// tests/sim/test_event_queue.cpp).
 
 namespace istc::sim {
@@ -69,37 +70,24 @@ class CalendarEventQueue {
   CalendarEventQueue(const CalendarEventQueue&) = delete;
   CalendarEventQueue& operator=(const CalendarEventQueue&) = delete;
 
-  ~CalendarEventQueue() {
-    dispose_events(cur_);
-    for (auto& bucket : rung1_) dispose_events(bucket);
-    for (auto& bucket : rung2_) dispose_events(bucket);
-    dispose_events(far_);
-  }
-
-  /// Pre-size the callback slab and the sorted window.  The bucket wheels
-  /// warm up on first contact instead (their working size depends on the
-  /// event-time distribution, not the event count).
-  void reserve(std::size_t n) {
-    slab_.reserve(n);
-    cur_.reserve(std::min(n, kSlots * 4));
-  }
+  /// Pre-size the sorted window.  The bucket wheels warm up on first
+  /// contact instead (their working size depends on the event-time
+  /// distribution, not the event count).
+  void reserve(std::size_t n) { cur_.reserve(std::min(n, kSlots * 4)); }
 
   void push_typed(SimTime t, EventType type, std::uint32_t arg) {
-    ISTC_EXPECTS(type != EventType::kCallback);
     Event e;
     e.time = t;
-    e.type = type;
+    e.seq = seq_++;
     e.arg = arg;
-    push_entry(e);
-  }
-
-  template <class F>
-  void push_callback(SimTime t, F&& fn) {
-    Event e;
-    e.time = t;
-    e.type = EventType::kCallback;
-    e.arg = slab_.put(std::forward<F>(fn));
-    push_entry(e);
+    e.type = type;
+    ++size_;
+    if (size_ > peak_size_) peak_size_ = size_;
+    if (!anchored_) anchor(bucket1(e.time));
+    route(e);
+    // A push into a drained queue may land in a rung; restore the
+    // invariant that the minimum is always at cur_[head_].
+    if (head_ == cur_.size()) advance_window();
   }
 
   bool empty() const { return size_ == 0; }
@@ -127,19 +115,10 @@ class CalendarEventQueue {
     return top;
   }
 
-  /// Claim the payload of a popped kCallback event (see CallbackSlab).
-  CallbackSlot take_callback(const Event& e) {
-    ISTC_EXPECTS(e.type == EventType::kCallback);
-    return slab_.take(e.arg);
-  }
-
   /// Run-fork support: become a copy of `other`'s pending events and push
-  /// counter.  Requires both queues to hold no live callback payloads —
-  /// with the slab empty the queue is plain trivially copyable data, which
-  /// is what makes forking a mid-run simulation cheap and exact.
+  /// counter.  The entries are plain data, so the copy is exact and a
+  /// forked simulation replays the source's event order.
   void assign_from(const CalendarEventQueue& other) {
-    ISTC_EXPECTS(other.slab_.live() == 0);
-    ISTC_EXPECTS(slab_.live() == 0);
     cur_ = other.cur_;
     head_ = other.head_;
     rung1_ = other.rung1_;
@@ -155,31 +134,15 @@ class CalendarEventQueue {
     limit2_ = other.limit2_;
   }
 
-  /// Heap allocations performed by the queue since construction: backing-
-  /// vector growth plus boxed (out-of-line) callbacks.
-  std::uint64_t heap_allocations() const {
-    return grows_ + slab_.grows() + slab_.boxed();
-  }
-  std::uint64_t boxed_callbacks() const { return slab_.boxed(); }
-  /// Callback payloads pushed but not yet claimed (see CallbackSlab).
-  std::uint64_t live_callbacks() const { return slab_.live(); }
+  /// Heap allocations performed by the queue since construction (backing-
+  /// vector growth).
+  std::uint64_t heap_allocations() const { return grows_; }
   /// High-water mark of simultaneously queued events.
   std::size_t peak_size() const { return peak_size_; }
 
  private:
   static std::int64_t bucket1(SimTime t) { return t >> kRung1Shift; }
   static std::int64_t bucket2(SimTime t) { return t >> kRung2Shift; }
-
-  void push_entry(Event e) {
-    e.seq = seq_++;
-    ++size_;
-    if (size_ > peak_size_) peak_size_ = size_;
-    if (!anchored_) anchor(bucket1(e.time));
-    route(e);
-    // A push into a drained queue may land in a rung; restore the
-    // invariant that the minimum is always at cur_[head_].
-    if (head_ == cur_.size()) advance_window();
-  }
 
   /// Place the wheel so the cursor sits just before the bucket containing
   /// `b1`: the anchoring event is pulled into cur_ by the very next
@@ -278,18 +241,11 @@ class CalendarEventQueue {
     }
   }
 
-  void dispose_events(const std::vector<Event>& events) {
-    for (const Event& e : events) {
-      if (e.type == EventType::kCallback) slab_.dispose(e.arg);
-    }
-  }
-
   std::vector<Event> cur_;  ///< sorted window (ascending), min at head_
   std::size_t head_ = 0;    ///< first live element of cur_
   std::vector<std::vector<Event>> rung1_;  ///< 64 s buckets
   std::vector<std::vector<Event>> rung2_;  ///< 65536 s buckets
   std::vector<Event> far_;                 ///< beyond rung 2's horizon
-  CallbackSlab slab_;
   std::size_t size_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t grows_ = 0;

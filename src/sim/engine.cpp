@@ -9,15 +9,8 @@ void Engine::on_quiescent(std::function<void(SimTime)> hook) {
   hooks_.push_back(std::move(hook));
 }
 
-void Engine::dispatch(Event& e) {
+void Engine::dispatch(const Event& e) {
   switch (e.type) {
-    case EventType::kCallback: {
-      // Claim the payload first: the invoked callable may schedule more
-      // events and recycle this event's slab slot.
-      CallbackSlot cb = queue_.take_callback(e);
-      cb.invoke();
-      break;
-    }
     case EventType::kJobSubmit:
       sink_->job_submit(e.arg);
       break;
@@ -54,9 +47,6 @@ void Engine::sync_counters() {
       std::max(c.engine_max_timestep_batch, stats_.max_timestep_batch);
   c.engine_heap_allocations =
       std::max(c.engine_heap_allocations, stats_.heap_allocations);
-  c.engine_events_callback = std::max(
-      c.engine_events_callback, stats_.scheduled_by_type[static_cast<int>(
-                                    EventType::kCallback)]);
   c.engine_events_job_submit = std::max(
       c.engine_events_job_submit, stats_.scheduled_by_type[static_cast<int>(
                                       EventType::kJobSubmit)]);
@@ -102,8 +92,7 @@ void Engine::drain_current_time() {
       if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
         ++tracer_->counters().engine_events_drained;
       }
-      Event e = queue_.pop();
-      dispatch(e);
+      dispatch(queue_.pop());
       fired = true;
     }
     // Hook transparency: a timestamp reached only by the sample probes

@@ -19,18 +19,20 @@
 ///
 /// Events live in the calendar/ladder queue of calendar_queue.hpp, O(1)
 /// amortized push/pop for the near-uniform event-time distributions these
-/// replays produce.  Typed schedule_* calls carry a 32-bit argument
-/// dispatched to the registered JobEventSink (or the fault / grid hook);
-/// generic callbacks use the small-buffer slot slab of event.hpp.  Once
-/// the queue's buckets are warm the steady state allocates nothing.
-/// Schedules are pinned by the golden hashes in
+/// replays produce.  Every event is typed: a schedule_* call queues a
+/// 24-byte entry whose 32-bit argument is dispatched to the registered
+/// JobEventSink, the fault hook or the grid hook (a wake reaches only the
+/// quiescent hooks, a sample only the sample hook).  Entries never carry
+/// closures, so a mid-run queue is plain data that a run fork copies
+/// exactly.  Once the queue's buckets are warm the steady state allocates
+/// nothing.  Schedules are pinned by the golden hashes in
 /// tests/trace/test_determinism.
 
 namespace istc::sim {
 
-/// Receiver of typed job events.  The batch scheduler implements this;
-/// dispatch is one virtual call instead of a type-erased closure, and the
-/// event entry carries a 32-bit id instead of captured state.
+/// Receiver of job events.  The batch scheduler implements this; dispatch
+/// is one virtual call, and the event entry carries a 32-bit id instead of
+/// captured state.
 class JobEventSink {
  public:
   /// A job submission arrives; `index` is the value passed to
@@ -52,15 +54,14 @@ class JobEventSink {
 /// increments / compares) and mirrored into TraceSummary when a tracer
 /// with counters is attached.
 struct EngineStats {
-  /// Events scheduled, by EventType slot (callback, submit, finish, wake,
-  /// sample).
+  /// Events scheduled, indexed by EventType.
   std::uint64_t scheduled_by_type[kNumEventTypes] = {};
   /// High-water mark of simultaneously queued events.
   std::size_t peak_queue_depth = 0;
   /// Largest number of events drained at one timestamp (including events
-  /// scheduled for "now" from inside callbacks and hooks).
+  /// scheduled for "now" by event receivers and hooks).
   std::uint64_t max_timestep_batch = 0;
-  /// Queue heap allocations: backing-vector growth plus boxed callbacks.
+  /// Queue heap allocations (backing-vector growth).
   std::uint64_t heap_allocations = 0;
 };
 
@@ -71,30 +72,13 @@ class Engine {
   void set_job_sink(JobEventSink* sink) { sink_ = sink; }
 
   /// Pre-reserve queue capacity for `n` additional events, so a known
-  /// burst (e.g. a whole job log's submissions) grows the callback slab
-  /// and sorted window once instead of in a cascade.
+  /// burst (e.g. a whole job log's submissions) grows the sorted window
+  /// once instead of in a cascade.
   void reserve_events(std::size_t n) { queue_.reserve(queue_.size() + n); }
 
-  /// Schedule a callback at absolute time t (must not be in the past).
-  /// Trivially copyable callables up to CallbackSlot::kInlineBytes are
-  /// stored inline; larger or non-trivial ones are boxed (counted in
-  /// EngineStats::heap_allocations).
-  template <class F>
-  void schedule(SimTime t, F&& fn) {
-    ISTC_EXPECTS(t >= now_);
-    queue_.push_callback(t, std::forward<F>(fn));
-    note_scheduled(EventType::kCallback);
-  }
-
-  /// Schedule a callback dt seconds from now.
-  template <class F>
-  void schedule_in(Seconds dt, F&& fn) {
-    ISTC_EXPECTS(dt >= 0);
-    schedule(now_ + dt, std::forward<F>(fn));
-  }
-
-  /// Typed paths: no captured state, a 32-bit argument dispatched to the
-  /// JobEventSink (submit/finish) or to nobody (wake — its only purpose is
+  /// Schedule an event at absolute time t (must not be in the past): no
+  /// captured state, a 32-bit argument dispatched to the JobEventSink
+  /// (submit/finish/repair) or to nobody (wake — its only purpose is
   /// triggering a quiescent pass at t).
   void schedule_job_submit(SimTime t, std::uint32_t index) {
     schedule_typed(t, EventType::kJobSubmit, index);
@@ -110,8 +94,6 @@ class Engine {
   }
   /// Fault-timeline firing (fault::FaultInjector): arg indexes the
   /// injector's pre-generated timeline and dispatches to the fault hook.
-  /// Typed rather than a captured callback so a mid-run queue holds only
-  /// POD entries — the property run forks depend on.
   void schedule_fault(SimTime t, std::uint32_t timeline_index) {
     schedule_typed(t, EventType::kFaultFire, timeline_index);
   }
@@ -122,9 +104,7 @@ class Engine {
   }
 
   /// Grid-port delivery (grid::GridMachine): arg indexes the machine's
-  /// append-only delivery log and dispatches to the grid hook.  Typed for
-  /// the same reason as schedule_fault — a mid-run queue must hold only
-  /// POD entries so a whole fleet shard can fork via adopt_state.
+  /// append-only delivery log and dispatches to the grid hook.
   void schedule_grid_arrival(SimTime t, std::uint32_t delivery_index) {
     schedule_typed(t, EventType::kGridArrival, delivery_index);
   }
@@ -194,10 +174,9 @@ class Engine {
   bool step();
 
   /// Run-fork support: become a mid-run copy of `other` — pending events,
-  /// push counter, clock, and statistics.  Requires no live callback
-  /// payloads in either queue and no pending sample on `other`.  Sinks and
-  /// hooks are NOT copied: they are identities of the forked stack, which
-  /// re-registers its own (see core/fork.hpp).
+  /// push counter, clock, and statistics.  Requires no pending sample on
+  /// `other`.  Sinks and hooks are NOT copied: they are identities of the
+  /// forked stack, which re-registers its own (see core/fork.hpp).
   void adopt_state(const Engine& other) {
     ISTC_EXPECTS(other.next_sample_ == kTimeInfinity);
     queue_.assign_from(other.queue_);
@@ -229,7 +208,7 @@ class Engine {
     return t < next_sample_ ? t : next_sample_;
   }
 
-  void dispatch(Event& e);
+  void dispatch(const Event& e);
   void drain_current_time();
   /// Mirror the event-core gauges into the attached tracer's counters.
   void sync_counters();

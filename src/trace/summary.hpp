@@ -29,7 +29,9 @@ struct TraceSummary {
   // The by-kind counts tally *scheduled* events per sim::EventType.
   std::uint64_t engine_peak_queue_depth = 0;   ///< event-heap high-water mark
   std::uint64_t engine_max_timestep_batch = 0; ///< largest same-time batch
-  std::uint64_t engine_events_callback = 0;    ///< generic-callback events
+  /// Always 0: the engine has no generic-callback event any more.  Kept
+  /// because the v2 RunReport promises every v1 counter at its path.
+  std::uint64_t engine_events_callback = 0;
   std::uint64_t engine_events_job_submit = 0;  ///< typed job-submit events
   std::uint64_t engine_events_job_finish = 0;  ///< typed job-finish events
   std::uint64_t engine_events_wake = 0;        ///< scheduler-wake events
@@ -37,8 +39,8 @@ struct TraceSummary {
   std::uint64_t engine_events_repair = 0;      ///< capacity-repair events
   std::uint64_t engine_events_fault = 0;       ///< fault-timeline firings
   std::uint64_t engine_events_grid_arrival = 0;  ///< grid-port deliveries
-  /// Event-queue heap allocations (vector growth + boxed callbacks); flat
-  /// once the queue's buckets are warm.
+  /// Event-queue heap allocations (vector growth); flat once the queue's
+  /// buckets are warm.
   std::uint64_t engine_heap_allocations = 0;
 
   // -- scheduler ----------------------------------------------------------

@@ -95,15 +95,15 @@ TEST(FailCapacity, KillsYoungestFirstAndRepairs) {
   });
 
   std::vector<sched::JobRecord> victims;
-  eng.schedule(50, [&] {
-    victims = s.fail_capacity(5, 100, sched::KillReason::kNodeFailure);
-    EXPECT_EQ(s.failed_cpus(), 5);
-  });
+  eng.run(50);
+  victims = s.fail_capacity(5, 100, sched::KillReason::kNodeFailure);
+  EXPECT_EQ(s.failed_cpus(), 5);
+  eng.schedule_wake(50);
   bool checked_mid_outage = false;
-  eng.schedule(70, [&] {
-    EXPECT_EQ(s.failed_cpus(), 5);
-    checked_mid_outage = true;
-  });
+  eng.run(70);
+  EXPECT_EQ(s.failed_cpus(), 5);
+  checked_mid_outage = true;
+  eng.schedule_wake(70);
   eng.run();
 
   // Free pool was 0; killing job 2 (start 10, youngest) frees 3 < 5, so
@@ -131,9 +131,9 @@ TEST(FailCapacity, SpareCpusAbsorbOutageWithoutKills) {
   s.set_kill_hook(
       [&](const sched::JobRecord&, sched::KillReason) { ++hook_fired; });
   std::size_t victims = 99;
-  eng.schedule(50, [&] {
-    victims = s.fail_capacity(6, 100, sched::KillReason::kNodeFailure).size();
-  });
+  eng.run(50);
+  victims = s.fail_capacity(6, 100, sched::KillReason::kNodeFailure).size();
+  eng.schedule_wake(50);
   eng.run();
   EXPECT_EQ(victims, 0u);
   EXPECT_EQ(hook_fired, 0);
@@ -193,9 +193,9 @@ TEST(FaultRetry, CheckpointRetryResubmitsRemainder) {
   spec.fault_retry.checkpoint_interval = 30;
   core::InterstitialDriver driver(s, spec, 1000);
 
-  eng.schedule(50, [&] {
-    s.fail_capacity(10, 55, sched::KillReason::kMachineCrash);
-  });
+  eng.run(50);
+  s.fail_capacity(10, 55, sched::KillReason::kMachineCrash);
+  eng.schedule_wake(50);
   eng.run();
   const auto run = s.take_result(1000);
 
@@ -226,9 +226,9 @@ TEST(FaultRetry, ZeroRetriesAbandonsTheLineage) {
   spec.fault_retry.max_retries = 0;
   core::InterstitialDriver driver(s, spec, 1000);
 
-  eng.schedule(50, [&] {
-    s.fail_capacity(10, 55, sched::KillReason::kNodeFailure);
-  });
+  eng.run(50);
+  s.fail_capacity(10, 55, sched::KillReason::kNodeFailure);
+  eng.schedule_wake(50);
   eng.run();
   const auto run = s.take_result(1000);
 

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "grid/fleet.hpp"
 #include "grid/machine.hpp"
+#include "grid/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 
@@ -161,6 +163,23 @@ TEST(GridMachine, LookaheadSeesQueuedNativeLoad) {
   m.advance(1);
   EXPECT_EQ(m.lookahead_min_free(1, 500), 0);
   EXPECT_EQ(m.lookahead_min_free(1500, 500), 64);
+}
+
+TEST(GridReport, MachineNameIsJsonEscaped) {
+  // The fleet report quotes machine names with the same escaper as the
+  // RunReport: no raw tab or newline may reach the document.
+  FleetMachineOutcome machine;
+  machine.run.machine = {.name = "a\"b\\c\td\n", .site = "",
+                         .queue_system = "", .cpus = 4, .clock_ghz = 1.0};
+  machine.run.span = 100;
+  FleetResult fleet;
+  fleet.machines.push_back(machine);
+  std::ostringstream out;
+  write_fleet_report(out, fleet);
+  const std::string doc = out.str();
+  EXPECT_NE(doc.find(R"({"name": "a\"b\\c\td\n")"), std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find('\t'), std::string::npos) << doc;
 }
 
 }  // namespace

@@ -54,11 +54,11 @@ struct Harness {
 
 TEST(Preemption, NativeStartsImmediatelyByEvicting) {
   Harness s(preempting_policy());
-  s.eng.schedule(0, [&] {
-    for (workload::JobId i = 100; i < 105; ++i) {
-      ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(i, 4, 500)));
-    }
-  });
+  s.eng.run(0);
+  for (workload::JobId i = 100; i < 105; ++i) {
+    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(i, 4, 500)));
+  }
+  s.eng.schedule_wake(0);
   s.sched.submit(native_job(0, 10, 12, 100));
   s.eng.run();
   const auto r = s.sched.take_result(1000);
@@ -77,9 +77,9 @@ TEST(Preemption, NativeStartsImmediatelyByEvicting) {
 
 TEST(Preemption, KilledRecordsCarryPartialExecution) {
   Harness s(preempting_policy());
-  s.eng.schedule(0, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
-  });
+  s.eng.run(0);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
+  s.eng.schedule_wake(0);
   s.sched.submit(native_job(0, 42, 20, 100));
   s.eng.run();
   const auto r = s.sched.take_result(1000);
@@ -93,9 +93,9 @@ TEST(Preemption, DisabledPolicyNeverKills) {
   PolicySpec p = preempting_policy();
   p.preempt_interstitial = false;
   Harness s(std::move(p));
-  s.eng.schedule(0, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
-  });
+  s.eng.run(0);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
+  s.eng.schedule_wake(0);
   s.sched.submit(native_job(0, 10, 20, 100));
   s.eng.run();
   const auto r = s.sched.take_result(1000);
@@ -109,12 +109,12 @@ TEST(Preemption, DisabledPolicyNeverKills) {
 
 TEST(Preemption, YoungestVictimsDieFirst) {
   Harness s(preempting_policy());
-  s.eng.schedule(0, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 8, 500)));
-  });
-  s.eng.schedule(50, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(101, 8, 500)));
-  });
+  s.eng.run(0);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 8, 500)));
+  s.eng.schedule_wake(0);
+  s.eng.run(50);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(101, 8, 500)));
+  s.eng.schedule_wake(50);
   // Native needs 12: one victim (8) + 4 free suffices -> kill only #101.
   s.sched.submit(native_job(0, 100, 12, 50));
   s.eng.run();
@@ -143,9 +143,9 @@ TEST(Preemption, NoSpuriousKillsWhenEvictionCannotHelp) {
   // all scavengers still leaves only 8 free -> nothing should die yet.
   Harness s(preempting_policy());
   s.sched.submit(native_job(0, 0, 12, 300));
-  s.eng.schedule(1, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 8, 100)));
-  });
+  s.eng.run(1);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 8, 100)));
+  s.eng.schedule_wake(1);
   s.sched.submit(native_job(1, 10, 20, 50));
   s.eng.run(200);
   EXPECT_EQ(s.sched.stats().interstitial_kills, 0u);
@@ -157,9 +157,9 @@ TEST(Preemption, StaleCompletionEventIsHarmless) {
   // After a kill, the victim's completion event still fires at its
   // original end time; the scheduler must swallow it exactly once.
   Harness s(preempting_policy());
-  s.eng.schedule(0, [&] {
-    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
-  });
+  s.eng.run(0);
+  ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(100, 20, 500)));
+  s.eng.schedule_wake(0);
   s.sched.submit(native_job(0, 10, 20, 100));
   s.eng.run();  // drains past t=500 without aborting
   const auto r = s.sched.take_result(1000);
@@ -170,11 +170,11 @@ TEST(Preemption, StaleCompletionEventIsHarmless) {
 TEST(Preemption, MachineNeverOversubscribedAroundKills) {
   Harness s(preempting_policy(), 16);
   // A rolling scavenger load plus native arrivals that evict repeatedly.
-  s.eng.schedule(0, [&] {
-    for (workload::JobId i = 100; i < 104; ++i) {
-      ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(i, 4, 300)));
-    }
-  });
+  s.eng.run(0);
+  for (workload::JobId i = 100; i < 104; ++i) {
+    ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(i, 4, 300)));
+  }
+  s.eng.schedule_wake(0);
   for (workload::JobId i = 0; i < 5; ++i) {
     s.sched.submit(native_job(i, 20 + i * 40, 8, 30));
   }

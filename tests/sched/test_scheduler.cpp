@@ -232,10 +232,10 @@ TEST(Scheduler, TryStartImmediatelyRespectsSpace) {
   i1.klass = JobClass::kInterstitial;
   Job i2 = mk(101, 0, 6, 50);
   i2.klass = JobClass::kInterstitial;
-  eng.schedule(0, [&] {
-    EXPECT_TRUE(s.try_start_immediately(i1));
-    EXPECT_FALSE(s.try_start_immediately(i2));  // only 4 left
-  });
+  eng.run(0);
+  EXPECT_TRUE(s.try_start_immediately(i1));
+  EXPECT_FALSE(s.try_start_immediately(i2));  // only 4 left
+  eng.schedule_wake(0);
   eng.run();
   const auto r = s.take_result(1000);
   EXPECT_EQ(r.interstitial_count(), 1u);
@@ -247,7 +247,9 @@ TEST(Scheduler, TryStartImmediatelyRespectsDowntime) {
   BatchScheduler s(eng, machine_of(10, cal), fcfs_policy());
   Job i1 = mk(100, 0, 2, 60);
   i1.klass = JobClass::kInterstitial;
-  eng.schedule(0, [&] { EXPECT_FALSE(s.try_start_immediately(i1)); });
+  eng.run(0);
+  EXPECT_FALSE(s.try_start_immediately(i1));
+  eng.schedule_wake(0);
   eng.run();
   EXPECT_EQ(s.take_result(100).records.size(), 0u);
 }
@@ -330,7 +332,9 @@ TEST(Scheduler, StatsCountInterstitialStartsSeparately) {
   BatchScheduler s(eng, machine_of(10), fcfs_policy());
   Job i1 = mk(100, 0, 2, 50);
   i1.klass = JobClass::kInterstitial;
-  eng.schedule(0, [&] { ASSERT_TRUE(s.try_start_immediately(i1)); });
+  eng.run(0);
+  ASSERT_TRUE(s.try_start_immediately(i1));
+  eng.schedule_wake(0);
   eng.run();
   EXPECT_EQ(s.stats().interstitial_starts, 1u);
   EXPECT_EQ(s.stats().native_starts, 0u);
@@ -364,7 +368,7 @@ TEST(Scheduler, WakeAtNotFooledByStaleEarlierWake) {
       wakeups_at_6 = s.stats().wakeups;
     }
   });
-  s.engine().schedule(6, [] {});
+  s.engine().schedule_wake(6);
   eng.run();
   EXPECT_EQ(wakeups_at_6, 2u);
   EXPECT_EQ(s.stats().wakeups, 2u);

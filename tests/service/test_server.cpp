@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -72,6 +73,14 @@ std::string round_trip(const std::string& path, const std::string& request) {
   std::string in = read_to_eof(fd);
   ::close(fd);
   return in;
+}
+
+/// Lines of /proc/self/maps: one per mapping of this process.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
 }
 
 std::string op_of(const std::string& reply) {
@@ -139,6 +148,23 @@ TEST_F(ServerSocket, OverlongHttpRequestLineGets414) {
   const std::string scrape =
       round_trip(endpoint_.unix_path, "GET /metrics HTTP/1.1\r\n\r\n");
   EXPECT_EQ(scrape.rfind("HTTP/1.1 200 ", 0), 0u) << scrape;
+}
+
+TEST_F(ServerSocket, FinishedConnectionsAreReaped) {
+  // Each connection runs on its own thread.  A finished thread that is
+  // never joined keeps its stack (and guard page) mapped, so 200
+  // sequential one-query peers would add about 400 mappings.  The warm-up
+  // lets the process reach its steady mapping count first: the thread
+  // sanitizer's runtime maps a fixed set of regions over its first few
+  // dozen threads, joined or not.
+  const auto status = [this] {
+    const auto reply = ask(endpoint_, {R"({"op":"status"})"});
+    ASSERT_EQ(reply.size(), 1u);
+  };
+  for (int i = 0; i < 50; ++i) status();
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 200; ++i) status();
+  EXPECT_LT(mapping_count(), before + 50);
 }
 
 }  // namespace

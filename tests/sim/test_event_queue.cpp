@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -48,8 +46,8 @@ class ReferenceModel {
 // -- the event-queue contract ----------------------------------------------
 //
 // What every caller of the engine's one queue relies on: (time, seq)
-// order, the payload a pop carries, the size gauges, inline vs. boxed
-// callbacks and the allocation counter.
+// order, the payload a pop carries, the size gauges and the allocation
+// counter.
 
 TEST(EventQueue, EmptyInitially) {
   CalendarEventQueue q;
@@ -112,14 +110,14 @@ TEST(EventQueue, SizeTracksPushPop) {
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   CalendarEventQueue q;
-  std::vector<int> fired;
-  q.push_callback(10, [&] { fired.push_back(10); });
-  q.push_callback(5, [&] { fired.push_back(5); });
-  q.take_callback(q.pop()).invoke();  // fires 5
-  q.push_callback(1, [&] { fired.push_back(1); });  // earlier than remaining 10
-  q.take_callback(q.pop()).invoke();
-  q.take_callback(q.pop()).invoke();
-  EXPECT_EQ(fired, (std::vector<int>{5, 1, 10}));
+  std::vector<std::uint32_t> fired;
+  q.push_typed(10, EventType::kJobSubmit, 10);
+  q.push_typed(5, EventType::kJobSubmit, 5);
+  fired.push_back(q.pop().arg);  // fires 5
+  q.push_typed(1, EventType::kJobSubmit, 1);  // earlier than remaining 10
+  fired.push_back(q.pop().arg);
+  fired.push_back(q.pop().arg);
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{5, 1, 10}));
 }
 
 TEST(EventQueue, NegativeTimesAllowedAndOrdered) {
@@ -131,104 +129,35 @@ TEST(EventQueue, NegativeTimesAllowedAndOrdered) {
   EXPECT_EQ(q.pop().time, -5);
 }
 
-// The calendar's buckets grow on first contact (see calendar_queue.hpp),
-// so the callback tests below first warm the bucket their times land in
-// with typed events; any allocation after that is the callback's own.
-void warm_buckets(CalendarEventQueue& q, SimTime first, SimTime last) {
-  for (SimTime t = first; t <= last; ++t) {
-    q.push_typed(t, EventType::kSchedulerWake, 0);
-    q.pop();
-  }
-}
-
-TEST(EventQueue, SmallTrivialCallbackStaysInline) {
-  CalendarEventQueue q;
-  q.reserve(4);
-  warm_buckets(q, 1, 1);
-  const std::uint64_t warm = q.heap_allocations();
-  long sink = 0;
-  q.push_callback(1, [&sink] { ++sink; });  // 8-byte capture: inline
-  EXPECT_EQ(q.heap_allocations(), warm);
-  EXPECT_EQ(q.boxed_callbacks(), 0u);
-  q.take_callback(q.pop()).invoke();
-  EXPECT_EQ(sink, 1);
-}
-
-TEST(EventQueue, CallbackSlotsRecycleThroughFreeList) {
-  // A popped callback's slab slot returns to the free list, so sustained
-  // one-in-flight churn touches a single slot and never allocates.
-  CalendarEventQueue q;
-  q.reserve(2);
-  warm_buckets(q, 0, 99);
-  const std::uint64_t warm = q.heap_allocations();
-  long sink = 0;
-  for (SimTime t = 0; t < 100; ++t) {
-    q.push_callback(t, [&sink] { ++sink; });
-    q.take_callback(q.pop()).invoke();
-  }
-  EXPECT_EQ(sink, 100);
-  EXPECT_EQ(q.heap_allocations(), warm);
-  EXPECT_EQ(q.live_callbacks(), 0u);
-}
-
-TEST(EventQueue, OversizeOrNonTrivialCallbackIsBoxedAndCounted) {
-  CalendarEventQueue q;
-  q.reserve(4);
-  std::string payload = "a string is not trivially copyable";
-  bool fired = false;
-  q.push_callback(1, [payload, &fired] { fired = payload.size() > 0; });
-  EXPECT_EQ(q.boxed_callbacks(), 1u);
-  EXPECT_GE(q.heap_allocations(), 1u);
-  q.take_callback(q.pop()).invoke();
-  EXPECT_TRUE(fired);
-}
-
 TEST(EventQueue, ReservedSteadyStateAllocatesNothing) {
-  // With reserve()d callback storage and typed / inline-callback events,
-  // a sustained push/pop churn performs zero heap allocations once the
-  // buckets are warm.  The first run warms them; the second replays the
-  // same offsets one wheel lap later (same bucket slots) and is measured.
+  // With a reserve()d window, a sustained push/pop churn of typed events
+  // performs zero heap allocations once the buckets are warm.  The first
+  // run warms them; the second replays the same offsets one wheel lap
+  // later (same bucket slots) and is measured.
   CalendarEventQueue q;
   q.reserve(1024);
-  long sink = 0;
+  long repairs = 0;
+  const auto pop = [&] {
+    if (q.pop().type == EventType::kCapacityRepair) ++repairs;
+  };
   const auto churn = [&](SimTime base) {
     for (SimTime t = 0; t < 512; ++t) {
       q.push_typed(base + t, EventType::kJobFinish, 0);
     }
     for (int round = 0; round < 200; ++round) {
-      const Event e = q.pop();
-      if (e.type == EventType::kCallback) q.take_callback(e).invoke();
-      q.push_typed(e.time + 1000, EventType::kJobSubmit, 1);
-      q.push_callback(e.time + 1001, [&sink] { ++sink; });
-      const Event e2 = q.pop();
-      if (e2.type == EventType::kCallback) q.take_callback(e2).invoke();
+      const SimTime t = q.next_time();
+      pop();
+      q.push_typed(t + 1000, EventType::kJobSubmit, 1);
+      q.push_typed(t + 1001, EventType::kCapacityRepair, 2);
+      pop();
     }
-    while (!q.empty()) {
-      const Event e = q.pop();
-      if (e.type == EventType::kCallback) q.take_callback(e).invoke();
-    }
+    while (!q.empty()) pop();
   };
   churn(0);
   const std::uint64_t warm = q.heap_allocations();
   churn(SimTime{65536} * 1024 * 4);
   EXPECT_EQ(q.heap_allocations(), warm);
-  EXPECT_EQ(q.boxed_callbacks(), 0u);
-  EXPECT_EQ(sink, 400);
-}
-
-TEST(EventQueue, DestructorDisposesUndrainedBoxedCallbacks) {
-  // Leak-checked under the ASan CI job: destroying a queue that still
-  // holds boxed callbacks must free their boxes without invoking them.
-  auto alive = std::make_shared<int>(7);
-  bool invoked = false;
-  {
-    CalendarEventQueue q;
-    q.push_callback(1, [alive, &invoked] { invoked = true; });
-    EXPECT_EQ(q.boxed_callbacks(), 1u);
-    EXPECT_EQ(alive.use_count(), 2);
-  }
-  EXPECT_FALSE(invoked);
-  EXPECT_EQ(alive.use_count(), 1);
+  EXPECT_EQ(repairs, 400);
 }
 
 TEST(EventQueue, GrowthWithoutReserveIsCounted) {
@@ -237,14 +166,13 @@ TEST(EventQueue, GrowthWithoutReserveIsCounted) {
     q.push_typed(static_cast<SimTime>(i), EventType::kSchedulerWake, 0);
   }
   EXPECT_GT(q.heap_allocations(), 0u);
-  EXPECT_EQ(q.boxed_callbacks(), 0u);
 }
 
 // -- property tests against the reference model ----------------------------
 //
 // Random push/pop interleavings, with deliberately clumped timestamps (so
 // large same-time batches occur) and pushes at the current minimum time
-// (the "schedule for now from inside a callback" shape).
+// (the "schedule for now from inside an event handler" shape).
 
 TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -411,36 +339,6 @@ TEST(CalendarQueue, WarmedUpSteadyStateAllocatesNothing) {
   // modulo the wheel, so the warmed capacities are reused exactly.
   churn(SimTime{65536} * 1024 * 4);
   EXPECT_EQ(q.heap_allocations(), warm);
-}
-
-TEST(CalendarQueue, CallbacksInvokeAndSlotsRecycle) {
-  CalendarEventQueue q;
-  int fired = 0;
-  q.push_callback(10, [&fired] { ++fired; });
-  q.push_callback(5, [&fired] { fired += 10; });
-  Event e = q.pop();
-  ASSERT_EQ(e.type, EventType::kCallback);
-  q.take_callback(e).invoke();
-  EXPECT_EQ(fired, 10);
-  e = q.pop();
-  q.take_callback(e).invoke();
-  EXPECT_EQ(fired, 11);
-  EXPECT_EQ(q.boxed_callbacks(), 0u);
-  EXPECT_EQ(q.live_callbacks(), 0u);
-}
-
-TEST(CalendarQueue, DestructorDisposesUndrainedBoxedCallbacks) {
-  // A boxed (non-trivially-copyable) callback left in any tier must be
-  // released by the destructor; ASan/LSan enforce this test's point.
-  auto marker = std::make_shared<int>(42);
-  {
-    CalendarEventQueue q;
-    q.push_callback(5, [marker] { (void)*marker; });
-    q.push_callback(SimTime{65536} * 2000, [marker] { (void)*marker; });
-    EXPECT_EQ(q.boxed_callbacks(), 2u);
-    EXPECT_EQ(q.live_callbacks(), 2u);
-  }
-  EXPECT_EQ(marker.use_count(), 1);
 }
 
 TEST(CalendarQueue, AssignFromReplaysIdentically) {
