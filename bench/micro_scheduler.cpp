@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
+#include "core/fork.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -45,31 +46,43 @@ BENCHMARK(BM_ContinualCoSimulation)->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
 // Scheduler pass cost on the heaviest pass workload, the continual
-// co-simulation.  `pass_us` is the scheduler's share — wall ms also
-// includes event-queue and workload-generation time.
+// co-simulation, per site: Blue Mountain backfills EASY (one reservation
+// per blocked pass), Ross conservatively (one per waiter).  `pass_us` is
+// the scheduler's share — wall ms also includes event-queue and
+// workload-generation time — and `replayed` counts the passes that
+// replayed the previous full pass's verdicts instead of walking the queue.
 void BM_ContinualPassWorkload(benchmark::State& state) {
+  const auto site = static_cast<Site>(state.range(0));
   std::uint64_t seed = 300;
   std::uint64_t pass_us = 0;
   std::uint64_t passes = 0;
+  std::uint64_t replayed = 0;
   for (auto _ : state) {
     istc::trace::Tracer tracer(istc::trace::TraceMode::kCountersOnly);
     istc::core::Scenario sc;
-    sc.site = Site::kBlueMountain;
+    sc.site = site;
     sc.log_seed = seed++;
     sc.project = istc::core::ProjectSpec::continual_stream(
         32, 120, istc::cluster::site_span(sc.site));
     sc.tracer = &tracer;
-    const auto run = istc::core::run_scenario(sc);
-    benchmark::DoNotOptimize(run.records.size());
-    pass_us += run.trace.sched_pass_us_total;
-    passes += run.trace.sched_passes;
+    istc::core::SimRun run(sc);
+    const auto result = run.finish();
+    benchmark::DoNotOptimize(result.records.size());
+    pass_us += result.trace.sched_pass_us_total;
+    passes += result.trace.sched_passes;
+    replayed += run.scheduler().stats().replayed_passes;
   }
-  state.counters["pass_us"] = benchmark::Counter(
-      static_cast<double>(pass_us) / static_cast<double>(state.iterations()));
-  state.counters["passes"] = benchmark::Counter(
-      static_cast<double>(passes) / static_cast<double>(state.iterations()));
+  const auto per_iteration = [&](std::uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total) /
+                              static_cast<double>(state.iterations()));
+  };
+  state.counters["pass_us"] = per_iteration(pass_us);
+  state.counters["passes"] = per_iteration(passes);
+  state.counters["replayed"] = per_iteration(replayed);
 }
 BENCHMARK(BM_ContinualPassWorkload)
+    ->Arg(static_cast<int>(Site::kBlueMountain))
+    ->Arg(static_cast<int>(Site::kRoss))
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

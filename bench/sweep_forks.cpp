@@ -269,7 +269,8 @@ StreamResult million_stream() {
     std::vector<grid::GridProjectSpec> projects;
     for (std::size_t p = 0; p < kProjects; ++p) {
       grid::GridProjectSpec spec;
-      spec.name = "S" + std::to_string(p);
+      spec.name = "S";
+      spec.name += std::to_string(p);
       spec.cpus_per_job = widths[p];
       spec.work_per_cpu = 5.0 * cluster::kGiga;  // ~8.5 s on a Ross clock
       spec.jobs = jobs_each;

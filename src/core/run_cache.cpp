@@ -17,7 +17,8 @@ const sched::RunResult& RunCache::native_baseline(cluster::Site site) {
     // Counters-only tracing is cheap (no event records) and gives every
     // cached run a scheduling-cost profile in RunResult::trace.
     trace::Tracer tracer(trace::TraceMode::kCountersOnly);
-    Scenario scenario{site, {}, 0};
+    Scenario scenario;
+    scenario.site = site;
     scenario.tracer = &tracer;
     it = native_.emplace(site, run_scenario(scenario)).first;
   } else {
@@ -45,7 +46,9 @@ const sched::RunResult& RunCache::continual_run(cluster::Site site,
       cpus_per_job, sec_at_1ghz, cluster::site_span(site));
   stream.utilization_cap = utilization_cap;
   trace::Tracer tracer(trace::TraceMode::kCountersOnly);
-  Scenario scenario{site, stream, 0};
+  Scenario scenario;
+  scenario.site = site;
+  scenario.project = stream;
   scenario.tracer = &tracer;
   sched::RunResult result = run_scenario(scenario);
   std::lock_guard lk(mu_);

@@ -62,7 +62,7 @@ std::size_t GridBroker::total_jobs() const {
 bool GridBroker::done() const {
   for (std::size_t p = 0; p < projects_.size(); ++p) {
     if (!projects_[p].materialized) return false;
-    if (!projects_[p].pending.empty()) return false;
+    if (projects_[p].fresh != 0 || !projects_[p].pending.empty()) return false;
     if (ledgers_[p].inflight_jobs != 0) return false;
   }
   return true;
@@ -75,6 +75,9 @@ SimTime GridBroker::next_wake(SimTime now) const {
       t = std::min(t, std::max(specs_[p].submit_time, now + 1));
       continue;
     }
+    // Fresh jobs are always eligible: one still waiting means the last
+    // route() pass could not place it.
+    if (projects_[p].fresh != 0) t = std::min(t, now + cfg_.poll);
     for (const auto& w : projects_[p].pending) {
       // An eligible job still queued means the last route() pass could not
       // place it — re-check on the poll cadence.  An ineligible job has a
@@ -90,17 +93,24 @@ void GridBroker::materialize(SimTime now) {
     auto& proj = projects_[p];
     if (proj.materialized || specs_[p].submit_time > now) continue;
     proj.materialized = true;
-    for (std::size_t i = 0; i < specs_[p].jobs; ++i) {
-      GridJob job;
-      job.gid = next_gid_++;
-      job.project = static_cast<std::uint32_t>(p);
-      job.cpus = specs_[p].cpus_per_job;
-      job.work_per_cpu = specs_[p].work_per_cpu;
-      job.checkpoint = specs_[p].retry.checkpoint_interval;
-      proj.pending.push_back({job, specs_[p].submit_time});
-      ++ledgers_[p].materialized;
-    }
+    proj.fresh = specs_[p].jobs;
+    proj.first_gid = next_gid_;
+    next_gid_ += static_cast<std::uint32_t>(specs_[p].jobs);
+    ledgers_[p].materialized += specs_[p].jobs;
   }
+}
+
+GridJob GridBroker::fresh_job(std::size_t project) const {
+  const Project& proj = projects_[project];
+  ISTC_ASSERT(proj.fresh > 0);
+  const GridProjectSpec& spec = specs_[project];
+  GridJob job;
+  job.gid = proj.first_gid + static_cast<std::uint32_t>(spec.jobs - proj.fresh);
+  job.project = static_cast<std::uint32_t>(project);
+  job.cpus = spec.cpus_per_job;
+  job.work_per_cpu = spec.work_per_cpu;
+  job.checkpoint = spec.retry.checkpoint_interval;
+  return job;
 }
 
 void GridBroker::set_project_quota(std::size_t project, int quota_cpus) {
@@ -229,19 +239,33 @@ void GridBroker::route(SimTime now, const std::vector<GridMachine*>& machines) {
   while (progress) {
     progress = false;
     for (const std::size_t p : order) {
-      auto& pending = projects_[p].pending;
+      Project& proj = projects_[p];
+      auto& pending = proj.pending;
       auto& led = ledgers_[p];
-      // First eligible job; within a project jobs are interchangeable
+      // First eligible job: a fresh one while any remain, else the first
+      // eligible requeued one.  Within a project jobs are interchangeable
       // (retry remainders differ, but any order is fair).
-      const auto it = std::find_if(
-          pending.begin(), pending.end(),
-          [now](const Pending& w) { return w.eligible_at <= now; });
-      if (it == pending.end()) continue;
-      const GridJob job = it->job;
+      const bool fresh = proj.fresh != 0;
+      auto it = pending.end();
+      if (!fresh) {
+        it = std::find_if(
+            pending.begin(), pending.end(),
+            [now](const Pending& w) { return w.eligible_at <= now; });
+        if (it == pending.end()) continue;
+      }
+      const GridJob job = fresh ? fresh_job(p) : it->job;
+      // Take the job off its queue once it is placed or abandoned.
+      const auto take = [&] {
+        if (fresh) {
+          --proj.fresh;
+        } else {
+          pending.erase(it);
+        }
+      };
       if (job.cpus > fleet_max_cpus) {
         // No routed-accepting machine could ever hold this job.
         ++led.abandoned_unplaceable;
-        pending.erase(it);
+        take();
         progress = true;
         continue;
       }
@@ -262,7 +286,7 @@ void GridBroker::route(SimTime now, const std::vector<GridMachine*>& machines) {
       dispatches_.push_back(
           {now, job.gid, job.project, m, job.cpus, free_now,
            machines[static_cast<std::size_t>(m)]->runtime_for(job.work_per_cpu)});
-      pending.erase(it);
+      take();
       progress = true;
     }
   }

@@ -166,12 +166,21 @@ class GridBroker {
     GridJob job;
     SimTime eligible_at = 0;
   };
+  /// A materialized project's never-routed jobs are a count, not queue
+  /// entries: they are interchangeable, always eligible, and routed first,
+  /// in gid order from first_gid.  `pending` holds only requeued (bounced
+  /// or killed) jobs, which route() reaches once the fresh prefix is gone.
   struct Project {
     std::deque<Pending> pending;
     bool materialized = false;
+    std::size_t fresh = 0;
+    std::uint32_t first_gid = 0;
   };
 
   void materialize(SimTime now);
+  /// The project's next never-routed job (its gid is first_gid plus the
+  /// number already taken); requires fresh > 0.
+  GridJob fresh_job(std::size_t project) const;
   void requeue(std::uint32_t project, GridJob job, SimTime eligible_at);
   /// Candidate machine per policy, or -1.  `epoch_routed` holds CPUs
   /// already committed this boundary and is how two same-epoch dispatches

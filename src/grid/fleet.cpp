@@ -237,7 +237,8 @@ std::vector<GridProjectSpec> sweep_projects(std::size_t nprojects,
   std::vector<GridProjectSpec> projects;
   for (std::size_t p = 0; p < nprojects; ++p) {
     GridProjectSpec spec;
-    spec.name = "P" + std::to_string(p);
+    spec.name = "P";
+    spec.name += std::to_string(p);
     spec.cpus_per_job = kWidths[rng.below(4)];
     // 60 s .. 20 min @ 1 GHz, the paper's interstitial-job scale.
     spec.work_per_cpu =

@@ -12,6 +12,14 @@ ResourceProfile::ResourceProfile(SimTime origin, int capacity)
   pts_.push_back(Pt{origin_, capacity_});
 }
 
+void ResourceProfile::assign(const ResourceProfile& other) {
+  origin_ = other.origin_;
+  capacity_ = other.capacity_;
+  pts_.assign(other.pts_.begin() + static_cast<std::ptrdiff_t>(other.head_),
+              other.pts_.end());
+  head_ = 0;
+}
+
 std::size_t ResourceProfile::find(SimTime t) const {
   const auto first = pts_.begin() + static_cast<std::ptrdiff_t>(head_);
   const auto it = std::upper_bound(

@@ -33,6 +33,11 @@ class ResourceProfile {
   SimTime origin() const { return origin_; }
   int capacity() const { return capacity_; }
 
+  /// Become a copy of `other`'s step function over [origin, inf), reusing
+  /// this profile's storage; `other`'s consumed history is not copied.
+  /// The scheduler copies its live profile into a pass-local plan this way.
+  void assign(const ResourceProfile& other);
+
   /// Free CPUs at time t (t >= origin).
   int free_at(SimTime t) const;
 

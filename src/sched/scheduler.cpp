@@ -15,7 +15,8 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, cluster::Machine machine,
       machine_(std::move(machine)),
       policy_(std::move(policy)),
       fairshare_(policy_.fairshare),
-      profile_(engine_.now(), machine_.total_cpus()) {
+      profile_(engine_.now(), machine_.total_cpus()),
+      plan_(engine_.now(), machine_.total_cpus()) {
   busy_integral_at_ = engine_.now();
   engine_.set_job_sink(this);
   engine_.on_quiescent([this](SimTime now) { pass(now); });
@@ -40,6 +41,11 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, BatchScheduler& other)
       last_pass_(other.last_pass_),
       reserved_start_(other.reserved_start_),
       profile_(other.profile_),
+      plan_(engine_.now(), machine_.total_cpus()),
+      replay_ok_(other.replay_ok_),
+#ifdef ISTC_PARANOID
+      verdict_reserved_(other.verdict_reserved_),
+#endif
       prio_(other.prio_),
       prio_epoch_(other.prio_epoch_),
       pending_dirty_(other.pending_dirty_),
@@ -90,6 +96,9 @@ void BatchScheduler::job_finish(std::uint32_t slot) {
 void BatchScheduler::set_tracer(trace::Tracer* tracer) {
   tracer_ = tracer;
   engine_.set_tracer(tracer);
+  // A replay emits reservation events from reserved_start_, which only an
+  // attached tracer fills: the next pass must walk the queue.
+  replay_ok_ = false;
   if (!ISTC_TRACE_EVENTS_ON(tracer_)) return;
   // The outage calendar is static; record it once so every exporter can
   // draw the windows without consulting the cluster model.
@@ -224,6 +233,7 @@ void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
   machine_.allocate(job.cpus);
   // Persistent-profile delta: the job occupies cpus until its estimate.
   profile_.reserve(now, now + job.estimate, job.cpus);
+  if (plan_live_) plan_.reserve(now, now + job.estimate, job.cpus);
   store_.mark_running(slot, now, now + job.estimate);
   engine_.schedule_job_finish(now + job.runtime, slot);
 }
@@ -251,7 +261,11 @@ void BatchScheduler::complete_job(std::uint32_t slot, SimTime now) {
   machine_.release(job.cpus);
   // Persistent-profile delta: return the estimated remainder.  When the
   // estimate was exact (est_end == now) nothing of it lies in the future.
-  if (est_end > now) profile_.release(now, est_end, job.cpus);
+  // Freed capacity may pull a waiter's earliest start forward.
+  if (est_end > now) {
+    profile_.release(now, est_end, job.cpus);
+    replay_ok_ = false;
+  }
   // Interstitial jobs run outside the fair-share ledger: they are a
   // facility-level scavenger stream, not a competing allocation.
   if (!job.interstitial()) {
@@ -282,15 +296,17 @@ ResourceProfile BatchScheduler::rebuild_profile(SimTime now) const {
   return profile;
 }
 
-void BatchScheduler::reserve_temp(SimTime start, SimTime end, int cpus) {
-  profile_.reserve(start, end, cpus);
-  temp_reservations_.push_back(TempReservation{start, end, cpus});
-}
-
 void BatchScheduler::make_reservation(std::uint32_t slot, SimTime t) {
   const workload::Job& job = store_.job(slot);
-  reserve_temp(t, t + job.estimate, job.cpus);
+  if (!plan_live_) {
+    plan_.assign(profile_);
+    plan_live_ = true;
+  }
+  plan_.reserve(t, t + job.estimate, job.cpus);
   ++stats_.reservations;
+#ifdef ISTC_PARANOID
+  verdict_reserved_.push_back(t);
+#endif
   if (!ISTC_TRACE_COUNTERS_ON(tracer_)) return;
   ++tracer_->counters().reservations_made;
   // Only the newest reservation per job is scored honored/violated;
@@ -308,13 +324,13 @@ bool BatchScheduler::try_dispatch(std::uint32_t slot, SimTime now,
     ++tracer_->counters().backfill_scans;
   }
   const workload::Job& job = store_.job(slot);
-  SimTime t = earliest_start(profile_, job, now);
+  SimTime t = earliest_start(plan(), job, now);
   // Preemption extension: a blocked native may evict running interstitial
   // jobs instead of waiting on them.
   if (policy_.preempt_interstitial && t != now && may_start &&
       !job.interstitial() && could_start_with_kills(job, now)) {
     if (preempt_for(job, now)) {
-      t = earliest_start(profile_, job, now);
+      t = earliest_start(plan(), job, now);
     }
   }
   earliest_out = t;
@@ -399,9 +415,14 @@ void BatchScheduler::pass(SimTime now) {
   lap(0);
   prioritize();
   lap(1);
-  dispatch();
+  const bool replay_pass = replayable();
+  if (replay_pass) {
+    replay();
+  } else {
+    dispatch();
+  }
   lap(2);
-  backfill();
+  if (!replay_pass) backfill();
   lap(3);
   gate();
   lap(4);
@@ -424,6 +445,7 @@ void BatchScheduler::prioritize() {
   // relative order cannot move.
   const bool reuse =
       order_cached_ && !pending_dirty_ && prio_epoch_ == fairshare_.epoch();
+  st.order_reused = reuse;
   if (reuse) {
     ++stats_.priority_reuses;
     if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
@@ -476,6 +498,9 @@ void BatchScheduler::prioritize() {
 
 void BatchScheduler::dispatch() {
   PassState& st = pass_state_;
+#ifdef ISTC_PARANOID
+  verdict_reserved_.clear();
+#endif
   std::size_t pos = 0;
   for (; pos < st.order.size(); ++pos) {
     const std::size_t idx = st.order[pos];
@@ -510,6 +535,7 @@ void BatchScheduler::backfill() {
     if (try_dispatch(slot, st.now, may_start, t)) {
       // Started while a higher-priority job stayed blocked: backfill.
       ++stats_.backfilled_starts;
+      st.backfilled = true;
       st.started[idx] = 1;
       continue;
     }
@@ -524,17 +550,71 @@ void BatchScheduler::backfill() {
   }
 }
 
+bool BatchScheduler::replayable() const {
+  return pass_state_.order_reused && replay_ok_ &&
+         pass_state_.now < last_pass_.queue_earliest_start;
+}
+
+void BatchScheduler::replay() {
+  PassState& st = pass_state_;
+  ++stats_.replayed_passes;
+  st.saw_blocked = true;
+  st.head_earliest = last_pass_.head_earliest_start;
+  st.queue_earliest = last_pass_.queue_earliest_start;
+  // The head always reserves; under conservative backfill every waiter.
+  const std::size_t reserving =
+      policy_.backfill == BackfillMode::kConservative ? pending_.size() : 1;
+  stats_.reservations += reserving;
+  if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+    auto& c = tracer_->counters();
+    c.backfill_scans += pending_.size();
+    c.reservations_made += reserving;
+  }
+  if (ISTC_TRACE_EVENTS_ON(tracer_)) {
+    for (std::size_t i = 0; i < reserving; ++i) {
+      const std::uint32_t slot = pending_[i];
+      trace_job(trace::EventKind::kReservationMade, store_.job(slot), 0,
+                reserved_start_[slot]);
+    }
+  }
+#ifdef ISTC_PARANOID
+  check_replay();
+#endif
+}
+
+#ifdef ISTC_PARANOID
+void BatchScheduler::check_replay() const {
+  const PassState& st = pass_state_;
+  const bool conservative = policy_.backfill == BackfillMode::kConservative;
+  ResourceProfile walk = profile_;
+  SimTime queue_earliest = kTimeInfinity;
+  std::size_t reserved = 0;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const std::uint32_t slot = pending_[i];
+    const workload::Job& job = store_.job(slot);
+    const SimTime t = earliest_start(walk, job, st.now);
+    ISTC_ASSERT(t > st.now);
+    if (i == 0) ISTC_ASSERT(t == st.head_earliest);
+    queue_earliest = std::min(queue_earliest, t);
+    if (i > 0 && !conservative) continue;
+    ISTC_ASSERT(reserved < verdict_reserved_.size());
+    ISTC_ASSERT(verdict_reserved_[reserved] == t);
+    ++reserved;
+    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+      ISTC_ASSERT(reserved_start_[slot] == t);
+    }
+    walk.reserve(t, t + job.estimate, job.cpus);
+  }
+  ISTC_ASSERT(reserved == verdict_reserved_.size());
+  ISTC_ASSERT(queue_earliest == st.queue_earliest);
+}
+#endif
+
 void BatchScheduler::gate() {
   PassState& st = pass_state_;
-  // Undo this pass's reservations: between passes the persistent profile
-  // must describe running jobs only.  The undo is exact — integer adds on
-  // the same intervals — and the coalesce keeps segmentation canonical so
-  // the breakpoint count stays bounded by live change points.
-  for (const auto& tr : temp_reservations_) {
-    profile_.release(tr.start, tr.end, tr.cpus);
-  }
-  temp_reservations_.clear();
-  profile_.coalesce();
+  // The reservations lived on the plan only; the persistent profile saw
+  // just the starts and kills, each coalesced around its own interval.
+  plan_live_ = false;
 
   // Drop started jobs, leaving pending_ in priority order.  The priority
   // comparator is a strict total order (ids are unique), so the sorted
@@ -557,6 +637,12 @@ void BatchScheduler::gate() {
   }
 
   in_pass_ = false;
+
+  // A pass that leaves a blocked waiter and starts nothing behind it gives
+  // verdicts the next passes may replay (a replayed pass keeps them).
+  // Preemption may kill at any pass, so it never replays.
+  replay_ok_ = !pending_.empty() && st.saw_blocked && !st.backfilled &&
+               !policy_.preempt_interstitial;
 
   // Snapshot the pass outcome unconditionally: the metrics probe reads the
   // cached context (head backfill wall time) even when no post-pass hook
@@ -610,7 +696,11 @@ void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
   // (its origin-side history was already chopped by advance_origin).  A
   // fault kill can race a same-instant completion estimate: when est_end
   // == now nothing of the reservation lies in the future.
-  if (est_end > now) profile_.release(now, est_end, job.cpus);
+  if (est_end > now) {
+    profile_.release(now, est_end, job.cpus);
+    if (plan_live_) plan_.release(now, est_end, job.cpus);
+  }
+  replay_ok_ = false;
   killed_records_.push_back(JobRecord{job, start, now});
   // The slot parks as a zombie: the queued finish event still references
   // it, and its firing frees the slot.
@@ -645,10 +735,10 @@ bool BatchScheduler::preempt_for(const workload::Job& job, SimTime now) {
               return store_.id(a) > store_.id(b);
             });
   for (const std::uint32_t v : victim_buf_) {
-    if (profile_.min_free(now, now + job.estimate) >= job.cpus) break;
+    if (plan().min_free(now, now + job.estimate) >= job.cpus) break;
     kill_running_job(v, KillReason::kPreempted);
   }
-  return profile_.min_free(now, now + job.estimate) >= job.cpus;
+  return plan().min_free(now, now + job.estimate) >= job.cpus;
 }
 
 std::vector<JobRecord> BatchScheduler::fail_capacity(int cpus, SimTime until,
@@ -686,7 +776,10 @@ std::vector<JobRecord> BatchScheduler::fail_capacity(int cpus, SimTime until,
   failed_cpus_ += cpus;
   // The downed capacity is a reservation ending at the repair time, so
   // backfill plans around the outage exactly like around running jobs.
+  // Lost capacity that returns by the queue's earliest start M moves no
+  // waiter's earliest start.
   profile_.reserve(now, until, cpus);
+  if (until > last_pass_.queue_earliest_start) replay_ok_ = false;
   const std::uint32_t outage_id = next_outage_id_++;
   outages_.push_back(CapacityOutage{outage_id, cpus, until});
   // Typed repair event: the queue holds a POD entry carrying the outage
@@ -731,7 +824,10 @@ bool BatchScheduler::try_start_immediately(const workload::Job& job) {
     return false;
   }
   // Meta-backfilled jobs never enter the queue: submit and start coincide.
+  // A start whose estimate ends by the queue's earliest start M moves no
+  // waiter's earliest start.
   trace_job(trace::EventKind::kJobSubmit, job, job.estimate);
+  if (now + job.estimate > last_pass_.queue_earliest_start) replay_ok_ = false;
   start_job(store_.acquire(job), now);
   return true;
 }

@@ -33,8 +33,13 @@
 /// The future free-CPU ResourceProfile is pass-persistent: job starts,
 /// finishes, and kills apply incremental deltas and each pass merely
 /// advances the origin, instead of rebuilding the profile from every
-/// running job.  Build with -DISTC_PARANOID=ON to cross-check the
-/// incremental profile against a from-scratch rebuild at every pass.
+/// running job.  Blocked-job reservations never touch it: a pass's first
+/// reservation copies it into a pass-local plan, which the rest of the
+/// pass queries and reserves on.  A pass whose inputs provably did not
+/// change since the last full pass replays that pass's verdicts instead
+/// of walking the queue.  Build with -DISTC_PARANOID=ON to cross-check the
+/// incremental profile against a rebuild from the running jobs at every
+/// pass, and every replayed pass against a full walk.
 ///
 /// Live jobs (waiting / running / killed-awaiting-stale-finish) live in a
 /// structure-of-arrays JobStore (job_store.hpp); the queue is a vector of
@@ -99,6 +104,9 @@ struct SchedulerStats {
   /// Passes that re-sorted the queue vs. reused the cached priority order.
   std::uint64_t priority_recomputes = 0;
   std::uint64_t priority_reuses = 0;
+  /// Passes that replayed the last full pass's verdicts instead of
+  /// walking the queue (see BatchScheduler::replay()).
+  std::uint64_t replayed_passes = 0;
   std::size_t max_queue_length = 0;
 };
 
@@ -238,8 +246,8 @@ class BatchScheduler : private sim::JobEventSink {
   const JobStore& store() const { return store_; }
   const SchedulerStats& stats() const { return stats_; }
 
-  /// The pass-persistent future free-CPU profile.  Between passes it
-  /// describes running jobs only (reservations are pass-local).
+  /// The pass-persistent future free-CPU profile.  It describes running
+  /// jobs and capacity outages only (reservations go on a pass-local plan).
   const ResourceProfile& profile() const { return profile_; }
 
   /// From-scratch profile at `now`: capacity minus every running job's
@@ -272,14 +280,6 @@ class BatchScheduler : private sim::JobEventSink {
   /// matching profile reservation expires at the same instant).
   void capacity_repair(std::uint32_t outage_id) override;
 
-  /// A reservation applied to the profile for this pass only; the gate
-  /// stage releases it before the post-pass hook runs.
-  struct TempReservation {
-    SimTime start = 0;
-    SimTime end = 0;
-    int cpus = 0;
-  };
-
   /// Capacity held offline by an unplanned failure until its repair time;
   /// rebuild_profile must re-reserve these (they are not running jobs).
   /// The id travels in the typed kCapacityRepair event, which erases the
@@ -298,10 +298,14 @@ class BatchScheduler : private sim::JobEventSink {
     /// Indices into pending_, in priority order (prioritize() output; the
     /// identity permutation when the cached order is still valid).
     std::vector<std::size_t> order;
+    /// True when prioritize() reused the cached order.
+    bool order_reused = false;
     /// started[i] marks pending_[i] as started this pass (gate() drops it).
     std::vector<char> started;
     /// True once a job could not start now; set by dispatch().
     bool saw_blocked = false;
+    /// True once backfill() started a job behind the blocked head.
+    bool backfilled = false;
     /// Position in `order` where dispatch() stopped; backfill() resumes
     /// there.
     std::size_t resume_pos = 0;
@@ -313,7 +317,9 @@ class BatchScheduler : private sim::JobEventSink {
       now = t;
       order.resize(queue_len);
       started.assign(queue_len, 0);
+      order_reused = false;
       saw_blocked = false;
+      backfilled = false;
       resume_pos = 0;
       head_earliest = kTimeInfinity;
       queue_earliest = kTimeInfinity;
@@ -321,7 +327,8 @@ class BatchScheduler : private sim::JobEventSink {
   };
 
   /// The scheduling pass (engine quiescent hook): advance the profile's
-  /// origin to now, then run the four stages below in order.  With a
+  /// origin to now, then run the four stages below in order, with replay()
+  /// standing in for dispatch() and backfill() when it applies.  With a
   /// tracer attached, one chain of clock reads times the setup and each
   /// stage into its TraceSummary.
   void pass(SimTime now);
@@ -347,15 +354,34 @@ class BatchScheduler : private sim::JobEventSink {
   /// starts for the interstitial gate.
   void backfill();
 
-  /// Stage 4: undo the pass's temporary reservations (the persistent
-  /// profile must describe running jobs only between passes), drop started
-  /// jobs from the queue keeping it in priority order, guarantee a future
-  /// pass at the head's earliest start, and hand the PassContext to the
-  /// post-pass hook (the interstitial driver).
+  /// Stage 4: drop the pass's plan, drop started jobs from the queue
+  /// keeping it in priority order, guarantee a future pass at the head's
+  /// earliest start, note whether the next pass may replay this one, and
+  /// hand the PassContext to the post-pass hook (the interstitial driver).
   void gate();
 
-  /// Reserve on the profile for this pass only (blocked-job reservations).
-  void reserve_temp(SimTime start, SimTime end, int cpus);
+  /// True when this pass may replay the last full pass's verdicts: the
+  /// cached priority order held (no submission, no fair-share charge),
+  /// replay_ok_ says every profile change since only removed capacity
+  /// before the queue's earliest start M, and now < M.
+  bool replayable() const;
+
+  /// Stages 2 and 3 of a pass whose inputs did not change: no waiter can
+  /// start, and each keeps the earliest start the last full pass gave it
+  /// (DESIGN.md §5 has the exactness argument).  Does the full pass's
+  /// bookkeeping (scan and reservation counts, kReservationMade events at
+  /// the times held in reserved_start_) without one earliest_start.
+  void replay();
+
+#ifdef ISTC_PARANOID
+  /// Re-derive a replayed pass's verdicts with a full walk on a copy of
+  /// the profile and assert they match.
+  void check_replay() const;
+#endif
+
+  /// The profile a pass queries: its plan once a reservation made one,
+  /// else the live profile.
+  const ResourceProfile& plan() const { return plan_live_ ? plan_ : profile_; }
 
   /// Handle one queued job within the dispatch/backfill walk; shared by
   /// dispatch() and backfill().  Returns true when the job started;
@@ -363,8 +389,9 @@ class BatchScheduler : private sim::JobEventSink {
   bool try_dispatch(std::uint32_t slot, SimTime now, bool may_start,
                     SimTime& earliest_out);
 
-  /// Blocked-job reservation: temp-reserve [t, t+estimate), count it, and
-  /// record the reservation event (head job always; every blocked job under
+  /// Blocked-job reservation: reserve [t, t+estimate) on the pass's plan
+  /// (the first one copies the live profile into it), count it, and record
+  /// the reservation event (head job always; every blocked job under
   /// conservative backfill).
   void make_reservation(std::uint32_t slot, SimTime t);
 
@@ -373,19 +400,19 @@ class BatchScheduler : private sim::JobEventSink {
   bool could_start_with_kills(const workload::Job& job, SimTime now) const;
 
   /// Kill youngest-first interstitial jobs, releasing them from the
-  /// profile, until `job` fits at `now` per the profile; returns false
+  /// profile, until `job` fits at `now` per the pass's plan; returns false
   /// (killing nothing further helps) if the fit never materializes.
   bool preempt_for(const workload::Job& job, SimTime now);
 
-  /// Kill one running job: release its CPUs and profile remainder, append
-  /// the kill record, park the slot as a zombie for its stale completion
-  /// event, and fire the kill hook.  Shared by preemption and
-  /// fail_capacity.
+  /// Kill one running job: release its CPUs and profile remainder (on the
+  /// plan too while one is live), append the kill record, park the slot as
+  /// a zombie for its stale completion event, and fire the kill hook.
+  /// Shared by preemption and fail_capacity.
   void kill_running_job(std::uint32_t slot, KillReason reason);
 
-  /// Allocate CPUs, apply the profile delta, schedule completion.  The
-  /// slot must be kPending (queued, or freshly acquired by the immediate
-  /// interstitial path).
+  /// Allocate CPUs, apply the profile delta (to the plan too while one is
+  /// live), schedule completion.  The slot must be kPending (queued, or
+  /// freshly acquired by the immediate interstitial path).
   void start_job(std::uint32_t slot, SimTime now);
 
   /// Accumulate busy-CPU integrals up to `now` (lazy: called at every
@@ -455,10 +482,25 @@ class BatchScheduler : private sim::JobEventSink {
 
   // -- pass state ----------------------------------------------------------
   PassState pass_state_;
-  /// Pass-persistent future free-CPU profile (running jobs only between
-  /// passes; plus this pass's temporary reservations during one).
+  /// Pass-persistent future free-CPU profile: running jobs' estimated
+  /// remainders and open capacity outages, never a reservation.
   ResourceProfile profile_;
-  std::vector<TempReservation> temp_reservations_;
+  /// Pass-local plan: a copy of profile_ plus this pass's reservations,
+  /// live from the pass's first reservation until gate().  A member so its
+  /// storage is reused from pass to pass.
+  ResourceProfile plan_;
+  bool plan_live_ = false;
+  /// True while last_pass_'s head and queue earliest starts (H, M) came
+  /// from a full pass that ended with a blocked waiter and no backfill
+  /// start, and every profile change since only removed capacity on an
+  /// interval ending at or before M.  Any release, a later-ending
+  /// decrease, or set_tracer clears it.
+  bool replay_ok_ = false;
+#ifdef ISTC_PARANOID
+  /// The reservation times of the last full pass, in walk order, for
+  /// check_replay().
+  std::vector<SimTime> verdict_reserved_;
+#endif
   /// Priority cache: valid while the fair-share ledger epoch matches and
   /// no job entered the queue since the last sort.
   std::vector<double> prio_;

@@ -80,7 +80,9 @@ TEST(Downtime, PeriodicGeneratorProperties) {
     EXPECT_EQ(w.duration(), hours(10));
     EXPECT_GE(w.start, 0);
     EXPECT_LT(w.end, span);
-    if (i > 0) EXPECT_GT(w.start, cal.windows()[i - 1].end);
+    if (i > 0) {
+      EXPECT_GT(w.start, cal.windows()[i - 1].end);
+    }
   }
 }
 

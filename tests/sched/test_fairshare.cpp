@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace istc::sched {
 namespace {
 
@@ -118,7 +120,8 @@ TEST(FairShare, PrioritiesBoundedByNormalization) {
   t.charge(1, 0, 12345.0, 100);
   t.charge(2, 1, 777.0, 200);
   // Usage fractions are normalized by the grand total: deficits in [-1,0].
-  for (workload::UserId u : {1, 2, 3}) {
+  for (const workload::UserId u :
+       std::initializer_list<workload::UserId>{1, 2, 3}) {
     const double p = t.priority(job_of(u, 0), 300);
     EXPECT_LE(p, 0.0);
     EXPECT_GE(p, -1.0);
