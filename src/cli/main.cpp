@@ -10,12 +10,14 @@
 //                [--icpus 8] [--isec1ghz 120]
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "cluster/presets.hpp"
 #include "core/advisor.hpp"
 #include "core/experiment.hpp"
 #include "core/fork.hpp"
@@ -77,13 +79,6 @@ int usage() {
       "harvest and replay accept trace exports (see README, Inspecting a\n"
       "run): --trace out.jsonl --trace-chrome out.json --trace-csv out.csv\n");
   return 2;
-}
-
-std::optional<cluster::Site> parse_site(const std::string& s) {
-  if (s == "ross") return cluster::Site::kRoss;
-  if (s == "bluemtn" || s == "bluemountain") return cluster::Site::kBlueMountain;
-  if (s == "bluepac" || s == "bluepacific") return cluster::Site::kBluePacific;
-  return std::nullopt;
 }
 
 void print_run_summary(const char* title, const sched::RunResult& run) {
@@ -214,14 +209,14 @@ void export_traces(const ArgParser& args, const trace::Tracer& tracer,
 }
 
 int cmd_report(const ArgParser& args) {
-  const auto site = parse_site(args.get_or("site", ""));
+  const auto site = cluster::parse_site(args.get_or("site", ""));
   if (!site) return usage();
   print_run_summary("native-only baseline", core::native_baseline(*site));
   return 0;
 }
 
 int cmd_harvest(const ArgParser& args) {
-  const auto site = parse_site(args.get_or("site", ""));
+  const auto site = cluster::parse_site(args.get_or("site", ""));
   if (!site) return usage();
   const auto cpus = static_cast<int>(args.get_int_or("cpus", 32));
   const auto sec = static_cast<Seconds>(args.get_int_or("sec1ghz", 120));
@@ -303,7 +298,7 @@ int cmd_harvest(const ArgParser& args) {
 }
 
 int cmd_plan(const ArgParser& args) {
-  const auto site = parse_site(args.get_or("site", ""));
+  const auto site = cluster::parse_site(args.get_or("site", ""));
   if (!site) return usage();
   const double pc = args.get_num_or("petacycles", 0.0);
   if (pc <= 0) {
@@ -477,7 +472,7 @@ std::optional<service::Endpoint> parse_endpoint(const ArgParser& args) {
 }
 
 int cmd_serve(const ArgParser& args) {
-  const auto site = parse_site(args.get_or("site", ""));
+  const auto site = cluster::parse_site(args.get_or("site", ""));
   if (!site) return usage();
   const auto endpoint = parse_endpoint(args);
   if (!endpoint) return usage();
@@ -579,54 +574,81 @@ int cmd_ask(const ArgParser& args) {
 
 // -- top: the refreshing daemon dashboard ------------------------------------
 
-/// Render one stats reply as a terminal dashboard frame.
+std::string scalar_text(const service::Value& v) {
+  char buf[32];
+  switch (v.kind) {
+    case service::Value::Kind::kBool:
+      return v.boolean ? "true" : "false";
+    case service::Value::Kind::kString:
+      return v.string;
+    case service::Value::Kind::kNumber:
+      if (v.number == std::floor(v.number) && std::fabs(v.number) < 1e15) {
+        std::snprintf(buf, sizeof buf, "%.0f", v.number);
+      } else {
+        std::snprintf(buf, sizeof buf, "%.6g", v.number);
+      }
+      return buf;
+    default:
+      return "-";
+  }
+}
+
+/// One dashboard line: a title column, then "key value" pairs wrapped
+/// under it.
+void print_pairs(const std::string& title, const service::Value& object) {
+  constexpr std::size_t kTitle = 18;
+  constexpr std::size_t kWidth = 100;
+  std::string line = title;
+  line.resize(kTitle, ' ');
+  std::size_t used = kTitle;
+  for (const auto& [key, v] : object.object) {
+    if (v.is_object() || v.is_array()) continue;
+    const std::string pair = key + " " + scalar_text(v);
+    if (used > kTitle && used + 2 + pair.size() > kWidth) {
+      line += "\n" + std::string(kTitle, ' ');
+      used = kTitle;
+    } else if (used > kTitle) {
+      line += "  ";
+      used += 2;
+    }
+    line += pair;
+    used += pair.size();
+  }
+  std::printf("%s\n", line.c_str());
+}
+
+/// Render one stats reply as a dashboard frame without naming a field:
+/// the top-level scalars, one line per nested object, and a table per
+/// array of objects (its string columns first).  Members come in key
+/// order, as the parser stores them.
 void render_stats(const service::Value& v) {
-  std::printf("istc top — %s  epoch %.0f  frontier %.0fs  uptime %.1fs\n",
-              v.str_or("site", "?").c_str(), v.num_or("epoch", 0),
-              v.num_or("frontier_s", 0), v.num_or("uptime_s", 0));
-  const double lag = v.num_or("ingest_lag_s", -1);
-  std::printf("baseline: %.0f accepted jobs, %.0f snapshots, %.0f rewinds, ",
-              v.num_or("accepted_jobs", 0), v.num_or("snapshots", 0),
-              v.num_or("rewinds", 0));
-  if (lag < 0) {
-    std::printf("no ingest yet\n");
-  } else {
-    std::printf("ingest lag %.1fs\n", lag);
+  print_pairs("istc top", v);
+  for (const auto& [key, member] : v.object) {
+    if (member.is_object()) print_pairs(key, member);
   }
-  if (const service::Value* c = v.find("counters")) {
-    std::printf("queries  %8.0f  (%.0f errors)\n", c->num_or("queries", 0),
-                c->num_or("query_errors", 0));
-    std::printf("ingests  %8.0f  (%.0f accepted, %.0f rejected)\n",
-                c->num_or("ingests", 0), c->num_or("ingests_accepted", 0),
-                c->num_or("ingests_rejected", 0));
-  }
-  if (const service::Value* l = v.find("query_latency_us")) {
-    std::printf("latency  %8.0f samples  p50 %.0fus  p90 %.0fus  p99 %.0fus\n",
-                l->num_or("count", 0), l->num_or("p50_us", 0),
-                l->num_or("p90_us", 0), l->num_or("p99_us", 0));
-  }
-  if (const service::Value* p = v.find("pool")) {
-    std::printf("pool     busy %.0f (hwm %.0f)  queued %.0f (hwm %.0f)  "
-                "executed %.0f\n",
-                p->num_or("busy_workers", 0), p->num_or("busy_hwm", 0),
-                p->num_or("queue_depth", 0), p->num_or("queue_hwm", 0),
-                p->num_or("tasks_executed", 0));
-  }
-  if (const service::Value* o = v.find("obs")) {
-    std::printf("spans    %s  %.0f recorded, %.0f dropped, %.0f threads\n",
-                o->bool_or("enabled", false) ? "on " : "off",
-                o->num_or("spans_recorded", 0), o->num_or("spans_dropped", 0),
-                o->num_or("span_threads", 0));
-  }
-  if (const service::Value* prof = v.find("profile");
-      prof != nullptr && prof->is_array() && !prof->array.empty()) {
-    std::printf("\n%-16s %10s %12s %9s %9s %9s\n", "stage", "count",
-                "total_us", "p50_us", "p90_us", "p99_us");
-    for (const service::Value& s : prof->array) {
-      std::printf("%-16s %10.0f %12.0f %9.0f %9.0f %9.0f\n",
-                  s.str_or("stage", "?").c_str(), s.num_or("count", 0),
-                  s.num_or("total_us", 0), s.num_or("p50_us", 0),
-                  s.num_or("p90_us", 0), s.num_or("p99_us", 0));
+  for (const auto& [key, member] : v.object) {
+    if (!member.is_array() || member.array.empty() ||
+        !member.array.front().is_object()) {
+      continue;
+    }
+    std::vector<std::string> columns;
+    for (const bool text : {true, false}) {
+      for (const auto& [col, cell] : member.array.front().object) {
+        if (cell.is_string() == text) columns.push_back(col);
+      }
+    }
+    std::printf("\n%s\n", key.c_str());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      std::printf(c == 0 ? "%-18s" : " %12s", columns[c].c_str());
+    }
+    std::printf("\n");
+    for (const service::Value& row : member.array) {
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        const service::Value* cell = row.find(columns[c]);
+        const std::string text = cell != nullptr ? scalar_text(*cell) : "-";
+        std::printf(c == 0 ? "%-18s" : " %12s", text.c_str());
+      }
+      std::printf("\n");
     }
   }
 }

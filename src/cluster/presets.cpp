@@ -19,6 +19,13 @@ std::vector<Site> all_sites() {
   return {Site::kRoss, Site::kBlueMountain, Site::kBluePacific};
 }
 
+std::optional<Site> parse_site(std::string_view token) {
+  if (token == "ross") return Site::kRoss;
+  if (token == "bluemtn" || token == "bluemountain") return Site::kBlueMountain;
+  if (token == "bluepac" || token == "bluepacific") return Site::kBluePacific;
+  return std::nullopt;
+}
+
 MachineSpec machine_spec(Site site) {
   switch (site) {
     case Site::kRoss:

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/machine.hpp"
@@ -28,6 +30,10 @@ enum class Site { kRoss, kBlueMountain, kBluePacific };
 
 const char* site_name(Site site);
 std::vector<Site> all_sites();
+
+/// The site a command-line token names: "ross", "bluemtn" or
+/// "bluemountain", "bluepac" or "bluepacific"; nullopt otherwise.
+std::optional<Site> parse_site(std::string_view token);
 
 /// Static spec of the machine (no downtime attached).
 MachineSpec machine_spec(Site site);

@@ -13,10 +13,7 @@ namespace {
 
 RunSetup scenario_setup(const Scenario& scenario) {
   const cluster::Site site = scenario.site;
-  RunSetup setup;
-  setup.spec = cluster::machine_spec(site);
-  setup.downtime = cluster::site_downtime(site);
-  setup.policy = sched::site_policy(site);
+  RunSetup setup = site_setup(site);
   setup.policy.preempt_interstitial = scenario.preempt_interstitial;
   if (scenario.backfill) setup.policy.backfill = *scenario.backfill;
   setup.natives = scenario.log_seed == 0
@@ -31,13 +28,21 @@ RunSetup scenario_setup(const Scenario& scenario) {
         setup.natives, scenario.native_time_factor,
         scenario.native_size_factor, setup.spec.cpus);
   }
-  setup.span = cluster::site_span(site);
   setup.local_project = scenario.project;
   setup.faults = scenario.faults;
   return setup;
 }
 
 }  // namespace
+
+RunSetup site_setup(cluster::Site site) {
+  RunSetup setup;
+  setup.spec = cluster::machine_spec(site);
+  setup.downtime = cluster::site_downtime(site);
+  setup.policy = sched::site_policy(site);
+  setup.span = cluster::site_span(site);
+  return setup;
+}
 
 SimRun::SimRun(RunSetup setup) : span_(setup.span) {
   scheduler_ = std::make_unique<sched::BatchScheduler>(

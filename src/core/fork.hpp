@@ -85,6 +85,11 @@ struct RunSetup {
   }
 };
 
+/// A run on `site` under its presets: the machine spec, downtime
+/// calendar, scheduling policy and log span.  Natives, stream and faults
+/// are left to the caller.
+RunSetup site_setup(cluster::Site site);
+
 class SimRun {
  public:
   /// Build the stack for one machine, leaving the clock at 0.  Order:

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "cluster/presets.hpp"
 #include "obs/obs.hpp"
-#include "sched/presets.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -166,12 +166,9 @@ sched::RunResult run_native_only(MachineSetup setup) {
 
 MachineSetup site_machine_setup(cluster::Site site) {
   MachineSetup s;
-  s.spec = cluster::machine_spec(site);
+  static_cast<core::RunSetup&>(s) = core::site_setup(site);
   s.name = s.spec.name;
-  s.downtime = cluster::site_downtime(site);
-  s.policy = sched::site_policy(site);
   s.natives = workload::site_log(site);
-  s.span = cluster::site_span(site);
   return s;
 }
 
@@ -194,12 +191,8 @@ std::optional<std::vector<MachineSetup>> parse_fleet_list(
     const std::string tok = csv.substr(pos, comma - pos);
     pos = comma + 1;
     if (tok.empty()) continue;
-    if (tok == "ross") {
-      fleet.push_back(site_machine_setup(cluster::Site::kRoss));
-    } else if (tok == "bluemtn" || tok == "bluemountain") {
-      fleet.push_back(site_machine_setup(cluster::Site::kBlueMountain));
-    } else if (tok == "bluepac" || tok == "bluepacific") {
-      fleet.push_back(site_machine_setup(cluster::Site::kBluePacific));
+    if (const auto site = cluster::parse_site(tok)) {
+      fleet.push_back(site_machine_setup(*site));
     } else if (tok.rfind("synth", 0) == 0) {
       int index = 0;
       const std::string digits = tok.substr(5);

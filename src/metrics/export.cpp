@@ -4,9 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
-#include "util/table.hpp"
-
 namespace istc::metrics {
 
 void write_swf_records(std::ostream& out,
@@ -36,23 +33,6 @@ void write_swf_records_file(const std::string& path,
     throw std::runtime_error("write_swf_records_file: cannot open " + path);
   }
   write_swf_records(out, records, header_comment);
-}
-
-void write_records_csv(const std::string& path,
-                       std::span<const sched::JobRecord> records) {
-  CsvWriter csv(path);
-  csv.header({"id", "class", "user", "group", "cpus", "submit", "start",
-              "end", "runtime", "estimate", "wait", "ef"});
-  for (const auto& r : records) {
-    csv.row({std::to_string(r.job.id),
-             r.interstitial() ? "interstitial" : "native",
-             std::to_string(r.job.user), std::to_string(r.job.group),
-             std::to_string(r.job.cpus), std::to_string(r.job.submit),
-             std::to_string(r.start), std::to_string(r.end),
-             std::to_string(r.job.runtime), std::to_string(r.job.estimate),
-             std::to_string(r.wait()),
-             CsvWriter::escape(Table::num(r.expansion_factor(), 4))});
-  }
 }
 
 }  // namespace istc::metrics

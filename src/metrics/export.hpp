@@ -9,9 +9,8 @@
 /// \file export.hpp
 /// Export simulation results for external analysis.
 ///
-/// Two formats: Standard Workload Format (the community's trace format,
-/// with the wait-time field filled in so the result reads as a *completed*
-/// trace), and CSV for direct plotting.
+/// Standard Workload Format, the community's trace format, with the
+/// wait-time field filled in so the result reads as a *completed* trace.
 
 namespace istc::metrics {
 
@@ -26,10 +25,5 @@ void write_swf_records(std::ostream& out,
 void write_swf_records_file(const std::string& path,
                             std::span<const sched::JobRecord> records,
                             const std::string& header_comment = {});
-
-/// CSV with one row per record:
-/// id,class,user,group,cpus,submit,start,end,runtime,estimate,wait,ef
-void write_records_csv(const std::string& path,
-                       std::span<const sched::JobRecord> records);
 
 }  // namespace istc::metrics

@@ -49,6 +49,20 @@ class Log2Histogram {
   /// observe bounded sim-time quantities for which that never triggers).
   std::uint64_t sum() const { return sum_; }
 
+  /// Rebuild a histogram whose counts were kept elsewhere: counts[k]
+  /// values in bucket k, summing to `sum` (src/obs keeps each ring's
+  /// stage histograms as atomics that other threads read).
+  static Log2Histogram from_counts(const std::uint64_t (&counts)[kBuckets],
+                                   std::uint64_t sum) {
+    Log2Histogram h;
+    for (int k = 0; k < kBuckets; ++k) {
+      h.counts_[k] = counts[k];
+      h.total_ += counts[k];
+    }
+    h.sum_ = sum;
+    return h;
+  }
+
   /// Absorb another histogram's counts — the cross-thread aggregation
   /// primitive (src/obs merges per-thread stage profiles through this).
   void merge(const Log2Histogram& other) {

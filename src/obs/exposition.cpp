@@ -1,6 +1,5 @@
 #include "obs/exposition.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -36,47 +35,17 @@ void PrometheusWriter::family(std::string_view name, std::string_view type,
   out_ += '\n';
 }
 
-void PrometheusWriter::sample(std::string_view name, double value) {
-  out_ += name;
-  out_ += ' ';
-  out_ += format_value(value);
-  out_ += '\n';
-}
-
 void PrometheusWriter::sample(std::string_view name, std::string_view labels,
                               double value) {
   out_ += name;
-  out_ += '{';
-  out_ += labels;
-  out_ += "} ";
+  if (!labels.empty()) {
+    out_ += '{';
+    out_ += labels;
+    out_ += '}';
+  }
+  out_ += ' ';
   out_ += format_value(value);
   out_ += '\n';
-}
-
-void PrometheusWriter::summary(std::string_view name, std::string_view help,
-                               const double* quantiles, const double* values,
-                               int n, double sum, std::uint64_t count) {
-  family(name, "summary", help);
-  for (int i = 0; i < n; ++i) {
-    char label[48];
-    std::snprintf(label, sizeof label, "quantile=\"%g\"", quantiles[i]);
-    sample(name, label, values[i]);
-  }
-  sample(std::string(name) + "_sum", sum);
-  sample(std::string(name) + "_count", static_cast<double>(count));
-}
-
-std::string PrometheusWriter::sanitize(std::string_view name) {
-  std::string out = "istc_";
-  for (const char c : name) {
-    const auto uc = static_cast<unsigned char>(c);
-    if (std::isalnum(uc) || c == '_' || c == ':') {
-      out += c;
-    } else {
-      out += '_';
-    }
-  }
-  return out;
 }
 
 }  // namespace istc::obs

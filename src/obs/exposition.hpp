@@ -1,15 +1,12 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 
 /// \file exposition.hpp
 /// Prometheus text-format (0.0.4) writer: the `GET /metrics` body
-/// builder.  Deliberately dumb — it formats lines; the caller (Session)
-/// decides what to publish.  Names are sanitized to [a-zA-Z0-9_:] so
-/// registry names like "service.query_latency_us" become
-/// "istc_service_query_latency_us".
+/// builder.  Deliberately dumb — it formats lines; the caller (Session's
+/// reading list) decides what to publish and under which names.
 
 namespace istc::obs {
 
@@ -20,21 +17,11 @@ class PrometheusWriter {
   void family(std::string_view name, std::string_view type,
               std::string_view help);
 
-  /// "name value" and "name{labels} value" sample lines.  `labels` is the
-  /// raw body between the braces, e.g. "quantile=\"0.99\"".
-  void sample(std::string_view name, double value);
+  /// A "name value" sample line, or "name{labels} value" when `labels`
+  /// (the raw body between the braces, e.g. "quantile=\"0.99\"") is
+  /// not empty.
   void sample(std::string_view name, std::string_view labels, double value);
 
-  /// A full summary family: quantile samples plus _sum and _count.
-  void summary(std::string_view name, std::string_view help,
-               const double* quantiles, const double* values, int n,
-               double sum, std::uint64_t count);
-
-  /// Map an arbitrary metric name onto the Prometheus charset, prefixed
-  /// "istc_": dots and dashes become underscores.
-  static std::string sanitize(std::string_view name);
-
-  const std::string& text() const { return out_; }
   std::string take() { return std::move(out_); }
 
  private:

@@ -29,17 +29,37 @@ std::atomic<std::uint64_t> g_next_trace{1};
 /// record, unprofiled.
 constexpr std::size_t kProfileNames = 32;
 
+/// Only the ring's owner writes a counter, so it stores load + d: no
+/// read-modify-write, and a concurrent reader's relaxed load is race-free.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t d) {
+  counter.store(counter.load(std::memory_order_relaxed) + d,
+                std::memory_order_relaxed);
+}
+
+/// One span name's log2 histogram of microseconds, kept as relaxed
+/// atomics so profile_snapshot() can read it while the owner writes.
 struct NameProfile {
-  const char* name = nullptr;
-  metrics::Log2Histogram us;
+  std::atomic<const char*> name{nullptr};
+  std::array<std::atomic<std::uint64_t>, metrics::Log2Histogram::kBuckets>
+      counts{};
+  std::atomic<std::uint64_t> sum{0};
+
+  metrics::Log2Histogram load() const {
+    std::uint64_t c[metrics::Log2Histogram::kBuckets];
+    for (int k = 0; k < metrics::Log2Histogram::kBuckets; ++k) {
+      c[k] = counts[static_cast<std::size_t>(k)].load(
+          std::memory_order_relaxed);
+    }
+    return metrics::Log2Histogram::from_counts(
+        c, sum.load(std::memory_order_relaxed));
+  }
 };
 
 /// One thread's span ring and per-name profile.  The owning thread writes
-/// without locks.  While the owner is live, other threads read only the
-/// atomic pushed counter and, without synchronisation, the profile table
-/// (profile_snapshot); export walks the slots only after quiesce.  A ring
-/// outlives its thread and passes to the next new thread through the
-/// registry's free list.
+/// without locks.  While the owner is live, other threads read only
+/// atomics: the pushed counter and the profile table (profile_snapshot);
+/// export walks the slots only after quiesce.  A ring outlives its thread
+/// and passes to the next new thread through the registry's free list.
 struct ThreadRing {
   std::array<SpanRecord, kRingCapacity> slots{};
   std::atomic<std::uint64_t> pushed{0};
@@ -52,12 +72,20 @@ struct ThreadRing {
   }
 
   /// Span names are string literals, so the pointer is the key; equal
-  /// names behind distinct pointers merge in profile_snapshot().
+  /// names behind distinct pointers merge in profile_snapshot().  A new
+  /// name is published with release, after its zeroed counters.
   void observe(const char* name, std::uint64_t us) {
     for (NameProfile& p : profile) {
-      if (p.name == nullptr) p.name = name;
-      if (p.name == name) {
-        p.us.add(us);
+      const char* mine = p.name.load(std::memory_order_relaxed);
+      if (mine == nullptr) {
+        p.name.store(name, std::memory_order_release);
+        mine = name;
+      }
+      if (mine == name) {
+        bump(p.counts[static_cast<std::size_t>(
+                 metrics::Log2Histogram::bucket_index(us))],
+             1);
+        bump(p.sum, us);
         return;
       }
     }
@@ -223,23 +251,17 @@ std::vector<StageProfile> profile_snapshot() {
     std::lock_guard lk(reg.mu);
     for (const auto& ring : reg.rings) {
       for (const NameProfile& p : ring->profile) {
-        if (p.name == nullptr) break;
-        std::string label = p.name;
+        const char* name = p.name.load(std::memory_order_acquire);
+        if (name == nullptr) break;
+        std::string label = name;
         std::replace(label.begin(), label.end(), '.', '_');
-        merged[label].merge(p.us);
+        merged[label].merge(p.load());
       }
     }
   }
   std::vector<StageProfile> out;
   out.reserve(merged.size());
-  for (const auto& [label, h] : merged) {
-    out.push_back({.label = label,
-                   .count = h.total(),
-                   .total_us = h.sum(),
-                   .p50_us = h.quantile(0.50),
-                   .p90_us = h.quantile(0.90),
-                   .p99_us = h.quantile(0.99)});
-  }
+  for (auto& [label, h] : merged) out.push_back({label, h});
   return out;
 }
 

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "metrics/histogram.hpp"
+
 /// \file obs.hpp
 /// Causal wall-clock spans — the operational half of the telemetry story.
 ///
@@ -36,7 +38,7 @@
 /// per-thread rings and emits Chrome-trace JSON ("X" complete events, ts
 /// and dur in microseconds) loadable in chrome://tracing or Perfetto.
 /// Export expects quiesced writers — the CLI exports after serve()
-/// returns; live surfaces read only the atomic record/drop counters and
+/// returns; live surfaces read only atomics: the record/drop counters and
 /// profile_snapshot().
 
 namespace istc {
@@ -136,15 +138,13 @@ RecorderStats recorder_stats();
 /// One span name's wall-clock profile, merged across every ring.
 struct StageProfile {
   std::string label;  ///< the span name with '.' replaced by '_'
-  std::uint64_t count = 0;
-  std::uint64_t total_us = 0;
-  double p50_us = 0.0;
-  double p90_us = 0.0;
-  double p99_us = 0.0;
+  metrics::Log2Histogram us;  ///< span durations in microseconds
 };
 
-/// Every span name closed since the last reset, ordered by label.  It
-/// does not stop span writers, so a span closing meanwhile may be missed.
+/// Every span name closed since the last reset, ordered by label.  Safe
+/// while spans close on other threads: each ring's owner writes its
+/// profile as relaxed atomics, so a span closing meanwhile is either
+/// counted or missed, never torn.
 std::vector<StageProfile> profile_snapshot();
 
 /// Drop all recorded spans, counters and profiles, and detach every ring.

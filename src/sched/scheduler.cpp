@@ -661,13 +661,8 @@ void BatchScheduler::gate() {
 
 bool BatchScheduler::could_start_with_kills(const workload::Job& job,
                                             SimTime now) const {
-  int reclaimable = machine_.free_cpus();
-  for (std::uint32_t s = 0; s < store_.slots(); ++s) {
-    if (store_.state(s) == SlotState::kRunning && store_.interstitial(s)) {
-      reclaimable += store_.cpus(s);
-    }
-  }
-  if (reclaimable < job.cpus) return false;
+  // Killing every running interstitial frees exactly the CPUs they hold.
+  if (machine_.free_cpus() + busy_interstitial_cpus_ < job.cpus) return false;
   if (!machine_.downtime().can_run(now, job.estimate)) return false;
   if (policy_.time_of_day && !policy_.time_of_day->allowed(job, now)) {
     return false;

@@ -25,12 +25,16 @@
 ///   {"op":"ingest", "line":"<one SWF record>"}
 ///       Feed one line of the site's log tail into the live baseline.
 ///
-///   {"op":"status"}      Daemon introspection (epoch, frontier, hash)
-///                        plus query-latency quantiles.
-///   {"op":"stats"}       Full wall-clock telemetry: counters, latency
-///                        quantiles, per-stage profile, pool saturation,
-///                        span-recorder counters (what `istc top` renders;
-///                        the same data backs `GET /metrics`).
+///   {"op":"status"}      Daemon introspection: the identity readings
+///                        (epoch, frontier, accepted jobs, snapshots,
+///                        rewinds, query-latency summary) and the
+///                        baseline hash.
+///   {"op":"stats"}       Every reading: counters, latency summary,
+///                        per-stage profile, pool saturation, span-
+///                        recorder counters.  `istc top` renders it, and
+///                        `GET /metrics` shows each of its numeric or
+///                        boolean leaves as exactly one sample (one
+///                        reading list, service::Reading, backs both).
 ///   {"op":"shutdown"}    Stop accepting work; the server exits.
 ///
 /// Replies always carry {"schema":"istc.whatif.v1","op":<echo>} and

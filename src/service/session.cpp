@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/presets.hpp"
@@ -65,16 +66,6 @@ Session::Session(const SessionConfig& cfg)
   const cluster::MachineSpec spec = cluster::machine_spec(cfg_.site);
   machine_cpus_ = spec.cpus;
   clock_ghz_ = spec.clock_ghz;
-  queries_ = registry_.counter("service.queries");
-  query_errors_ = registry_.counter("service.query_errors");
-  ingests_ = registry_.counter("service.ingests");
-  ingests_accepted_ = registry_.counter("service.ingests_accepted");
-  ingests_rejected_ = registry_.counter("service.ingests_rejected");
-  rewinds_metric_ = registry_.counter("service.rewinds");
-  epoch_gauge_ = registry_.gauge("service.epoch");
-  snapshots_gauge_ = registry_.gauge("service.snapshots");
-  query_latency_us_ = registry_.histogram("service.query_latency_us",
-                                          metrics::Determinism::kWallClock);
 }
 
 std::string Session::handle_line(std::string_view line) {
@@ -82,7 +73,7 @@ std::string Session::handle_line(std::string_view line) {
     const Request req = parse_request(line);
     if (!req.error.empty()) {
       std::lock_guard lk(mu_);
-      registry_.add(query_errors_);
+      ++query_errors_;
       return error_reply("error", req.error_code, req.error);
     }
     switch (req.op) {
@@ -168,7 +159,6 @@ void Session::ingest_job(workload::Job job) {
     for (std::size_t i = seq; i < accepted_.size(); ++i) {
       chain_.live().submit(accepted_[i]);
     }
-    registry_.add(rewinds_metric_);
   }
   chain_.note_submitted(accepted_.size());
   frontier_ = std::max(frontier_, job.submit);
@@ -177,18 +167,15 @@ void Session::ingest_job(workload::Job job) {
   // Reference-arm memo entries are keyed by epoch; an accepted line
   // invalidates them all, so drop them rather than accumulate.
   ref_cache_.clear();
-  registry_.set(epoch_gauge_, static_cast<std::int64_t>(epoch_));
-  registry_.set(snapshots_gauge_,
-                static_cast<std::int64_t>(chain_.snapshot_count()));
 }
 
 std::string Session::do_ingest(const std::string& line) {
   std::lock_guard lk(mu_);
-  registry_.add(ingests_);
+  ++ingests_;
   const workload::SwfLineOutcome out = workload::parse_swf_line(line);
   switch (out.status) {
     case workload::SwfLineOutcome::Status::kError:
-      registry_.add(ingests_rejected_);
+      ++ingests_rejected_;
       return error_reply("ingest", "bad_line", out.error);
     case workload::SwfLineOutcome::Status::kBlank:
     case workload::SwfLineOutcome::Status::kSkipped: {
@@ -209,13 +196,12 @@ std::string Session::do_ingest(const std::string& line) {
       break;
   }
   if (out.job.cpus > machine_cpus_) {
-    registry_.add(ingests_rejected_);
+    ++ingests_rejected_;
     return error_reply("ingest", "infeasible",
                        "job wants " + std::to_string(out.job.cpus) +
                            " cpus, machine has " +
                            std::to_string(machine_cpus_));
   }
-  registry_.add(ingests_accepted_);
   last_accepted_ingest_ = std::chrono::steady_clock::now();
   ingest_job(out.job);
   JsonWriter w;
@@ -252,16 +238,16 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
   {
     obs::ScopedSpan span("query.capture");
     std::lock_guard lk(mu_);
-    registry_.add(queries_);
+    ++queries_;
     if (q.cpus > machine_cpus_) {
-      registry_.add(query_errors_);
+      ++query_errors_;
       return error_reply("whatif", "infeasible",
                          "job wants " + std::to_string(q.cpus) +
                              " cpus, machine has " +
                              std::to_string(machine_cpus_));
     }
     if (q.interstitial && cfg_.stream) {
-      registry_.add(query_errors_);
+      ++query_errors_;
       return error_reply("whatif", "conflict",
                          "baseline already runs an interstitial stream; "
                          "interstitial what-ifs need a natives-only baseline");
@@ -448,25 +434,107 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
                            .count();
   {
     std::lock_guard lk(mu_);
-    registry_.observe(query_latency_us_, static_cast<std::uint64_t>(wall_us));
+    query_latency_us_.add(static_cast<std::uint64_t>(wall_us));
   }
   return w.take();
 }
 
-// -- status / stats / shutdown ----------------------------------------------
+// -- status / stats / /metrics ---------------------------------------------
 
 namespace {
 
-/// {"count":N,"p50_us":...,"p90_us":...,"p99_us":...} for a histogram.
-void write_quantiles(JsonWriter& w, const char* key,
-                     const metrics::Log2Histogram& h) {
-  w.key(key);
-  w.begin_object();
+constexpr const char* kCounter = "counter";
+constexpr const char* kGauge = "gauge";
+constexpr const char* kSummary = "summary";
+constexpr bool kStatus = true;  // Reading::identity
+
+/// The summary every histogram renders as on both surfaces: count, sum
+/// and these quantiles (stats key; the `/metrics` label is q itself).
+struct Quantile {
+  double q;
+  const char* key;
+};
+constexpr Quantile kQuantiles[] = {
+    {0.50, "p50_us"}, {0.90, "p90_us"}, {0.99, "p99_us"}};
+
+/// Profile rows carry their stage as a stats member and a `/metrics` label.
+constexpr const char* kRowKey = "stage";
+
+void write_summary(JsonWriter& w, const metrics::Log2Histogram& h) {
   w.member("count", h.total());
-  w.member("p50_us", h.quantile(0.50));
-  w.member("p90_us", h.quantile(0.90));
-  w.member("p99_us", h.quantile(0.99));
-  w.end_object();
+  w.member("total_us", h.sum());
+  for (const Quantile& q : kQuantiles) w.member(q.key, h.quantile(q.q));
+}
+
+void write_summary(obs::PrometheusWriter& prom, const std::string& family,
+                   const std::string& labels,
+                   const metrics::Log2Histogram& h) {
+  for (const Quantile& q : kQuantiles) {
+    char quantile[32];
+    std::snprintf(quantile, sizeof quantile, "quantile=\"%g\"", q.q);
+    prom.sample(family, labels.empty() ? quantile : labels + "," + quantile,
+                h.quantile(q.q));
+  }
+  prom.sample(family + "_sum", labels, static_cast<double>(h.sum()));
+  prom.sample(family + "_count", labels, static_cast<double>(h.total()));
+}
+
+void write_json(JsonWriter& w, const Reading::Value& value) {
+  std::visit(
+      [&w](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, metrics::Log2Histogram>) {
+          w.begin_object();
+          write_summary(w, v);
+          w.end_object();
+        } else if constexpr (std::is_same_v<T, Reading::Rows>) {
+          w.begin_array();
+          for (const obs::StageProfile& row : v) {
+            w.comma();
+            w.begin_object();
+            w.member(kRowKey, row.label);
+            write_summary(w, row.us);
+            w.end_object();
+          }
+          w.end_array();
+        } else {
+          w.value(v);
+        }
+      },
+      value);
+}
+
+/// Write readings as members of the open object.  A path "group.name"
+/// nests under object `group`; readings of one group are adjacent in the
+/// list, and a path has at most one '.'.
+void write_json(JsonWriter& w, const std::vector<Reading>& readings,
+                bool identity_only) {
+  std::string_view group;  // the nested object now open, if any
+  for (const Reading& r : readings) {
+    if (identity_only && !r.identity) continue;
+    const std::string_view path = r.path;
+    const std::size_t dot = path.find('.');
+    const std::string_view g =
+        dot == std::string_view::npos ? "" : path.substr(0, dot);
+    if (g != group) {
+      if (!group.empty()) w.end_object();
+      if (!g.empty()) {
+        w.key(g);
+        w.begin_object();
+      }
+      group = g;
+    }
+    w.key(path.substr(dot + 1));  // npos + 1 == 0: the whole path
+    write_json(w, r.value);
+  }
+  if (!group.empty()) w.end_object();
+}
+
+void begin_reply(JsonWriter& w, const char* op, cluster::Site site) {
+  w.begin_object();
+  w.member("schema", kWhatIfSchema);
+  w.member("op", op);
+  w.member("site", cluster::machine_spec(site).name);
 }
 
 }  // namespace
@@ -478,185 +546,143 @@ double Session::ingest_lag_s() const {
       .count();
 }
 
+std::vector<Reading> Session::session_readings() const {
+  const double uptime_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started_)
+                              .count();
+  return {
+      {"stream", "istc_service_stream", kGauge,
+       "1 when the baseline runs an interstitial stream",
+       cfg_.stream.has_value(), kStatus},
+      {"epoch", "istc_service_epoch", kGauge,
+       "baseline epoch: accepted ingests so far", epoch_, kStatus},
+      {"frontier_s", "istc_service_frontier_seconds", kGauge,
+       "newest accepted submit time (sim seconds)",
+       static_cast<std::int64_t>(frontier_), kStatus},
+      {"now_s", "istc_service_now_seconds", kGauge,
+       "live baseline clock (sim seconds)",
+       static_cast<std::int64_t>(chain_.live().now()), kStatus},
+      {"accepted_jobs", "istc_service_ingests_accepted", kCounter,
+       "ingest lines accepted into the baseline",
+       std::uint64_t{accepted_.size()}, kStatus},
+      {"snapshots", "istc_service_snapshots", kGauge,
+       "snapshots held by the baseline chain",
+       std::uint64_t{chain_.snapshot_count()}, kStatus},
+      {"rewinds", "istc_service_rewinds", kCounter,
+       "out-of-order ingests that rewound the baseline",
+       std::uint64_t{chain_.rewinds()}, kStatus},
+      {"uptime_s", "istc_uptime_seconds", kGauge, "daemon wall-clock uptime",
+       uptime_s},
+      {"ingest_lag_s", "istc_ingest_lag_seconds", kGauge,
+       "wall seconds since the last accepted ingest (-1 before any)",
+       ingest_lag_s()},
+      {"counters.queries", "istc_service_queries", kCounter,
+       "what-if queries received", queries_},
+      {"counters.query_errors", "istc_service_query_errors", kCounter,
+       "malformed requests and refused what-if queries", query_errors_},
+      {"counters.ingests", "istc_service_ingests", kCounter,
+       "ingest requests received", ingests_},
+      {"counters.ingests_rejected", "istc_service_ingests_rejected", kCounter,
+       "ingest lines rejected as malformed or infeasible", ingests_rejected_},
+      {"query_latency_us", "istc_service_query_latency_us", kSummary,
+       "what-if wall-clock latency (microseconds, log2-bucketed)",
+       query_latency_us_, kStatus},
+  };
+}
+
+std::vector<Reading> Session::readings() {
+  // Process-wide values first, outside mu_; they come last in the list.
+  const PoolStats pool = ThreadPool::global_stats();
+  const obs::RecorderStats rec = obs::recorder_stats();
+  Reading::Rows profile = obs::profile_snapshot();
+  std::vector<Reading> all;
+  {
+    std::lock_guard lk(mu_);
+    all = session_readings();
+  }
+  all.insert(all.end(), {
+      {"pool.default_threads", "istc_pool_default_threads", kGauge,
+       "workers a pool gets unless sized explicitly",
+       std::uint64_t{default_thread_count()}},
+      {"pool.tasks_submitted", "istc_pool_tasks_submitted", kCounter,
+       "thread-pool tasks submitted, every pool since process start",
+       pool.tasks_submitted},
+      {"pool.tasks_executed", "istc_pool_tasks_executed", kCounter,
+       "thread-pool tasks executed, every pool since process start",
+       pool.tasks_executed},
+      {"pool.queue_depth", "istc_pool_queue_depth", kGauge,
+       "tasks currently queued across live pools",
+       std::uint64_t{pool.queue_depth}},
+      {"pool.queue_hwm", "istc_pool_queue_hwm", kGauge,
+       "high-water mark of the pool queue depth",
+       std::uint64_t{pool.queue_hwm}},
+      {"pool.busy_workers", "istc_pool_busy_workers", kGauge,
+       "workers currently running a task across live pools",
+       std::uint64_t{pool.busy_workers}},
+      {"pool.busy_hwm", "istc_pool_busy_hwm", kGauge,
+       "high-water mark of concurrently busy workers",
+       std::uint64_t{pool.busy_hwm}},
+      {"pool.pools_created", "istc_pool_pools_created", kCounter,
+       "thread pools constructed since process start", pool.pools_created},
+      {"obs.enabled", "istc_obs_enabled", kGauge,
+       "1 when spans and the stage profile are recording", obs::enabled()},
+      {"obs.spans_recorded", "istc_obs_spans_recorded", kCounter,
+       "spans recorded into the per-thread rings", rec.recorded},
+      {"obs.spans_dropped", "istc_obs_spans_dropped", kCounter,
+       "spans that overwrote an unexported ring slot", rec.dropped},
+      {"obs.span_threads", "istc_obs_span_threads", kGauge,
+       "span rings allocated", std::uint64_t{rec.threads}},
+      {"profile", "istc_obs_stage_us", kSummary,
+       "wall-clock stage profile (microseconds, log2-bucketed)",
+       std::move(profile)},
+  });
+  return all;
+}
+
 std::string Session::do_status() {
-  std::lock_guard lk(mu_);
-  JsonWriter w;
-  w.begin_object();
-  w.member("schema", kWhatIfSchema);
-  w.member("op", "status");
-  w.member("site", cluster::machine_spec(cfg_.site).name);
-  w.member("stream", cfg_.stream.has_value());
-  w.member("epoch", epoch_);
-  w.member("frontier_s", static_cast<std::int64_t>(frontier_));
-  w.member("now_s", static_cast<std::int64_t>(chain_.live().now()));
-  w.member("accepted_jobs", accepted_.size());
-  w.member("snapshots", chain_.snapshot_count());
-  w.member("rewinds", chain_.rewinds());
-  w.member("baseline_hash", hex_hash(chain_.live().state_hash()));
+  std::unique_lock lk(mu_);
+  const std::vector<Reading> readings = session_readings();
+  const std::uint64_t hash = chain_.live().state_hash();
+  lk.unlock();
   // Wall-clock telemetry is fine here: status replies are never part of
   // the purity comparison (only whatif replies are hashed/compared).
-  write_quantiles(w, "query_latency_us",
-                  registry_.histogram_ref(query_latency_us_));
+  JsonWriter w;
+  begin_reply(w, "status", cfg_.site);
+  write_json(w, readings, /*identity_only=*/true);
+  w.member("baseline_hash", hex_hash(hash));
   w.end_object();
   return w.take();
 }
 
 std::string Session::do_stats() {
-  const auto pool = ThreadPool::global_stats();
-  const obs::RecorderStats rec = obs::recorder_stats();
-  const auto profile = obs::profile_snapshot();
-
-  std::lock_guard lk(mu_);
   JsonWriter w;
-  w.begin_object();
-  w.member("schema", kWhatIfSchema);
-  w.member("op", "stats");
-  w.member("site", cluster::machine_spec(cfg_.site).name);
-  w.member("stream", cfg_.stream.has_value());
-  w.member("epoch", epoch_);
-  w.member("frontier_s", static_cast<std::int64_t>(frontier_));
-  w.member("now_s", static_cast<std::int64_t>(chain_.live().now()));
-  w.member("accepted_jobs", accepted_.size());
-  w.member("snapshots", chain_.snapshot_count());
-  w.member("rewinds", chain_.rewinds());
-  w.member("uptime_s",
-           std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         started_)
-               .count());
-  w.member("ingest_lag_s", ingest_lag_s());
-
-  w.key("counters");
-  w.begin_object();
-  w.member("queries", registry_.counter_value(queries_));
-  w.member("query_errors", registry_.counter_value(query_errors_));
-  w.member("ingests", registry_.counter_value(ingests_));
-  w.member("ingests_accepted", registry_.counter_value(ingests_accepted_));
-  w.member("ingests_rejected", registry_.counter_value(ingests_rejected_));
-  w.end_object();
-
-  write_quantiles(w, "query_latency_us",
-                  registry_.histogram_ref(query_latency_us_));
-
-  w.key("pool");
-  w.begin_object();
-  w.member("default_threads", default_thread_count());
-  w.member("tasks_submitted", pool.tasks_submitted);
-  w.member("tasks_executed", pool.tasks_executed);
-  w.member("queue_depth", pool.queue_depth);
-  w.member("queue_hwm", pool.queue_hwm);
-  w.member("busy_workers", pool.busy_workers);
-  w.member("busy_hwm", pool.busy_hwm);
-  w.member("pools_created", pool.pools_created);
-  w.end_object();
-
-  w.key("obs");
-  w.begin_object();
-  w.member("enabled", obs::enabled());
-  w.member("spans_recorded", rec.recorded);
-  w.member("spans_dropped", rec.dropped);
-  w.member("span_threads", rec.threads);
-  w.end_object();
-
-  w.key("profile");
-  w.begin_array();
-  for (const auto& p : profile) {
-    w.comma();
-    w.begin_object();
-    w.member("stage", p.label);
-    w.member("count", p.count);
-    w.member("total_us", p.total_us);
-    w.member("p50_us", p.p50_us);
-    w.member("p90_us", p.p90_us);
-    w.member("p99_us", p.p99_us);
-    w.end_object();
-  }
-  w.end_array();
+  begin_reply(w, "stats", cfg_.site);
+  write_json(w, readings(), /*identity_only=*/false);
   w.end_object();
   return w.take();
 }
 
 std::string Session::prometheus_text() {
-  const auto pool = ThreadPool::global_stats();
-  const obs::RecorderStats rec = obs::recorder_stats();
-  const auto profile = obs::profile_snapshot();
   obs::PrometheusWriter prom;
-
-  std::lock_guard lk(mu_);
-  // Registry instruments under their sanitized names, deterministic and
-  // wall-clock alike (Prometheus consumers do their own bucketing).
-  for (const auto& c : registry_.counters()) {
-    const std::string name = obs::PrometheusWriter::sanitize(c.name);
-    prom.family(name, "counter", c.name);
-    prom.sample(name, static_cast<double>(c.value));
-  }
-  for (const auto& g : registry_.gauges()) {
-    const std::string name = obs::PrometheusWriter::sanitize(g.name);
-    prom.family(name, "gauge", g.name);
-    prom.sample(name, static_cast<double>(g.value));
-  }
-  for (const auto& h : registry_.histograms()) {
-    static constexpr double kQ[] = {0.5, 0.9, 0.99};
-    const double v[] = {h.hist.quantile(0.5), h.hist.quantile(0.9),
-                        h.hist.quantile(0.99)};
-    prom.summary(obs::PrometheusWriter::sanitize(h.name), h.name, kQ, v, 3,
-                 static_cast<double>(h.hist.sum()), h.hist.total());
-  }
-
-  prom.family("istc_ingest_lag_seconds", "gauge",
-              "wall seconds since the last accepted ingest (-1 before any)");
-  prom.sample("istc_ingest_lag_seconds", ingest_lag_s());
-  prom.family("istc_snapshot_chain_depth", "gauge",
-              "snapshots currently held by the baseline chain");
-  prom.sample("istc_snapshot_chain_depth",
-              static_cast<double>(chain_.snapshot_count()));
-  prom.family("istc_uptime_seconds", "gauge", "daemon wall-clock uptime");
-  prom.sample("istc_uptime_seconds",
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - started_)
-                  .count());
-
-  prom.family("istc_pool_tasks_executed", "counter",
-              "thread-pool tasks executed, every pool since process start");
-  prom.sample("istc_pool_tasks_executed",
-              static_cast<double>(pool.tasks_executed));
-  prom.family("istc_pool_queue_depth", "gauge",
-              "tasks currently queued across live pools");
-  prom.sample("istc_pool_queue_depth", static_cast<double>(pool.queue_depth));
-  prom.family("istc_pool_queue_hwm", "gauge",
-              "high-water mark of the pool queue depth");
-  prom.sample("istc_pool_queue_hwm", static_cast<double>(pool.queue_hwm));
-  prom.family("istc_pool_busy_workers", "gauge",
-              "workers currently running a task across live pools");
-  prom.sample("istc_pool_busy_workers",
-              static_cast<double>(pool.busy_workers));
-  prom.family("istc_pool_busy_hwm", "gauge",
-              "high-water mark of concurrently busy workers");
-  prom.sample("istc_pool_busy_hwm", static_cast<double>(pool.busy_hwm));
-
-  prom.family("istc_obs_spans_recorded", "counter",
-              "spans recorded into the per-thread rings");
-  prom.sample("istc_obs_spans_recorded", static_cast<double>(rec.recorded));
-  prom.family("istc_obs_spans_dropped", "counter",
-              "spans that overwrote an unexported ring slot");
-  prom.sample("istc_obs_spans_dropped", static_cast<double>(rec.dropped));
-
-  if (!profile.empty()) {
-    prom.family("istc_obs_stage_us", "summary",
-                "wall-clock stage profile (microseconds, log2-bucketed)");
-    for (const auto& p : profile) {
-      char label[96];
-      std::snprintf(label, sizeof label, "stage=\"%s\",quantile=\"0.5\"",
-                    p.label.c_str());
-      prom.sample("istc_obs_stage_us", label, p.p50_us);
-      std::snprintf(label, sizeof label, "stage=\"%s\",quantile=\"0.99\"",
-                    p.label.c_str());
-      prom.sample("istc_obs_stage_us", label, p.p99_us);
-      std::snprintf(label, sizeof label, "stage=\"%s\"", p.label.c_str());
-      prom.sample("istc_obs_stage_us_count", label,
-                  static_cast<double>(p.count));
-      prom.sample("istc_obs_stage_us_sum", label,
-                  static_cast<double>(p.total_us));
-    }
+  for (const Reading& r : readings()) {
+    const std::string family = r.family;
+    prom.family(family, r.type, r.help);
+    std::visit(
+        [&](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, metrics::Log2Histogram>) {
+            write_summary(prom, family, "", v);
+          } else if constexpr (std::is_same_v<T, Reading::Rows>) {
+            for (const obs::StageProfile& row : v) {
+              write_summary(prom, family,
+                            std::string(kRowKey) + "=\"" + row.label + "\"",
+                            row.us);
+            }
+          } else {
+            prom.sample(family, "", static_cast<double>(v));
+          }
+        },
+        r.value);
   }
   return prom.take();
 }

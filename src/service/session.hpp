@@ -6,11 +6,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/project.hpp"
 #include "core/run_cache.hpp"
-#include "metrics/registry.hpp"
+#include "metrics/histogram.hpp"
+#include "obs/obs.hpp"
 #include "service/baseline.hpp"
 #include "service/protocol.hpp"
 #include "service/tail_run.hpp"
@@ -20,14 +22,14 @@
 /// Session — the what-if daemon's brain, transport-free.
 ///
 /// One Session owns the live baseline (a SnapshotChain<TailRun>), the
-/// accepted-tail replay journal, the reference-arm RunCache, and the
-/// metrics registry.  The entire protocol funnels through handle_line():
+/// accepted-tail replay journal, the reference-arm RunCache, and its
+/// traffic counters.  The entire protocol funnels through handle_line():
 /// one request line in, one reply line out, never throwing — which is
 /// what makes the server loop trivial and the whole daemon testable (and
 /// fuzzable) without a socket.
 ///
 /// Concurrency model: a mutex serializes *state transitions* — ingest,
-/// snapshot/rewind bookkeeping, fork creation, metrics — but speculative
+/// snapshot/rewind bookkeeping, fork creation, counters — but speculative
 /// simulation runs outside the lock on the calling thread.  A what-if
 /// query captures its epoch and creates its forks in one critical
 /// section, so every reply is computed against a consistent baseline
@@ -44,6 +46,26 @@
 /// from-scratch run over the full accepted tail.
 
 namespace istc::service {
+
+/// One number the daemon reports about itself, under the name each
+/// surface shows it by.  Session::readings() lists them in report order;
+/// `stats` renders every reading, `status` the identity ones, `GET
+/// /metrics` each as one family, and `istc top` walks the stats reply —
+/// so a new signal is one list entry, shown everywhere.
+struct Reading {
+  /// Stage-keyed histograms (the span profile): a stats array with one
+  /// row per stage, and one `stage`-labelled summary per row.
+  using Rows = std::vector<obs::StageProfile>;
+  using Value = std::variant<bool, std::int64_t, std::uint64_t, double,
+                             metrics::Log2Histogram, Rows>;
+
+  const char* path = "";    ///< stats path; "pool.queue_hwm" nests once
+  const char* family = "";  ///< `/metrics` family
+  const char* type = "";    ///< counter, gauge, or summary (histograms)
+  const char* help = "";    ///< `/metrics` HELP line
+  Value value;
+  bool identity = false;  ///< also in the status reply
+};
 
 struct SessionConfig {
   cluster::Site site = cluster::Site::kBlueMountain;
@@ -77,14 +99,13 @@ class Session {
   std::size_t rewinds() const;
   const SessionConfig& config() const { return cfg_; }
 
-  /// The metrics registry (counters + the query latency histogram).
-  /// Take a quiesced snapshot: concurrent handle_line calls mutate it
-  /// under the session mutex.
-  metrics::Registry& registry() { return registry_; }
+  /// Everything the daemon reports about itself, in report order:
+  /// session state (read under mu_), then process-wide thread-pool and
+  /// span-recorder values (read before it).  Thread-safe.
+  std::vector<Reading> readings();
 
-  /// The `GET /metrics` body: every registry instrument, the latency
-  /// summary, per-stage profile quantiles, ThreadPool saturation and
-  /// span-recorder counters in Prometheus text format.  Thread-safe.
+  /// The `GET /metrics` body: every reading as one Prometheus family.
+  /// Thread-safe.
   std::string prometheus_text();
 
  private:
@@ -95,6 +116,10 @@ class Session {
   std::string do_status();
   std::string do_stats();
   std::string do_shutdown();
+
+  /// The readings of session state, the identity ones among them; the
+  /// list's head.  Caller holds mu_.
+  std::vector<Reading> session_readings() const;
 
   /// Seconds of wall time since the last accepted ingest (-1 before the
   /// first): the operator's "how stale is my tail feed" number.  Caller
@@ -125,16 +150,13 @@ class Session {
 
   core::RunCache ref_cache_;
 
-  metrics::Registry registry_;
-  metrics::CounterId queries_;
-  metrics::CounterId query_errors_;
-  metrics::CounterId ingests_;
-  metrics::CounterId ingests_accepted_;
-  metrics::CounterId ingests_rejected_;
-  metrics::CounterId rewinds_metric_;
-  metrics::GaugeId epoch_gauge_;
-  metrics::GaugeId snapshots_gauge_;
-  metrics::HistogramId query_latency_us_;
+  // Traffic, counted under mu_.  Everything else the daemon reports is
+  // read from the state above when the reading list is built.
+  std::uint64_t queries_ = 0;
+  std::uint64_t query_errors_ = 0;
+  std::uint64_t ingests_ = 0;
+  std::uint64_t ingests_rejected_ = 0;
+  metrics::Log2Histogram query_latency_us_;  ///< wall clock per what-if
 };
 
 }  // namespace istc::service

@@ -43,43 +43,6 @@ std::string Log10Histogram::bin_label(std::size_t decade) {
   return buf;
 }
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  ISTC_EXPECTS(bins > 0);
-  ISTC_EXPECTS(hi > lo);
-}
-
-void LinearHistogram::add(double value) {
-  double idx = (value - lo_) / width_;
-  std::size_t bin = 0;
-  if (idx > 0) {
-    bin = std::min(static_cast<std::size_t>(idx), counts_.size() - 1);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-std::size_t LinearHistogram::count(std::size_t bin) const {
-  ISTC_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double LinearHistogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
-double LinearHistogram::bin_lo(std::size_t bin) const {
-  ISTC_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double LinearHistogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + width_;
-}
-
 SurvivalCurve::SurvivalCurve(std::vector<double> samples)
     : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());

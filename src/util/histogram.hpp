@@ -5,9 +5,10 @@
 #include <vector>
 
 /// \file histogram.hpp
-/// Fixed-bin and log10-bin histograms.  The paper's Figs. 5-6 bin native-job
-/// wait times into decades of seconds: [0,1), [1,2), ... in log10 space,
-/// with an extra bin for zero/sub-second waits folded into the first decade.
+/// Log10-bin histograms and survival curves.  The paper's Figs. 5-6 bin
+/// native-job wait times into decades of seconds: [0,1), [1,2), ... in
+/// log10 space, with an extra bin for zero/sub-second waits folded into
+/// the first decade.
 
 namespace istc {
 
@@ -33,28 +34,6 @@ class Log10Histogram {
   static std::string bin_label(std::size_t decade);
 
  private:
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Uniform-width linear histogram on [lo, hi); out-of-range values clamp to
-/// the edge bins so totals are conserved.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  double fraction(std::size_t bin) const;
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };

@@ -73,8 +73,6 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lk(mu_);
     queue_.push_back(std::move(task));
-    ++tasks_submitted_;
-    queue_hwm_ = std::max(queue_hwm_, queue_.size());
   }
   cv_.notify_one();
 }
@@ -94,7 +92,6 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
-      busy_hwm_ = std::max(busy_hwm_, active_);
     }
     g_queue_depth.fetch_sub(1, std::memory_order_relaxed);
     raise_hwm(g_busy_hwm,
@@ -117,23 +114,10 @@ void ThreadPool::worker_loop() {
     g_tasks_executed.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard lk(mu_);
-      ++tasks_executed_;
       --active_;
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
-}
-
-PoolStats ThreadPool::stats() const {
-  std::lock_guard lk(mu_);
-  PoolStats s;
-  s.tasks_submitted = tasks_submitted_;
-  s.tasks_executed = tasks_executed_;
-  s.queue_depth = queue_.size();
-  s.queue_hwm = queue_hwm_;
-  s.busy_workers = active_;
-  s.busy_hwm = busy_hwm_;
-  return s;
 }
 
 PoolStats ThreadPool::global_stats() {

@@ -32,9 +32,9 @@ void set_default_thread_count(std::size_t threads);
 /// concurrency when none was set.
 std::size_t default_thread_count();
 
-/// Saturation gauges for a pool (or, via ThreadPool::global_stats, every
-/// pool the process ever created).  Wall-clock observability only: these
-/// feed bench preambles and the obs exposition surface, never results.
+/// Saturation gauges over every pool the process ever created
+/// (ThreadPool::global_stats).  Wall-clock observability only: these feed
+/// bench preambles and the daemon's reading list, never results.
 struct PoolStats {
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_executed = 0;
@@ -42,7 +42,7 @@ struct PoolStats {
   std::size_t queue_hwm = 0;     ///< high-water mark of queue_depth
   std::size_t busy_workers = 0;  ///< workers currently running a task
   std::size_t busy_hwm = 0;      ///< high-water mark of busy_workers
-  std::uint64_t pools_created = 0;  ///< global_stats only; 0 per-instance
+  std::uint64_t pools_created = 0;
 };
 
 class ThreadPool {
@@ -62,9 +62,6 @@ class ThreadPool {
   /// Block until every submitted task has finished.
   void wait_idle();
 
-  /// This pool's saturation gauges (consistent snapshot under the lock).
-  PoolStats stats() const;
-
   /// Process-wide gauges accumulated across every pool ever constructed —
   /// transient sweep pools included, which is what makes the numbers
   /// meaningful for a daemon that builds a pool per query.  queue_depth /
@@ -76,15 +73,11 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::size_t active_ = 0;
   bool stop_ = false;
-  std::uint64_t tasks_submitted_ = 0;
-  std::uint64_t tasks_executed_ = 0;
-  std::size_t queue_hwm_ = 0;
-  std::size_t busy_hwm_ = 0;
 };
 
 /// Run fn(i) for i in [0, n) across the pool; blocks until done.

@@ -93,18 +93,6 @@ TEST_F(ExportFileTest, SwfFileWritten) {
   EXPECT_NE(content.find("1 0 5 10 2"), std::string::npos);
 }
 
-TEST_F(ExportFileTest, CsvHasHeaderAndRows) {
-  const std::vector<sched::JobRecord> rs{
-      rec(7, 0, 5, 10, 2), rec(8, 1, 1, 10, 2, /*interstitial=*/true)};
-  write_records_csv(path_, rs);
-  const auto content = read_all();
-  EXPECT_NE(content.find("id,class,user"), std::string::npos);
-  EXPECT_NE(content.find("7,native"), std::string::npos);
-  EXPECT_NE(content.find("8,interstitial"), std::string::npos);
-  // wait and EF of record 7: wait 5, ef 1.5.
-  EXPECT_NE(content.find(",5,1.5000"), std::string::npos);
-}
-
 TEST(Export, MissingDirectoryThrows) {
   const std::vector<sched::JobRecord> rs;
   EXPECT_THROW(write_swf_records_file("/no/such/dir/x.swf", rs),

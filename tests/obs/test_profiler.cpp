@@ -1,10 +1,12 @@
 // The span profile (obs::profile_snapshot): closing spans attribute to
 // their name, rows merge across rings, reset drops them, disabled spans
-// add none; and a what-if daemon lists the labels its dashboards read
-// while its ring count stays bounded.
+// add none, and live reads race no span writer; and a what-if daemon
+// lists the labels its dashboards read while its ring count stays
+// bounded.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -54,12 +56,12 @@ TEST_F(Profiler, ObservationsAttributeToTheirStage) {
   // Rows come out ordered by label; a label is the span name with '.'
   // replaced by '_'.
   EXPECT_EQ(profile[0].label, "ingest_rewind");
-  EXPECT_EQ(profile[0].count, 1u);
-  EXPECT_GE(profile[0].total_us, 2000u);
-  EXPECT_GE(profile[0].p50_us, 1024.0);
+  EXPECT_EQ(profile[0].us.total(), 1u);
+  EXPECT_GE(profile[0].us.sum(), 2000u);
+  EXPECT_GE(profile[0].us.quantile(0.50), 1024.0);
   EXPECT_EQ(profile[1].label, "sweep_arm");
-  EXPECT_EQ(profile[1].count, 3u);
-  EXPECT_GE(profile[1].p99_us, profile[1].p50_us);
+  EXPECT_EQ(profile[1].us.total(), 3u);
+  EXPECT_GE(profile[1].us.quantile(0.99), profile[1].us.quantile(0.50));
 }
 
 TEST_F(Profiler, SnapshotMergesAcrossThreads) {
@@ -79,7 +81,8 @@ TEST_F(Profiler, SnapshotMergesAcrossThreads) {
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 1u);
   EXPECT_EQ(profile[0].label, "fleet_advance");
-  EXPECT_EQ(profile[0].count, static_cast<std::uint64_t>(kThreads * kEach));
+  EXPECT_EQ(profile[0].us.total(),
+            static_cast<std::uint64_t>(kThreads * kEach));
 }
 
 TEST_F(Profiler, ResetProfilesDropsAllObservations) {
@@ -95,7 +98,7 @@ TEST_F(Profiler, ResetProfilesDropsAllObservations) {
   }
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 1u);
-  EXPECT_EQ(profile[0].count, 1u);
+  EXPECT_EQ(profile[0].us.total(), 1u);
 }
 
 std::string ingest(SimTime submit) {
@@ -154,6 +157,61 @@ TEST(ObsDaemonProfile, StatsListDaemonLabelsWithBoundedRings) {
   EXPECT_EQ(count("sweep_arm"), 4.0 * kQueries);
   EXPECT_GT(count("sweep_prefix"), 0.0);
   EXPECT_GT(count("sweep_fork"), 0.0);
+}
+
+/// Live reads race no span writer: what-ifs close spans on several client
+/// threads and their sweep pools while another thread loops the stats
+/// verb and the /metrics body, both of which read every ring's profile.
+/// ThreadSanitizer builds fail here if a profile is read without
+/// synchronisation.
+TEST_F(Profiler, LiveStatsAndMetricsReadsRaceNoSpanWriter) {
+  constexpr int kClients = 3;
+  constexpr int kQueries = 4;
+  set_default_thread_count(2);
+  service::SessionConfig cfg;
+  cfg.site = cluster::Site::kRoss;
+  cfg.snapshot_interval = 1000;
+  service::Session session(cfg);
+  for (const SimTime at : {100, 1300, 2500}) session.handle_line(ingest(at));
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    do {
+      EXPECT_TRUE(service::parse(session.handle_line("{\"op\":\"stats\"}"))
+                      .ok());
+      EXPECT_NE(session.prometheus_text().find("istc_obs_stage_us"),
+                std::string::npos);
+    } while (!done.load());
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&session] {
+      for (int q = 0; q < kQueries; ++q) {
+        const std::string reply = session.handle_line(
+            "{\"op\":\"whatif\",\"jobs\":2,\"cpus\":16,\"runtime_s\":300,"
+            "\"horizon_s\":3600,\"points_s\":[0,600]}");
+        EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  done.store(true);
+  reader.join();
+  set_default_thread_count(0);
+
+  // With the writers joined, the profile holds every query.
+  const service::ParseResult stats =
+      service::parse(session.handle_line("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  const service::Value* prof = stats.value.find("profile");
+  ASSERT_NE(prof, nullptr);
+  double whatifs = 0;
+  for (const service::Value& row : prof->array) {
+    if (row.str_or("stage", "") == "query_whatif") {
+      whatifs = row.num_or("count", 0);
+    }
+  }
+  EXPECT_EQ(whatifs, kClients * kQueries);
 }
 
 }  // namespace

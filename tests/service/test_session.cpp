@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "obs/obs.hpp"
 #include "service/json.hpp"
 
 namespace istc::service {
@@ -282,9 +290,7 @@ TEST(Session, StatsReportsIngestLagAfterAcceptedIngest) {
   reply_of(session, ingest_request(swf_line(100, 300, 8, 600)));
   const Value v = reply_of(session, "{\"op\":\"stats\"}");
   EXPECT_GE(v.num_or("ingest_lag_s", -1), 0.0);
-  const Value* counters = v.find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_DOUBLE_EQ(counters->num_or("ingests_accepted", -1), 1);
+  EXPECT_DOUBLE_EQ(v.num_or("accepted_jobs", -1), 1);
 }
 
 TEST(Session, PrometheusTextExposesTheRegistryAndGauges) {
@@ -302,7 +308,7 @@ TEST(Session, PrometheusTextExposesTheRegistryAndGauges) {
   EXPECT_NE(text.find("istc_service_query_latency_us_count"),
             std::string::npos);
   EXPECT_NE(text.find("istc_ingest_lag_seconds"), std::string::npos);
-  EXPECT_NE(text.find("istc_snapshot_chain_depth"), std::string::npos);
+  EXPECT_NE(text.find("istc_service_snapshots"), std::string::npos);
   EXPECT_NE(text.find("istc_pool_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("istc_obs_spans_recorded"), std::string::npos);
   // Prometheus text format: every line is a comment or "name[{labels}] value".
@@ -327,12 +333,142 @@ TEST(Session, MetricsCountTraffic) {
   reply_of(session, ingest_request(swf_line(100, 300, 8, 600)));
   reply_of(session, ingest_request("garbage line"));
   reply_of(session, "{\"op\":\"whatif\",\"jobs\":1,\"cpus\":8}");
-  const auto& reg = session.registry();
-  EXPECT_EQ(reg.find_counter("service.ingests")->value, 2u);
-  EXPECT_EQ(reg.find_counter("service.ingests_accepted")->value, 1u);
-  EXPECT_EQ(reg.find_counter("service.ingests_rejected")->value, 1u);
-  EXPECT_EQ(reg.find_counter("service.queries")->value, 1u);
-  EXPECT_GT(reg.find_histogram("service.query_latency_us")->hist.total(), 0u);
+  const Value v = reply_of(session, "{\"op\":\"stats\"}");
+  const Value* counters = v.find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_DOUBLE_EQ(counters->num_or("ingests", -1), 2);
+  EXPECT_DOUBLE_EQ(v.num_or("accepted_jobs", -1), 1);
+  EXPECT_DOUBLE_EQ(counters->num_or("ingests_rejected", -1), 1);
+  EXPECT_DOUBLE_EQ(counters->num_or("queries", -1), 1);
+  const Value* lat = v.find("query_latency_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_GT(lat->num_or("count", -1), 0);
+}
+
+// -- one reading list: stats leaves and /metrics samples pair up -----------
+
+/// Every numeric or boolean leaf of a stats reply, keyed by its path; an
+/// array row is keyed by its string member ("profile[sweep_arm].count").
+void flatten(const Value& v, const std::string& path,
+             std::map<std::string, double>& out) {
+  switch (v.kind) {
+    case Value::Kind::kNumber:
+      out[path] = v.number;
+      break;
+    case Value::Kind::kBool:
+      out[path] = v.boolean ? 1.0 : 0.0;
+      break;
+    case Value::Kind::kObject:
+      for (const auto& [key, member] : v.object) {
+        flatten(member, path.empty() ? key : path + "." + key, out);
+      }
+      break;
+    case Value::Kind::kArray:
+      for (const Value& row : v.array) {
+        std::string key;
+        for (const auto& [name, member] : row.object) {
+          if (member.is_string()) key = member.string;
+        }
+        flatten(row, path + "[" + key + "]", out);
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+/// Every sample of a Prometheus text body, keyed by "name" or
+/// "name{labels}"; a key may appear once.
+std::map<std::string, double> metric_samples(const std::string& text) {
+  std::map<std::string, double> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    EXPECT_NE(space, std::string::npos) << line;
+    const bool fresh =
+        out.emplace(line.substr(0, space), std::stod(line.substr(space + 1)))
+            .second;
+    EXPECT_TRUE(fresh) << "repeated sample: " << line;
+  }
+  return out;
+}
+
+/// The `/metrics` sample each stats leaf should appear as: the reading
+/// list's names, and for a histogram the summary rule (count, total_us
+/// and three quantiles against _count, _sum and quantile labels).
+std::map<std::string, std::string> leaf_to_sample(
+    const std::vector<Reading>& readings) {
+  std::map<std::string, std::string> pairs;
+  const auto summary = [&pairs](const std::string& leaf,
+                                const std::string& family,
+                                const std::string& labels) {
+    const std::string braces = labels.empty() ? "" : "{" + labels + "}";
+    const std::string prefix = labels.empty() ? "" : labels + ",";
+    pairs[leaf + ".count"] = family + "_count" + braces;
+    pairs[leaf + ".total_us"] = family + "_sum" + braces;
+    pairs[leaf + ".p50_us"] = family + "{" + prefix + "quantile=\"0.5\"}";
+    pairs[leaf + ".p90_us"] = family + "{" + prefix + "quantile=\"0.9\"}";
+    pairs[leaf + ".p99_us"] = family + "{" + prefix + "quantile=\"0.99\"}";
+  };
+  for (const Reading& r : readings) {
+    if (std::holds_alternative<metrics::Log2Histogram>(r.value)) {
+      summary(r.path, r.family, "");
+    } else if (const auto* rows = std::get_if<Reading::Rows>(&r.value)) {
+      for (const obs::StageProfile& row : *rows) {
+        summary(std::string(r.path) + "[" + row.label + "]", r.family,
+                "stage=\"" + row.label + "\"");
+      }
+    } else {
+      pairs[r.path] = r.family;
+    }
+  }
+  return pairs;
+}
+
+TEST(Session, StatsAndMetricsShowEachReadingOnce) {
+  obs::reset();
+  obs::set_enabled(true);
+  Session session(ross_config());
+  for (const SimTime at : {100, 2500, 300}) {  // 300 rewinds the baseline
+    reply_of(session, ingest_request(swf_line(at, 300, 8, 600)));
+  }
+  reply_of(session,
+           "{\"op\":\"whatif\",\"jobs\":2,\"cpus\":8,\"points_s\":[0,600,1200]}");
+  reply_of(session, ingest_request("garbage line"));
+  const Value stats = reply_of(session, "{\"op\":\"stats\"}");
+  const std::map<std::string, double> samples =
+      metric_samples(session.prometheus_text());
+  const std::map<std::string, std::string> pairs =
+      leaf_to_sample(session.readings());
+  obs::set_enabled(false);
+  obs::reset();
+  ASSERT_GE(session.rewinds(), 1u);
+
+  std::map<std::string, double> leaves;
+  flatten(stats, "", leaves);
+  ASSERT_TRUE(leaves.count("profile[sweep_arm].p90_us")) << "obs is on";
+
+  // Every stats leaf has exactly one sample, equal to it unless it is
+  // wall time that moves between the two calls.
+  std::set<std::string> shown;
+  for (const auto& [leaf, value] : leaves) {
+    const auto pair = pairs.find(leaf);
+    ASSERT_NE(pair, pairs.end()) << "stats leaf with no reading: " << leaf;
+    const auto sample = samples.find(pair->second);
+    ASSERT_NE(sample, samples.end())
+        << "stats leaf " << leaf << " has no sample " << pair->second;
+    EXPECT_TRUE(shown.insert(pair->second).second)
+        << "two stats leaves share " << pair->second;
+    if (leaf == "uptime_s" || leaf == "ingest_lag_s") continue;
+    EXPECT_NEAR(sample->second, value, 1e-5 * std::max(1.0, std::fabs(value)))
+        << leaf;
+  }
+  // And every sample, quantiles and _sum/_count included, is one of them.
+  for (const auto& [key, value] : samples) {
+    EXPECT_TRUE(shown.count(key)) << "sample with no stats leaf: " << key;
+  }
+  EXPECT_EQ(pairs.size(), leaves.size());
 }
 
 }  // namespace

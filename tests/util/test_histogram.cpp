@@ -66,35 +66,6 @@ TEST(Log10Histogram, AddAll) {
   EXPECT_EQ(h.count(3), 1u);
 }
 
-TEST(LinearHistogram, BinAssignment) {
-  LinearHistogram h(0.0, 10.0, 5);  // width 2
-  h.add(0.0);
-  h.add(1.99);
-  h.add(2.0);
-  h.add(9.99);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LinearHistogram, OutOfRangeClampsConservingTotal) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(LinearHistogram, BinEdges) {
-  LinearHistogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 17.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 20.0);
-}
-
 TEST(SurvivalCurve, BasicEvaluation) {
   SurvivalCurve c({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(c.at(0.0), 1.0);
