@@ -1,9 +1,10 @@
 // Figure 5: distribution of native-job wait times on Blue Mountain: no
 // interstitial vs 32CPUx458s vs 32CPUx3664s.  Ported to the telemetry
 // layer: the bins are the shared metrics::Log2Histogram (power-of-two
-// seconds) filled through RunMetrics, cross-checked against a naive
-// reference binner and against the legacy log10 histogram's totals on the
-// baseline scenario (exit 1 on mismatch).
+// seconds) filled by metrics::completion_histograms, the RunReport's own
+// binning, cross-checked against a naive reference binner and against the
+// legacy log10 histogram's totals on the baseline scenario (exit 1 on
+// mismatch).
 
 #include <array>
 
@@ -15,10 +16,9 @@ namespace {
 
 using namespace istc;
 
-const metrics::Log2Histogram& native_wait_hist(
-    metrics::RunMetrics& m, std::span<const sched::JobRecord> records) {
-  m.ingest_records(records);
-  return m.registry().find_histogram("native_wait_s")->hist;
+metrics::Log2Histogram native_wait_hist(
+    std::span<const sched::JobRecord> records) {
+  return metrics::completion_histograms(records).native_wait_s;
 }
 
 /// Naive reference binner: linear scan over the bucket edges, no bit
@@ -54,10 +54,9 @@ int main() {
   const auto& short_run = core::continual_run(site, 32, 120);
   const auto& long_run = core::continual_run(site, 32, 960);
 
-  metrics::RunMetrics m0, m1, m2;
-  const auto& h0 = native_wait_hist(m0, base.records);
-  const auto& h1 = native_wait_hist(m1, short_run.records);
-  const auto& h2 = native_wait_hist(m2, long_run.records);
+  const auto h0 = native_wait_hist(base.records);
+  const auto h1 = native_wait_hist(short_run.records);
+  const auto h2 = native_wait_hist(long_run.records);
 
   const int lo = std::max(0, std::min({h0.first_nonzero(), h1.first_nonzero(),
                                        h2.first_nonzero()}));

@@ -1,7 +1,8 @@
 // Figure 6: wait-time distribution of the 5% largest native jobs (by
 // CPU-seconds) on Blue Mountain, same scenarios as Fig. 5.  Ported to the
-// shared metrics::Log2Histogram through RunMetrics::ingest_records on the
-// largest-5% subset; totals are checked against the legacy log10 binning.
+// shared metrics::Log2Histogram through metrics::completion_histograms on
+// the largest-5% subset; totals are checked against the legacy log10
+// binning.
 
 #include "common.hpp"
 #include "metrics/histogram.hpp"
@@ -18,16 +19,14 @@ int main() {
   const auto& short_run = core::continual_run(site, 32, 120);
   const auto& long_run = core::continual_run(site, 32, 960);
 
-  metrics::RunMetrics m0, m1, m2;
-  const auto hist_of = [](metrics::RunMetrics& m,
-                          const sched::RunResult& run)
-      -> const metrics::Log2Histogram& {
-    m.ingest_records(metrics::largest_native(run.records, 0.05));
-    return m.registry().find_histogram("native_wait_s")->hist;
+  const auto hist_of = [](const sched::RunResult& run) {
+    return metrics::completion_histograms(
+               metrics::largest_native(run.records, 0.05))
+        .native_wait_s;
   };
-  const auto& h0 = hist_of(m0, base);
-  const auto& h1 = hist_of(m1, short_run);
-  const auto& h2 = hist_of(m2, long_run);
+  const auto h0 = hist_of(base);
+  const auto h1 = hist_of(short_run);
+  const auto h2 = hist_of(long_run);
 
   const int lo = std::max(0, std::min({h0.first_nonzero(), h1.first_nonzero(),
                                        h2.first_nonzero()}));

@@ -139,7 +139,7 @@ int main() {
   for (const auto& led : r1.ledgers)
     harvested_cpu_h += static_cast<double>(led.harvested_cpu_sec) / 3600.0;
   std::printf("\nharvested %.1f cpu-h across %zu dispatches in %zu epochs\n\n",
-              harvested_cpu_h, r1.dispatches.size(), r1.epochs);
+              harvested_cpu_h, r1.dispatches(), r1.epochs);
 
   // -- fairness table across broker policies: a SweepRunner<FleetRun>
   // scratch sweep (a whole-run policy comparison has no shared prefix —
@@ -174,7 +174,7 @@ int main() {
       abandoned += led.abandoned();
     }
     fair.row({grid::broker_policy_name(policies[i]),
-              Table::integer(static_cast<long long>(res.dispatches.size())),
+              Table::integer(static_cast<long long>(res.dispatches())),
               Table::integer(static_cast<long long>(completed)),
               Table::integer(static_cast<long long>(abandoned)),
               Table::num(res.fairness, 3)});
@@ -220,7 +220,7 @@ int main() {
     out << "  \"hash_equal_threads_1_2_8\": "
         << (hash_equal ? "true" : "false") << ",\n";
     out << "  \"epochs\": " << r1.epochs << ",\n";
-    out << "  \"dispatches\": " << r1.dispatches.size() << ",\n";
+    out << "  \"dispatches\": " << r1.dispatches() << ",\n";
     out << "  \"harvested_cpu_h\": " << harvested_cpu_h << ",\n";
     out << "  \"worst_native_util_delta\": " << worst_native_delta << ",\n";
     out << "  \"fairness\": {";

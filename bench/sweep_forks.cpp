@@ -55,14 +55,14 @@ bool same_run(const sched::RunResult& a, const sched::RunResult& b) {
 
 bool same_fleet(const grid::FleetResult& a, const grid::FleetResult& b) {
   if (a.hash != b.hash || a.epochs != b.epochs || a.sim_end != b.sim_end ||
-      a.dispatches.size() != b.dispatches.size() ||
       a.ledgers.size() != b.ledgers.size()) {
     return false;
   }
   for (std::size_t p = 0; p < a.ledgers.size(); ++p) {
     const auto& la = a.ledgers[p];
     const auto& lb = b.ledgers[p];
-    if (la.completed != lb.completed || la.abandoned() != lb.abandoned() ||
+    if (la.routed != lb.routed || la.completed != lb.completed ||
+        la.abandoned() != lb.abandoned() ||
         la.harvested_cpu_sec != lb.harvested_cpu_sec ||
         la.consumed_cpu_sec != lb.consumed_cpu_sec) {
       return false;
@@ -223,7 +223,7 @@ GateResult fleet_sweep() {
     const int div = quota_div[i / std::size(policies)];
     t.row({grid::broker_policy_name(policies[i % std::size(policies)]),
            div == 0 ? "-" : ("fleet/" + Table::integer(div)),
-           Table::integer(static_cast<long long>(res.dispatches.size())),
+           Table::integer(static_cast<long long>(res.dispatches())),
            Table::integer(static_cast<long long>(completed)),
            Table::integer(static_cast<long long>(abandoned)),
            Table::num(res.fairness, 3), hash_hex});

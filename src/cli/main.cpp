@@ -254,7 +254,7 @@ int cmd_harvest(const ArgParser& args) {
   sc.faults.seed = static_cast<std::uint64_t>(
       args.get_int_or("fault-seed", 0xFA1117));
   std::optional<trace::Tracer> tracer = make_tracer(args);
-  // Telemetry flags (see README, Telemetry): a report bridges the
+  // Telemetry flags (see README, Telemetry): a report renders the
   // TraceSummary counters, so requesting one without any trace export
   // still attaches a counters-only tracer (cheap: no event records).
   const auto sample_s =
@@ -409,7 +409,7 @@ int cmd_grid(const ArgParser& args) {
               result.machines.size(), fleet_cpus, grid::broker_policy_name(*policy),
               cfg.threads > 0 ? cfg.threads : default_thread_count());
   std::printf("epochs %zu, dispatches %zu, fleet hash %016llx\n\n",
-              result.epochs, result.dispatches.size(),
+              result.epochs, result.dispatches(),
               static_cast<unsigned long long>(result.hash));
   Table machines("Fleet machines");
   machines.headers({"machine", "cpus", "native", "grid done", "bounced",

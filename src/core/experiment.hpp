@@ -64,11 +64,10 @@ struct Scenario {
   /// outlive the call.  Tracing never perturbs the schedule.
   trace::Tracer* tracer = nullptr;
   /// Telemetry: when set, run_scenario attaches the RunMetrics (start hook
-  /// + optional sim-time sampler) before the run and ingests the result
-  /// after.  Not owned; must outlive the call.  With sampling disabled the
-  /// run is bit-identical to an unmetered one; with it enabled, sample
-  /// events are hook-transparent, so the schedule still is (pinned by
-  /// tests/metrics/test_sampler.cpp).
+  /// + optional sim-time sampler) before the run.  Not owned; must outlive
+  /// the call.  With sampling disabled the run is bit-identical to an
+  /// unmetered one; with it enabled, sample events are hook-transparent,
+  /// so the schedule still is (pinned by tests/metrics/test_sampler.cpp).
   metrics::RunMetrics* metrics = nullptr;
 };
 

@@ -60,8 +60,9 @@ SimRun::SimRun(const Scenario& scenario) : SimRun(scenario_setup(scenario)) {
   if (scenario.tracer != nullptr) set_tracer(scenario.tracer);
   // Attached last so the sampler's first tick follows every constructor's
   // initial events in sequence order; attach only observes the run.
-  metrics_ = scenario.metrics;
-  if (metrics_ != nullptr) metrics_->attach(engine_, *scheduler_, span_);
+  if (scenario.metrics != nullptr) {
+    scenario.metrics->attach(engine_, *scheduler_, span_);
+  }
 }
 
 SimRun::SimRun(SimRun& other)
@@ -99,9 +100,7 @@ void SimRun::add_faults(fault::FaultSpec spec) {
 
 sched::RunResult SimRun::finish() {
   engine_.run();
-  sched::RunResult result = scheduler_->take_result(span_);
-  if (metrics_ != nullptr) metrics_->ingest(result);
-  return result;
+  return scheduler_->take_result(span_);
 }
 
 std::uint64_t SimRun::state_hash() {

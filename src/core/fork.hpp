@@ -144,9 +144,7 @@ class SimRun {
   void set_tracer(trace::Tracer* tracer) { scheduler_->set_tracer(tracer); }
 
   /// Drain every remaining event and collect the result.  Requires the run
-  /// to be finite (every stream's stop_time < infinity).  If the
-  /// originating scenario carried metrics, they are ingested here (primary
-  /// run only; forks never carry metrics).
+  /// to be finite (every stream's stop_time < infinity).
   sched::RunResult finish();
 
   /// sched::schedule_hash over the *observable mid-run state* (completed
@@ -180,7 +178,6 @@ class SimRun {
 
  private:
   SimTime span_ = 0;
-  metrics::RunMetrics* metrics_ = nullptr;
   sim::Engine engine_;
   // unique_ptr keeps the scheduler's address stable (the driver and
   // injector hold references to it); engine_ is referenced by everything

@@ -283,9 +283,6 @@ void GridBroker::route(SimTime now, const std::vector<GridMachine*>& machines) {
       led.inflight_cpus += job.cpus;
       led.peak_inflight_cpus = std::max(led.peak_inflight_cpus, led.inflight_cpus);
       ISTC_ASSERT(quota == 0 || led.inflight_cpus <= quota);
-      dispatches_.push_back(
-          {now, job.gid, job.project, m, job.cpus, free_now,
-           machines[static_cast<std::size_t>(m)]->runtime_for(job.work_per_cpu)});
       take();
       progress = true;
     }

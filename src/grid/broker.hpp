@@ -104,19 +104,6 @@ struct ProjectLedger {
   }
 };
 
-/// One routing decision, kept for tables and the dispatch-safety property
-/// test (free_at_dispatch is the machine's uncommitted free-CPU count the
-/// instant the broker placed the job — never less than cpus).
-struct DispatchRecord {
-  SimTime time = 0;
-  std::uint32_t gid = 0;
-  std::uint32_t project = 0;
-  int machine = -1;
-  int cpus = 0;
-  int free_at_dispatch = 0;
-  Seconds runtime = 0;  ///< on the chosen machine
-};
-
 class GridBroker {
  public:
   GridBroker(std::vector<GridProjectSpec> projects, BrokerConfig cfg);
@@ -124,7 +111,6 @@ class GridBroker {
   const BrokerConfig& config() const { return cfg_; }
   const std::vector<GridProjectSpec>& project_specs() const { return specs_; }
   const std::vector<ProjectLedger>& ledgers() const { return ledgers_; }
-  const std::vector<DispatchRecord>& dispatches() const { return dispatches_; }
   std::size_t total_jobs() const;
 
   /// All jobs accounted: every project materialized, nothing queued,
@@ -193,7 +179,6 @@ class GridBroker {
   BrokerConfig cfg_;
   std::vector<Project> projects_;
   std::vector<ProjectLedger> ledgers_;
-  std::vector<DispatchRecord> dispatches_;
   std::uint32_t next_gid_ = 0;
   std::size_t rr_cursor_ = 0;
   /// Per-machine placement buffers, reused across boundaries (empty

@@ -28,6 +28,12 @@ double jain_fairness(const std::vector<double>& xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
 }
 
+std::size_t FleetResult::dispatches() const {
+  std::size_t routed = 0;
+  for (const auto& led : ledgers) routed += led.routed;
+  return routed;
+}
+
 FleetRun::FleetRun(std::vector<MachineSetup> setups,
                    std::vector<GridProjectSpec> projects,
                    const FleetConfig& cfg)
@@ -140,7 +146,6 @@ FleetResult FleetRun::finish() {
   }
   out.projects = broker_.project_specs();
   out.ledgers = broker_.ledgers();
-  out.dispatches = broker_.dispatches();
   std::vector<double> per_share;
   for (std::size_t p = 0; p < out.projects.size(); ++p) {
     per_share.push_back(static_cast<double>(out.ledgers[p].harvested_cpu_sec) /

@@ -49,11 +49,13 @@ struct FleetResult {
   std::vector<FleetMachineOutcome> machines;
   std::vector<GridProjectSpec> projects;
   std::vector<ProjectLedger> ledgers;
-  std::vector<DispatchRecord> dispatches;
   std::size_t epochs = 0;
   SimTime sim_end = 0;      ///< max over machines
   std::uint64_t hash = 0;   ///< machine hashes folded in machine order
   double fairness = 1.0;    ///< Jain's index over harvested work per share
+
+  /// Jobs the broker placed, re-routes included: the ledgers' routed sum.
+  std::size_t dispatches() const;
 };
 
 /// sched::schedule_hash over a drained run — records (id, start, end,

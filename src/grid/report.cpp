@@ -21,16 +21,8 @@ void write_fleet_report(std::ostream& out, const FleetResult& fleet) {
   for (std::size_t i = 0; i < fleet.machines.size(); ++i) {
     const auto& m = fleet.machines[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << json_escape(m.run.machine.name)
-        << "\", \"site\": \"" << json_escape(m.run.machine.site)
-        << "\", \"cpus\": " << m.run.machine.cpus
-        << ", \"clock_ghz\": " << format_double(m.run.machine.clock_ghz)
-        << ",\n     \"span_s\": " << m.run.span
-        << ", \"sim_end_s\": " << m.run.sim_end
-        << ",\n     \"jobs\": {\"native_completed\": " << m.run.native_count()
-        << ", \"interstitial_completed\": " << m.run.interstitial_count()
-        << ", \"killed\": " << m.run.killed.size() << "}"
-        << ",\n     \"port\": {\"delivered\": " << m.port.delivered
+    metrics::write_machine_entry(out, m.run);
+    out << ",\n     \"port\": {\"delivered\": " << m.port.delivered
         << ", \"started\": " << m.port.started
         << ", \"completed\": " << m.port.completed
         << ", \"bounced\": " << m.port.bounced
@@ -45,7 +37,7 @@ void write_fleet_report(std::ostream& out, const FleetResult& fleet) {
   out << "  \"fleet\": {\n";
   out << "    \"epochs\": " << fleet.epochs << ",\n";
   out << "    \"sim_end_s\": " << fleet.sim_end << ",\n";
-  out << "    \"dispatches\": " << fleet.dispatches.size() << ",\n";
+  out << "    \"dispatches\": " << fleet.dispatches() << ",\n";
   out << "    \"fairness_jain\": " << format_double(fleet.fairness) << ",\n";
   out << "    \"fleet_hash\": \"" << std::hex << fleet.hash << std::dec
       << "\",\n";

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -41,6 +42,8 @@ class Log2Histogram {
     ++counts_[bucket_index(v)];
     ++total_;
     sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
   }
 
   std::uint64_t count(int k) const { return counts_[k]; }
@@ -48,18 +51,27 @@ class Log2Histogram {
   /// Sum of observed values (wraps past 2^64 like any uint64 — callers
   /// observe bounded sim-time quantities for which that never triggers).
   std::uint64_t sum() const { return sum_; }
+  /// Smallest / largest observed value; 0 for an empty histogram.
+  std::uint64_t min() const { return total_ == 0 ? 0 : min_; }
+  std::uint64_t max() const { return max_; }
 
   /// Rebuild a histogram whose counts were kept elsewhere: counts[k]
-  /// values in bucket k, summing to `sum` (src/obs keeps each ring's
-  /// stage histograms as atomics that other threads read).
+  /// values in bucket k, summing to `sum`, the smallest `min` and the
+  /// largest `max` (src/obs keeps each ring's stage histograms as atomics
+  /// that other threads read).
   static Log2Histogram from_counts(const std::uint64_t (&counts)[kBuckets],
-                                   std::uint64_t sum) {
+                                   std::uint64_t sum, std::uint64_t min,
+                                   std::uint64_t max) {
     Log2Histogram h;
     for (int k = 0; k < kBuckets; ++k) {
       h.counts_[k] = counts[k];
       h.total_ += counts[k];
     }
     h.sum_ = sum;
+    if (h.total_ != 0) {
+      h.min_ = min;
+      h.max_ = max;
+    }
     return h;
   }
 
@@ -69,14 +81,18 @@ class Log2Histogram {
     for (int k = 0; k < kBuckets; ++k) counts_[k] += other.counts_[k];
     total_ += other.total_;
     sum_ += other.sum_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
   }
 
   /// Approximate quantile by linear interpolation inside the log2 bucket
-  /// holding rank q*(total-1).  Resolution is the bucket width (a factor
-  /// of two) — the HDR-histogram trade: O(1) memory, bounded relative
-  /// error.  Monotone in q by construction (interpolation is linear
-  /// within a bucket and bucket ranges are disjoint and ordered).
-  /// Returns 0 for an empty histogram; q is clamped to [0, 1].
+  /// holding rank q*(total-1), clamped into [min(), max()].  Resolution is
+  /// the bucket width (a factor of two) — the HDR-histogram trade: O(1)
+  /// memory, bounded relative error — and the clamp makes a histogram of
+  /// one value read that value at every q.  Monotone in q by construction
+  /// (interpolation is linear within a bucket, bucket ranges are disjoint
+  /// and ordered, and clamping keeps order).  Returns 0 for an empty
+  /// histogram; q is clamped to [0, 1].
   double quantile(double q) const {
     if (total_ == 0) return 0.0;
     if (q < 0.0) q = 0.0;
@@ -92,11 +108,11 @@ class Log2Histogram {
         const double hi = static_cast<double>(bucket_hi(k));
         const double within =
             (rank - static_cast<double>(cum) + 0.5) / static_cast<double>(c);
-        return lo + within * (hi - lo);
+        return clamp_observed(lo + within * (hi - lo));
       }
       cum += c;
     }
-    return static_cast<double>(bucket_hi(kBuckets - 1));
+    return clamp_observed(static_cast<double>(bucket_hi(kBuckets - 1)));
   }
 
   /// First / last bucket with a nonzero count; -1 when empty.  Exporters
@@ -115,9 +131,17 @@ class Log2Histogram {
   }
 
  private:
+  double clamp_observed(double v) const {
+    return std::clamp(v, static_cast<double>(min_), static_cast<double>(max_));
+  }
+
   std::uint64_t counts_[kBuckets] = {};
   std::uint64_t total_ = 0;
   std::uint64_t sum_ = 0;
+  /// Observed range; an empty histogram holds the identities of min/max,
+  /// so add() and merge() need no emptiness test.
+  std::uint64_t min_ = ~std::uint64_t{0};
+  std::uint64_t max_ = 0;
 };
 
 /// Human-readable bucket range, e.g. "0", "[1,2)", "[2,4)"; for tables.

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -26,24 +27,28 @@ std::uint64_t bounded_slowdown_milli(Seconds wait, Seconds runtime,
   return std::max<std::uint64_t>(1000, num / denom);
 }
 
-RunMetrics::RunMetrics(SamplerConfig cfg) : cfg_(cfg) {
-  native_wait_s_ = registry_.histogram("native_wait_s");
-  interstitial_wait_s_ = registry_.histogram("interstitial_wait_s");
-  native_slowdown_milli_ = registry_.histogram("native_slowdown_milli");
-  interstice_cpus_at_dispatch_ =
-      registry_.histogram("interstice_cpus_at_dispatch");
-  jobs_native_completed_ = registry_.counter("jobs_native_completed");
-  jobs_interstitial_completed_ =
-      registry_.counter("jobs_interstitial_completed");
-  jobs_killed_ = registry_.counter("jobs_killed");
+CompletionHistograms completion_histograms(
+    std::span<const sched::JobRecord> records) {
+  CompletionHistograms h;
+  for (const auto& r : records) {
+    const auto wait = static_cast<std::uint64_t>(r.wait());
+    if (r.interstitial()) {
+      h.interstitial_wait_s.add(wait);
+    } else {
+      h.native_wait_s.add(wait);
+      h.native_slowdown_milli.add(
+          bounded_slowdown_milli(r.wait(), r.job.runtime));
+    }
+  }
+  return h;
 }
 
 void RunMetrics::attach(sim::Engine& engine, sched::BatchScheduler& sched,
                         SimTime span) {
   sched.set_start_hook([this](const workload::Job& job, int free_before) {
     if (job.interstitial()) {
-      registry_.observe(interstice_cpus_at_dispatch_,
-                        static_cast<std::uint64_t>(free_before));
+      interstice_cpus_at_dispatch_.add(
+          static_cast<std::uint64_t>(free_before));
     }
   });
   if (cfg_.interval > 0) {
@@ -52,128 +57,116 @@ void RunMetrics::attach(sim::Engine& engine, sched::BatchScheduler& sched,
   }
 }
 
-void RunMetrics::ingest_records(std::span<const sched::JobRecord> records) {
-  for (const auto& r : records) {
-    const auto wait = static_cast<std::uint64_t>(r.wait());
-    if (r.interstitial()) {
-      registry_.observe(interstitial_wait_s_, wait);
-    } else {
-      registry_.observe(native_wait_s_, wait);
-      registry_.observe(native_slowdown_milli_,
-                        bounded_slowdown_milli(r.wait(), r.job.runtime));
-    }
-  }
-}
-
-void RunMetrics::ingest(const sched::RunResult& result) {
-  ingest_records(result.records);
-  registry_.set_counter(jobs_native_completed_,
-                        static_cast<std::uint64_t>(result.native_count()));
-  registry_.set_counter(
-      jobs_interstitial_completed_,
-      static_cast<std::uint64_t>(result.interstitial_count()));
-  registry_.set_counter(jobs_killed_,
-                        static_cast<std::uint64_t>(result.killed.size()));
-  // Bridge: every TraceSummary counter, registered under its CSV column
-  // name (one enumeration, trace::summary_fields, feeds both outputs).
-  for (const auto& f : trace::summary_fields(result.trace)) {
-    const Determinism det =
-        f.wall_clock ? Determinism::kWallClock : Determinism::kDeterministic;
-    registry_.set_counter(registry_.counter(f.name, det), f.value);
-  }
-}
-
 namespace {
 
 using util::format_double;
 using util::json_escape;
 
-void write_counter_object(std::ostream& out, const Registry& reg,
-                          Determinism det) {
+/// A machine's identity members, in the v1 "machine" section and in each
+/// "machines" entry.
+void write_identity(std::ostream& out, const cluster::MachineSpec& m) {
+  out << "\"name\": \"" << json_escape(m.name) << "\", \"site\": \""
+      << json_escape(m.site) << "\", \"cpus\": " << m.cpus
+      << ", \"clock_ghz\": " << format_double(m.clock_ghz);
+}
+
+void write_jobs(std::ostream& out, const sched::RunResult& run) {
+  out << "{\"native_completed\": " << run.native_count()
+      << ", \"interstitial_completed\": " << run.interstitial_count()
+      << ", \"killed\": " << run.killed.size() << "}";
+}
+
+/// The report's counters, one list for both sections: the job counts,
+/// then every TraceSummary field in summary_fields() order.
+std::vector<trace::SummaryField> report_counters(
+    const sched::RunResult& run) {
+  std::vector<trace::SummaryField> fields = {
+      {"jobs_native_completed", run.native_count(), false},
+      {"jobs_interstitial_completed", run.interstitial_count(), false},
+      {"jobs_killed", run.killed.size(), false},
+  };
+  const auto summary = trace::summary_fields(run.trace);
+  fields.insert(fields.end(), summary.begin(), summary.end());
+  return fields;
+}
+
+void write_counter_object(std::ostream& out,
+                          const std::vector<trace::SummaryField>& fields,
+                          bool wall_clock) {
   out << "{";
   bool first = true;
-  for (const auto& c : reg.counters()) {
-    if (c.det != det) continue;
+  for (const auto& f : fields) {
+    if (f.wall_clock != wall_clock) continue;
     if (!first) out << ",";
     first = false;
-    out << "\n    \"" << json_escape(c.name) << "\": " << c.value;
+    out << "\n    \"" << json_escape(f.name) << "\": " << f.value;
   }
   out << (first ? "}" : "\n  }");
 }
 
+void write_histogram(std::ostream& out, const char* name,
+                     const Log2Histogram& h) {
+  out << "\n    {\"name\": \"" << name << "\", \"count\": " << h.total()
+      << ", \"sum\": " << h.sum() << ", \"buckets\": [";
+  const int lo = h.first_nonzero();
+  const int hi = h.last_nonzero();
+  for (int k = lo; k >= 0 && k <= hi; ++k) {
+    if (k != lo) out << ", ";
+    out << "[" << Log2Histogram::bucket_lo(k) << ", "
+        << Log2Histogram::bucket_hi(k) << ", " << h.count(k) << "]";
+  }
+  out << "]}";
+}
+
 }  // namespace
+
+void write_machine_entry(std::ostream& out, const sched::RunResult& run) {
+  out << "    {";
+  write_identity(out, run.machine);
+  out << ",\n     \"span_s\": " << run.span
+      << ", \"sim_end_s\": " << run.sim_end << ",\n     \"jobs\": ";
+  write_jobs(out, run);
+}
 
 void write_run_report(std::ostream& out, const sched::RunResult& result,
                       const RunMetrics& metrics,
                       const ReportOptions& options) {
-  const Registry& reg = metrics.registry();
   out << "{\n";
   out << "  \"schema\": \"" << kRunReportSchema << "\",\n";
   out << "  \"compat\": [\"" << kRunReportCompat << "\"],\n";
-  out << "  \"machine\": {\"name\": \"" << json_escape(result.machine.name)
-      << "\", \"site\": \"" << json_escape(result.machine.site)
-      << "\", \"cpus\": " << result.machine.cpus
-      << ", \"clock_ghz\": " << format_double(result.machine.clock_ghz)
-      << "},\n";
+  out << "  \"machine\": {";
+  write_identity(out, result.machine);
+  out << "},\n";
   // v2: per-machine sections.  A solo run is a one-machine fleet; the
   // fleet writer (grid/report.hpp) emits the same shape with one entry
   // per shard.
-  out << "  \"machines\": [\n    {\"name\": \""
-      << json_escape(result.machine.name) << "\", \"site\": \""
-      << json_escape(result.machine.site)
-      << "\", \"cpus\": " << result.machine.cpus
-      << ", \"clock_ghz\": " << format_double(result.machine.clock_ghz)
-      << ",\n     \"span_s\": " << result.span
-      << ", \"sim_end_s\": " << result.sim_end
-      << ",\n     \"jobs\": {\"native_completed\": " << result.native_count()
-      << ", \"interstitial_completed\": " << result.interstitial_count()
-      << ", \"killed\": " << result.killed.size() << "}}\n  ],\n";
+  out << "  \"machines\": [\n";
+  write_machine_entry(out, result);
+  out << "}\n  ],\n";
   out << "  \"span_s\": " << result.span << ",\n";
   out << "  \"sim_end_s\": " << result.sim_end << ",\n";
   out << "  \"sample_interval_s\": " << metrics.sample_interval() << ",\n";
-  out << "  \"jobs\": {\"native_completed\": " << result.native_count()
-      << ", \"interstitial_completed\": " << result.interstitial_count()
-      << ", \"killed\": " << result.killed.size() << "},\n";
+  out << "  \"jobs\": ";
+  write_jobs(out, result);
+  out << ",\n";
 
+  const std::vector<trace::SummaryField> counters = report_counters(result);
   out << "  \"counters\": ";
-  write_counter_object(out, reg, Determinism::kDeterministic);
+  write_counter_object(out, counters, /*wall_clock=*/false);
   out << ",\n";
+  out << "  \"gauges\": {},\n";
 
-  out << "  \"gauges\": {";
-  {
-    bool first = true;
-    for (const auto& g : reg.gauges()) {
-      if (g.det != Determinism::kDeterministic) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\n    \"" << json_escape(g.name) << "\": " << g.value;
-    }
-    out << (first ? "}" : "\n  }");
-  }
-  out << ",\n";
-
+  const CompletionHistograms done = completion_histograms(result.records);
   out << "  \"histograms\": [";
-  {
-    bool first_h = true;
-    for (const auto& h : reg.histograms()) {
-      if (h.det != Determinism::kDeterministic) continue;
-      if (!first_h) out << ",";
-      first_h = false;
-      out << "\n    {\"name\": \"" << json_escape(h.name)
-          << "\", \"count\": " << h.hist.total()
-          << ", \"sum\": " << h.hist.sum() << ", \"buckets\": [";
-      const int lo = h.hist.first_nonzero();
-      const int hi = h.hist.last_nonzero();
-      for (int k = lo; k >= 0 && k <= hi; ++k) {
-        if (k != lo) out << ", ";
-        out << "[" << Log2Histogram::bucket_lo(k) << ", "
-            << Log2Histogram::bucket_hi(k) << ", " << h.hist.count(k) << "]";
-      }
-      out << "]}";
-    }
-    out << (first_h ? "]" : "\n  ]");
-  }
-  out << ",\n";
+  write_histogram(out, "native_wait_s", done.native_wait_s);
+  out << ",";
+  write_histogram(out, "interstitial_wait_s", done.interstitial_wait_s);
+  out << ",";
+  write_histogram(out, "native_slowdown_milli", done.native_slowdown_milli);
+  out << ",";
+  write_histogram(out, "interstice_cpus_at_dispatch",
+                  metrics.interstice_cpus_at_dispatch());
+  out << "\n  ],\n";
 
   out << "  \"series\": ";
   if (const SimSampler* s = metrics.sampler(); s != nullptr) {
@@ -205,7 +198,7 @@ void write_run_report(std::ostream& out, const sched::RunResult& result,
     // Host-time measurements, explicitly quarantined: everything above
     // this key is byte-identical across equal-seed runs.
     out << ",\n  \"wall_clock\": ";
-    write_counter_object(out, reg, Determinism::kWallClock);
+    write_counter_object(out, counters, /*wall_clock=*/true);
   }
   out << "\n}\n";
 }

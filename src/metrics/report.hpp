@@ -5,17 +5,21 @@
 #include <span>
 #include <string>
 
-#include "metrics/registry.hpp"
+#include "metrics/histogram.hpp"
 #include "metrics/sampler.hpp"
 #include "sched/record.hpp"
 
 /// \file report.hpp
-/// RunMetrics — the per-run telemetry bundle — and the unified RunReport.
+/// RunMetrics — what a run can only observe while it runs — and the
+/// unified RunReport.
 ///
-/// A RunMetrics owns a Registry (completion histograms + job counters),
-/// optionally a SimSampler (when the config's interval > 0), and a bridge
-/// that copies every TraceSummary counter into the registry after the run.
-/// write_run_report() merges all of it into one JSON document; the
+/// A finished sched::RunResult already holds most of what a RunReport
+/// says: the job counts and completion histograms are functions of its
+/// records, and its TraceSummary holds the scheduler counters, which
+/// trace::summary_fields() enumerates.  A RunMetrics adds what the result
+/// cannot reproduce: the sim-time sampler (when the config's interval is
+/// > 0) and the interstice width at each interstitial dispatch.
+/// write_run_report() renders both into one JSON document; the
 /// deterministic sections are byte-identical across equal-seed runs, and
 /// wall-clock timers live in an explicitly separate section that
 /// ReportOptions can drop entirely.
@@ -35,14 +39,20 @@ namespace istc::metrics {
 std::uint64_t bounded_slowdown_milli(Seconds wait, Seconds runtime,
                                      Seconds tau = 10);
 
+/// A job log's completion histograms, in the order a RunReport lists them.
+struct CompletionHistograms {
+  Log2Histogram native_wait_s;
+  Log2Histogram interstitial_wait_s;
+  Log2Histogram native_slowdown_milli;  ///< bounded_slowdown_milli
+};
+
+/// Bin every record's wait (by class) and every native's bounded slowdown.
+CompletionHistograms completion_histograms(
+    std::span<const sched::JobRecord> records);
+
 class RunMetrics {
  public:
-  /// Instruments are registered up front so two runs configured alike
-  /// serialize identically even if one saw no interstitial jobs.
-  explicit RunMetrics(SamplerConfig cfg = {});
-
-  Registry& registry() { return registry_; }
-  const Registry& registry() const { return registry_; }
+  explicit RunMetrics(SamplerConfig cfg = {}) : cfg_(cfg) {}
 
   /// The sampler, or nullptr when sampling is disabled / not attached.
   const SimSampler* sampler() const {
@@ -50,30 +60,20 @@ class RunMetrics {
   }
   Seconds sample_interval() const { return cfg_.interval; }
 
+  /// Free CPUs at each interstitial dispatch (the interstice it filled).
+  const Log2Histogram& interstice_cpus_at_dispatch() const {
+    return interstice_cpus_at_dispatch_;
+  }
+
   /// Wire into a live run: installs the scheduler start hook (interstice
   /// width at interstitial dispatch) and, when the interval is set, the
   /// sim-time sampler (stop defaults to `span`).  Both observe only —
   /// attaching metrics never perturbs the schedule (pinned by tests).
   void attach(sim::Engine& engine, sched::BatchScheduler& sched, SimTime span);
 
-  /// Fill completion histograms and job counters from a finished run, and
-  /// bridge its TraceSummary counters into the registry.
-  void ingest(const sched::RunResult& result);
-
-  /// Histogram-only ingestion of a record subset (e.g. the largest-5%
-  /// native jobs for the Fig. 6 analysis).
-  void ingest_records(std::span<const sched::JobRecord> records);
-
  private:
   SamplerConfig cfg_;
-  Registry registry_;
-  HistogramId native_wait_s_;
-  HistogramId interstitial_wait_s_;
-  HistogramId native_slowdown_milli_;
-  HistogramId interstice_cpus_at_dispatch_;
-  CounterId jobs_native_completed_;
-  CounterId jobs_interstitial_completed_;
-  CounterId jobs_killed_;
+  Log2Histogram interstice_cpus_at_dispatch_;
   std::optional<SimSampler> sampler_;
 };
 
@@ -91,11 +91,12 @@ struct ReportOptions {
   bool include_wall_clock = true;
 };
 
-/// The unified RunReport: one JSON document (kRunReportSchema) merging
-/// run identity, job totals, deterministic registry counters/gauges,
-/// histogram buckets, the sampled time series, a one-element "machines"
-/// section (the v2 shape shared with fleet reports), and (optionally) the
-/// wall-clock counters.
+/// The unified RunReport: one JSON document (kRunReportSchema) with run
+/// identity, job totals, the counters (job counts, then every
+/// deterministic trace::summary_fields() row), histogram buckets, the
+/// sampled time series, a one-element "machines" section (the v2 shape
+/// shared with fleet reports), and (optionally) the wall-clock
+/// summary_fields() rows.  "gauges" stays an empty object, as v1 had it.
 void write_run_report(std::ostream& out, const sched::RunResult& result,
                       const RunMetrics& metrics,
                       const ReportOptions& options = {});
@@ -104,8 +105,14 @@ void write_run_report_file(const std::string& path,
                            const RunMetrics& metrics,
                            const ReportOptions& options = {});
 
-/// The sampled series alone, as CSV (header = SimSampler::columns()).
-/// No-op with a warning row when the metrics carry no sampler.
+/// Open one "machines" entry: the machine's identity, span, sim end and
+/// job counts, leaving the object open for further members and its
+/// closing brace.  Solo and fleet reports (grid/report.hpp) both start
+/// their entries here.
+void write_machine_entry(std::ostream& out, const sched::RunResult& run);
+
+/// The sampled series alone, as CSV (header = SimSampler::columns());
+/// the header alone when the metrics carry no sampler.
 void write_series_csv(const std::string& path, const RunMetrics& metrics);
 
 }  // namespace istc::metrics

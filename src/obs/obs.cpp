@@ -30,28 +30,48 @@ std::atomic<std::uint64_t> g_next_trace{1};
 constexpr std::size_t kProfileNames = 32;
 
 /// Only the ring's owner writes a counter, so it stores load + d: no
-/// read-modify-write, and a concurrent reader's relaxed load is race-free.
-void bump(std::atomic<std::uint64_t>& counter, std::uint64_t d) {
-  counter.store(counter.load(std::memory_order_relaxed) + d,
-                std::memory_order_relaxed);
+/// read-modify-write, and a concurrent reader's load is race-free.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t d,
+          std::memory_order order = std::memory_order_relaxed) {
+  counter.store(counter.load(std::memory_order_relaxed) + d, order);
 }
 
-/// One span name's log2 histogram of microseconds, kept as relaxed
-/// atomics so profile_snapshot() can read it while the owner writes.
+/// One span name's log2 histogram of nanoseconds, kept as owner-written
+/// atomics so profile_snapshot() can read it while the owner writes.  The
+/// owner stores min, max and sum before the bucket count, which it
+/// releases; a reader acquires the counts first, so every value it counts
+/// lies inside the range it then loads.
 struct NameProfile {
   std::atomic<const char*> name{nullptr};
   std::array<std::atomic<std::uint64_t>, metrics::Log2Histogram::kBuckets>
       counts{};
   std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> min{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max{0};
+
+  void add(std::uint64_t ns) {
+    if (ns < min.load(std::memory_order_relaxed)) {
+      min.store(ns, std::memory_order_relaxed);
+    }
+    if (ns > max.load(std::memory_order_relaxed)) {
+      max.store(ns, std::memory_order_relaxed);
+    }
+    bump(sum, ns);
+    bump(counts[static_cast<std::size_t>(
+             metrics::Log2Histogram::bucket_index(ns))],
+         1, std::memory_order_release);
+  }
 
   metrics::Log2Histogram load() const {
     std::uint64_t c[metrics::Log2Histogram::kBuckets];
     for (int k = 0; k < metrics::Log2Histogram::kBuckets; ++k) {
       c[k] = counts[static_cast<std::size_t>(k)].load(
-          std::memory_order_relaxed);
+          std::memory_order_acquire);
     }
     return metrics::Log2Histogram::from_counts(
-        c, sum.load(std::memory_order_relaxed));
+        c, sum.load(std::memory_order_relaxed),
+        min.load(std::memory_order_relaxed),
+        max.load(std::memory_order_relaxed));
   }
 };
 
@@ -74,7 +94,7 @@ struct ThreadRing {
   /// Span names are string literals, so the pointer is the key; equal
   /// names behind distinct pointers merge in profile_snapshot().  A new
   /// name is published with release, after its zeroed counters.
-  void observe(const char* name, std::uint64_t us) {
+  void observe(const char* name, std::uint64_t ns) {
     for (NameProfile& p : profile) {
       const char* mine = p.name.load(std::memory_order_relaxed);
       if (mine == nullptr) {
@@ -82,10 +102,7 @@ struct ThreadRing {
         mine = name;
       }
       if (mine == name) {
-        bump(p.counts[static_cast<std::size_t>(
-                 metrics::Log2Histogram::bucket_index(us))],
-             1);
-        bump(p.sum, us);
+        p.add(ns);
         return;
       }
     }
@@ -208,7 +225,7 @@ ScopedSpan::~ScopedSpan() {
   r.arg = arg_;
   ThreadRing& ring = my_ring();
   ring.push(r);
-  ring.observe(name_, (r.end_ns - r.start_ns) / 1000);
+  ring.observe(name_, r.end_ns - r.start_ns);
   t_context = saved_;
 }
 

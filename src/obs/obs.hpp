@@ -138,7 +138,7 @@ RecorderStats recorder_stats();
 /// One span name's wall-clock profile, merged across every ring.
 struct StageProfile {
   std::string label;  ///< the span name with '.' replaced by '_'
-  metrics::Log2Histogram us;  ///< span durations in microseconds
+  metrics::Log2Histogram ns;  ///< span durations in nanoseconds
 };
 
 /// Every span name closed since the last reset, ordered by label.  Safe

@@ -429,12 +429,12 @@ std::string Session::do_whatif(const WhatIfQuery& q) {
   w.end_array();
   w.end_object();
 
-  const auto wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
+  const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - wall0)
                            .count();
   {
     std::lock_guard lk(mu_);
-    query_latency_us_.add(static_cast<std::uint64_t>(wall_us));
+    query_latency_ns_.add(static_cast<std::uint64_t>(wall_ns));
   }
   return w.take();
 }
@@ -460,10 +460,15 @@ constexpr Quantile kQuantiles[] = {
 /// Profile rows carry their stage as a stats member and a `/metrics` label.
 constexpr const char* kRowKey = "stage";
 
+/// Every histogram behind a reading holds wall-clock nanoseconds; both
+/// surfaces show microseconds, converted here and nowhere else, so a
+/// sub-microsecond span still adds to its stage's sum and quantiles.
+double us(double ns) { return ns / 1000.0; }
+
 void write_summary(JsonWriter& w, const metrics::Log2Histogram& h) {
   w.member("count", h.total());
-  w.member("total_us", h.sum());
-  for (const Quantile& q : kQuantiles) w.member(q.key, h.quantile(q.q));
+  w.member("total_us", us(static_cast<double>(h.sum())));
+  for (const Quantile& q : kQuantiles) w.member(q.key, us(h.quantile(q.q)));
 }
 
 void write_summary(obs::PrometheusWriter& prom, const std::string& family,
@@ -473,9 +478,9 @@ void write_summary(obs::PrometheusWriter& prom, const std::string& family,
     char quantile[32];
     std::snprintf(quantile, sizeof quantile, "quantile=\"%g\"", q.q);
     prom.sample(family, labels.empty() ? quantile : labels + "," + quantile,
-                h.quantile(q.q));
+                us(h.quantile(q.q)));
   }
-  prom.sample(family + "_sum", labels, static_cast<double>(h.sum()));
+  prom.sample(family + "_sum", labels, us(static_cast<double>(h.sum())));
   prom.sample(family + "_count", labels, static_cast<double>(h.total()));
 }
 
@@ -493,7 +498,7 @@ void write_json(JsonWriter& w, const Reading::Value& value) {
             w.comma();
             w.begin_object();
             w.member(kRowKey, row.label);
-            write_summary(w, row.us);
+            write_summary(w, row.ns);
             w.end_object();
           }
           w.end_array();
@@ -586,7 +591,7 @@ std::vector<Reading> Session::session_readings() const {
        "ingest lines rejected as malformed or infeasible", ingests_rejected_},
       {"query_latency_us", "istc_service_query_latency_us", kSummary,
        "what-if wall-clock latency (microseconds, log2-bucketed)",
-       query_latency_us_, kStatus},
+       query_latency_ns_, kStatus},
   };
 }
 
@@ -676,7 +681,7 @@ std::string Session::prometheus_text() {
             for (const obs::StageProfile& row : v) {
               write_summary(prom, family,
                             std::string(kRowKey) + "=\"" + row.label + "\"",
-                            row.us);
+                            row.ns);
             }
           } else {
             prom.sample(family, "", static_cast<double>(v));

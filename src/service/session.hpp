@@ -156,7 +156,7 @@ class Session {
   std::uint64_t query_errors_ = 0;
   std::uint64_t ingests_ = 0;
   std::uint64_t ingests_rejected_ = 0;
-  metrics::Log2Histogram query_latency_us_;  ///< wall clock per what-if
+  metrics::Log2Histogram query_latency_ns_;  ///< wall clock per what-if
 };
 
 }  // namespace istc::service

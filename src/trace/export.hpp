@@ -48,10 +48,11 @@ struct SummaryField {
 };
 
 /// Every TraceSummary counter as an ordered (name, value, wall_clock)
-/// table.  This is the single enumeration both the counters.csv exporter
-/// and the metrics registry bridge consume, so a counter added here shows
-/// up everywhere at once.  Order is pinned: new fields append at the end,
-/// so existing CSV consumers keep their column offsets.
+/// table.  This is the single enumeration behind the counters.csv columns
+/// and the RunReport's `counters` and `wall_clock` sections
+/// (metrics/report.hpp), so a counter added here shows up everywhere at
+/// once.  Order is pinned: new fields append at the end, so existing CSV
+/// consumers keep their column offsets.
 std::vector<SummaryField> summary_fields(const TraceSummary& summary);
 
 /// Counter dump: one header row, one value row (util/csv formatting);

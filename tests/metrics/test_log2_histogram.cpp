@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -170,6 +171,62 @@ TEST(Log2Histogram, QuantileBracketsTheMedianOfAKnownSet) {
   const double p99 = h.quantile(0.99);
   EXPECT_GE(p99, 512.0);  // true p99 ~990
   EXPECT_LT(p99, 1024.0);
+}
+
+TEST(Log2Histogram, QuantileOfOneSampleIsThatSample) {
+  // One 2851 us what-if: its bucket [2048,4096) interpolates to 3072 at
+  // every q, above the only value observed; the clamp reads the sample.
+  Log2Histogram h;
+  h.add(2851);
+  EXPECT_EQ(h.min(), 2851u);
+  EXPECT_EQ(h.max(), 2851u);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 2851.0) << q;
+  }
+}
+
+/// A value uniform over bit widths [0, 40], then uniform within the width.
+std::uint64_t random_value(Rng& rng) {
+  const int width = static_cast<int>(rng.below(41));
+  const std::uint64_t lo = width == 0 ? 0 : std::uint64_t{1} << (width - 1);
+  return width == 0 ? 0 : lo + rng.below(lo);
+}
+
+TEST(Log2Histogram, QuantilesLieWithinTheObservedRange) {
+  // Half the samples go to each of two histograms, which are merged and
+  // rebuilt through from_counts: min and max survive add, merge and
+  // from_counts, and no quantile leaves [min, max].
+  Rng rng(0x3a11);
+  for (int trial = 0; trial < 300; ++trial) {
+    Log2Histogram a;
+    Log2Histogram b;
+    std::uint64_t lo = ~std::uint64_t{0};
+    std::uint64_t hi = 0;
+    const int n = 1 + static_cast<int>(rng.below(40));
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t v = random_value(rng);
+      (i % 2 == 0 ? a : b).add(v);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    a.merge(b);
+    const Log2Histogram& merged = a;
+    std::uint64_t counts[Log2Histogram::kBuckets];
+    for (int k = 0; k < Log2Histogram::kBuckets; ++k) {
+      counts[k] = merged.count(k);
+    }
+    const Log2Histogram rebuilt = Log2Histogram::from_counts(
+        counts, merged.sum(), merged.min(), merged.max());
+    for (const Log2Histogram* h : {&merged, &rebuilt}) {
+      ASSERT_EQ(h->min(), lo) << trial;
+      ASSERT_EQ(h->max(), hi) << trial;
+      for (int i = 0; i <= 100; ++i) {
+        const double v = h->quantile(static_cast<double>(i) / 100.0);
+        EXPECT_GE(v, static_cast<double>(lo)) << trial << " q" << i;
+        EXPECT_LE(v, static_cast<double>(hi)) << trial << " q" << i;
+      }
+    }
+  }
 }
 
 TEST(Log2Histogram, MergeSumsCountsTotalsAndSums) {

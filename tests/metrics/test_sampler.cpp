@@ -2,8 +2,9 @@
 // (equal-seed runs serialize to byte-identical RunReports), the tick grid
 // covers [start+interval .. stop] with a final partial tick, the probed
 // CPU-state columns always partition the machine's capacity — including
-// under unplanned failures — and the Scenario::metrics wiring feeds all of
-// it from a real site run.
+// under unplanned failures — the Scenario::metrics wiring feeds the
+// sampler and the dispatch hook from a real site run, and a RunReport's
+// counters are its RunResult's job counts and summary fields.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/driver.hpp"
 #include "core/experiment.hpp"
@@ -18,6 +21,8 @@
 #include "metrics/report.hpp"
 #include "metrics/sampler.hpp"
 #include "sim/engine.hpp"
+#include "trace/export.hpp"
+#include "trace/tracer.hpp"
 #include "util/rng.hpp"
 
 namespace istc::metrics {
@@ -50,12 +55,15 @@ std::vector<workload::Job> random_natives(std::uint64_t seed, int count) {
 }
 
 /// Miniature with native churn, a continual interstitial stream, and
-/// (optionally) crash + node faults; RunMetrics attached before the run.
+/// (optionally) crash + node faults and a tracer; RunMetrics attached
+/// before the run.
 sched::RunResult run_miniature(std::uint64_t seed, RunMetrics& metrics,
-                               bool with_faults = false) {
+                               bool with_faults = false,
+                               trace::Tracer* tracer = nullptr) {
   sim::Engine eng;
   cluster::Machine machine = machine_of(24);
   sched::BatchScheduler s(eng, machine, {});
+  if (tracer != nullptr) s.set_tracer(tracer);
   for (const auto& j : random_natives(seed, 60)) s.submit(j);
   core::ProjectSpec spec = core::ProjectSpec::continual_stream(4, 60, kSpan);
   spec.fault_retry.max_retries = 2;
@@ -76,9 +84,7 @@ sched::RunResult run_miniature(std::uint64_t seed, RunMetrics& metrics,
   }
   metrics.attach(eng, s, kSpan);
   eng.run();
-  auto result = s.take_result(kSpan);
-  metrics.ingest(result);
-  return result;
+  return s.take_result(kSpan);
 }
 
 std::string report_of(std::uint64_t seed, Seconds interval,
@@ -185,14 +191,15 @@ TEST(SimSampler, CpuSecDeltasSumToRecordCpuSeconds) {
   EXPECT_EQ(sampled, from_records);
 }
 
-TEST(RunMetrics, ScenarioWiringFeedsRegistryAndSampler) {
+TEST(RunMetrics, ScenarioWiringFeedsSamplerAndDispatchHook) {
   // The run_scenario integration path: Scenario::metrics attaches the
-  // bundle to a real site run and ingests the result.
+  // sampler and the start hook to a real site run.
   SamplerConfig cfg;
   cfg.interval = 6 * kSecondsPerHour;
   RunMetrics m(cfg);
   core::Scenario sc;
   sc.site = cluster::Site::kRoss;
+  sc.project = core::ProjectSpec::paper(200, 32, 120);
   sc.metrics = &m;
   const auto run = core::run_scenario(sc);
   core::clear_experiment_caches();
@@ -201,16 +208,61 @@ TEST(RunMetrics, ScenarioWiringFeedsRegistryAndSampler) {
   ASSERT_NE(s, nullptr);
   // Stop defaulted to the site span: final tick exactly at span.
   EXPECT_EQ(s->rows().back()[0], cluster::site_span(sc.site));
-  const auto* completed = m.registry().find_counter("jobs_native_completed");
-  ASSERT_NE(completed, nullptr);
-  EXPECT_EQ(completed->value, run.native_count());
-  // The TraceSummary bridge registers every summary counter (zero-valued
-  // here — the scenario ran untraced), so equal configs always serialize
-  // the same instrument set.
-  ASSERT_NE(m.registry().find_counter("sched_passes"), nullptr);
-  const auto* waits = m.registry().find_histogram("native_wait_s");
-  ASSERT_NE(waits, nullptr);
-  EXPECT_EQ(waits->hist.total(), run.native_count());
+  // One interstice width per interstitial start; nothing kills them here.
+  ASSERT_EQ(run.killed.size(), 0u);
+  EXPECT_EQ(run.interstitial_count(), 200u);
+  EXPECT_EQ(m.interstice_cpus_at_dispatch().total(), 200u);
+}
+
+using Counter = std::pair<std::string, std::uint64_t>;
+
+/// The members of the report's top-level object `key`, one `"name": value`
+/// line each, in document order.
+std::vector<Counter> report_section(const std::string& doc,
+                                    const std::string& key) {
+  std::vector<Counter> out;
+  const std::size_t at = doc.find("\n  \"" + key + "\": {\n");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return out;
+  std::istringstream in(doc.substr(at + 1));
+  std::string line;
+  std::getline(in, line);  // the key's own line
+  while (std::getline(in, line) && line.rfind("    \"", 0) == 0) {
+    const std::size_t colon = line.find("\": ");
+    out.emplace_back(line.substr(5, colon - 5),
+                     std::stoull(line.substr(colon + 3)));
+  }
+  return out;
+}
+
+TEST(RunReport, CountersAreTheSummaryFields) {
+  // Reported with a fresh RunMetrics that never saw the run, so every
+  // counter comes from the RunResult: the job counts, then each
+  // deterministic summary_fields() row in order; wall_clock is each
+  // wall-clock row in order.
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  RunMetrics attached;
+  const auto run = run_miniature(42, attached, /*with_faults=*/true, &tracer);
+  ASSERT_GT(run.native_count(), 0u);
+  ASSERT_GT(run.killed.size(), 0u);
+  std::ostringstream out;
+  write_run_report(out, run, RunMetrics{});
+  const std::string doc = out.str();
+
+  std::vector<Counter> counters = {
+      {"jobs_native_completed", run.native_count()},
+      {"jobs_interstitial_completed", run.interstitial_count()},
+      {"jobs_killed", run.killed.size()}};
+  std::vector<Counter> wall_clock;
+  for (const auto& f : trace::summary_fields(run.trace)) {
+    (f.wall_clock ? wall_clock : counters).emplace_back(f.name, f.value);
+  }
+  ASSERT_FALSE(wall_clock.empty());
+  EXPECT_EQ(report_section(doc, "counters"), counters);
+  EXPECT_EQ(report_section(doc, "wall_clock"), wall_clock);
+  EXPECT_NE(doc.find("{\"name\": \"native_wait_s\", \"count\": " +
+                     std::to_string(run.native_count()) + ","),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The span profile (obs::profile_snapshot): closing spans attribute to
 // their name, rows merge across rings, reset drops them, disabled spans
-// add none, and live reads race no span writer; and a what-if daemon
-// lists the labels its dashboards read while its ring count stays
-// bounded.
+// add none, sub-microsecond spans still show time, and live reads race no
+// span writer; and a what-if daemon lists the labels its dashboards read
+// while its ring count stays bounded.
 
 #include <gtest/gtest.h>
 
@@ -56,12 +56,14 @@ TEST_F(Profiler, ObservationsAttributeToTheirStage) {
   // Rows come out ordered by label; a label is the span name with '.'
   // replaced by '_'.
   EXPECT_EQ(profile[0].label, "ingest_rewind");
-  EXPECT_EQ(profile[0].us.total(), 1u);
-  EXPECT_GE(profile[0].us.sum(), 2000u);
-  EXPECT_GE(profile[0].us.quantile(0.50), 1024.0);
+  EXPECT_EQ(profile[0].ns.total(), 1u);
+  EXPECT_GE(profile[0].ns.sum(), 2'000'000u);
+  // One span: every quantile reads its duration.
+  EXPECT_EQ(profile[0].ns.quantile(0.50),
+            static_cast<double>(profile[0].ns.sum()));
   EXPECT_EQ(profile[1].label, "sweep_arm");
-  EXPECT_EQ(profile[1].us.total(), 3u);
-  EXPECT_GE(profile[1].us.quantile(0.99), profile[1].us.quantile(0.50));
+  EXPECT_EQ(profile[1].ns.total(), 3u);
+  EXPECT_GE(profile[1].ns.quantile(0.99), profile[1].ns.quantile(0.50));
 }
 
 TEST_F(Profiler, SnapshotMergesAcrossThreads) {
@@ -81,7 +83,7 @@ TEST_F(Profiler, SnapshotMergesAcrossThreads) {
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 1u);
   EXPECT_EQ(profile[0].label, "fleet_advance");
-  EXPECT_EQ(profile[0].us.total(),
+  EXPECT_EQ(profile[0].ns.total(),
             static_cast<std::uint64_t>(kThreads * kEach));
 }
 
@@ -98,7 +100,47 @@ TEST_F(Profiler, ResetProfilesDropsAllObservations) {
   }
   const auto profile = profile_snapshot();
   ASSERT_EQ(profile.size(), 1u);
-  EXPECT_EQ(profile[0].us.total(), 1u);
+  EXPECT_EQ(profile[0].ns.total(), 1u);
+}
+
+/// The value of the `/metrics` sample `series` (its name and labels, as
+/// printed); -1 if absent.
+double metric_sample(const std::string& text, const std::string& series) {
+  const std::size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1.0;
+  return std::stod(text.substr(at + series.size() + 2));
+}
+
+/// Spans shorter than a microsecond still add to their stage: the profile
+/// keeps nanoseconds, and only the summary writer shows microseconds.
+TEST_F(Profiler, EmptySpansShowTimeInStatsAndMetrics) {
+  constexpr int kSpans = 8;
+  for (int i = 0; i < kSpans; ++i) {
+    ScopedSpan span("sweep.prefix");
+  }
+  service::SessionConfig cfg;
+  cfg.site = cluster::Site::kRoss;
+  service::Session session(cfg);
+  const service::ParseResult stats =
+      service::parse(session.handle_line("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(stats.ok()) << stats.error;
+  const service::Value* prof = stats.value.find("profile");
+  ASSERT_NE(prof, nullptr);
+  const service::Value* row = nullptr;
+  for (const service::Value& r : prof->array) {
+    if (r.str_or("stage", "") == "sweep_prefix") row = &r;
+  }
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->num_or("count", 0), kSpans);
+  EXPECT_GT(row->num_or("total_us", 0), 0.0);
+  EXPECT_GT(row->num_or("p50_us", 0), 0.0);
+
+  const std::string text = session.prometheus_text();
+  const std::string stage = "stage=\"sweep_prefix\"";
+  EXPECT_GT(metric_sample(text, "istc_obs_stage_us_sum{" + stage + "}"), 0.0);
+  EXPECT_GT(metric_sample(text, "istc_obs_stage_us{" + stage +
+                                    ",quantile=\"0.5\"}"),
+            0.0);
 }
 
 std::string ingest(SimTime submit) {

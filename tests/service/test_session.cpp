@@ -345,6 +345,23 @@ TEST(Session, MetricsCountTraffic) {
   EXPECT_GT(lat->num_or("count", -1), 0);
 }
 
+// The latency histogram keeps nanoseconds and clamps its quantiles to the
+// observed range, so one what-if's summary reads that query's latency at
+// every quantile.
+TEST(Session, OneWhatIfLatencyReadsItsOwnValue) {
+  Session session(ross_config());
+  reply_of(session, "{\"op\":\"whatif\",\"jobs\":1,\"cpus\":8}");
+  const Value v = reply_of(session, "{\"op\":\"stats\"}");
+  const Value* lat = v.find("query_latency_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->num_or("count", -1), 1);
+  const double total = lat->num_or("total_us", -1);
+  EXPECT_GT(total, 0);
+  for (const char* q : {"p50_us", "p90_us", "p99_us"}) {
+    EXPECT_EQ(lat->num_or(q, -1), total) << q;
+  }
+}
+
 // -- one reading list: stats leaves and /metrics samples pair up -----------
 
 /// Every numeric or boolean leaf of a stats reply, keyed by its path; an
