@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 
@@ -94,6 +95,30 @@ double native_util_of(const sched::RunResult& run) {
   return metrics::average_utilization(run.records, run.machine.cpus, 0,
                                       run.span,
                                       metrics::JobFilter::kNativeOnly);
+}
+
+bool same_run(const sched::RunResult& a, const sched::RunResult& b) {
+  const auto same = [](const sched::JobRecord& x, const sched::JobRecord& y) {
+    return x.job.id == y.job.id && x.job.cpus == y.job.cpus &&
+           x.start == y.start && x.end == y.end;
+  };
+  return a.sim_end == b.sim_end &&
+         std::equal(a.records.begin(), a.records.end(), b.records.begin(),
+                    b.records.end(), same) &&
+         std::equal(a.killed.begin(), a.killed.end(), b.killed.begin(),
+                    b.killed.end(), same);
+}
+
+void print_wait_decades(const Log10Histogram (&scenarios)[3]) {
+  Table t;
+  t.headers({"log10 wait (s)", "no interstitial", "32CPU x 458s",
+             "32CPU x 3664s"});
+  for (std::size_t d = 0; d < scenarios[0].decades(); ++d) {
+    std::vector<std::string> row{Log10Histogram::bin_label(d)};
+    for (const auto& h : scenarios) row.push_back(Table::num(h.fraction(d), 3));
+    t.row(row);
+  }
+  t.print();
 }
 
 WaitCells wait_cells(std::span<const sched::JobRecord> records) {

@@ -51,6 +51,16 @@ std::string median_waits_cell(std::span<const sched::JobRecord> records);
 double overall_util(const sched::RunResult& run);
 double native_util_of(const sched::RunResult& run);
 
+/// Exact schedule equality, the fork == scratch gates' predicate: the same
+/// sim_end, then every completed and every killed record equal in order by
+/// job id, CPUs, start and end.
+bool same_run(const sched::RunResult& a, const sched::RunResult& b);
+
+/// The Figs. 5-6 table: one row per log10(seconds) wait decade, one column
+/// per scenario (no interstitial, 32CPU x 458s, 32CPU x 3664s), each cell
+/// the fraction of that scenario's native jobs in the decade.
+void print_wait_decades(const Log10Histogram (&scenarios)[3]);
+
 /// Wait-statistic cells shared by the ablation/comparator tables: waits in
 /// whole seconds, expansion factors with the papers' precision.  Computed
 /// in one wait_stats pass per field group.

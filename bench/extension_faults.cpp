@@ -96,24 +96,6 @@ VariantResult finish_variant(core::SimRun& run, const Variant& v,
   return r;
 }
 
-bool same_run(const sched::RunResult& a, const sched::RunResult& b) {
-  if (a.sim_end != b.sim_end || a.records.size() != b.records.size() ||
-      a.killed.size() != b.killed.size()) {
-    return false;
-  }
-  const auto same = [](const sched::JobRecord& x, const sched::JobRecord& y) {
-    return x.job.id == y.job.id && x.job.cpus == y.job.cpus &&
-           x.start == y.start && x.end == y.end;
-  };
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    if (!same(a.records[i], b.records[i])) return false;
-  }
-  for (std::size_t i = 0; i < a.killed.size(); ++i) {
-    if (!same(a.killed[i], b.killed[i])) return false;
-  }
-  return true;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -200,7 +182,7 @@ int main() {
   // --- Fork determinism gate: forked == from-scratch, every variant.
   bool forks_exact = true;
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    if (!same_run(forked[i].run, scratch[i].run) ||
+    if (!bench::same_run(forked[i].run, scratch[i].run) ||
         forked[i].counters.faults_injected !=
             scratch[i].counters.faults_injected) {
       std::printf("FORK MISMATCH: %s ckpt=%lld\n", variants[i].name,
@@ -209,7 +191,7 @@ int main() {
     }
   }
   for (std::size_t i = 0; i < native_variants.size(); ++i) {
-    if (!same_run(forked_native[i].run, scratch_native[i].run)) {
+    if (!bench::same_run(forked_native[i].run, scratch_native[i].run)) {
       std::printf("FORK MISMATCH (native-only): %s\n", native_variants[i].name);
       forks_exact = false;
     }

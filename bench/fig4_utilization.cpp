@@ -1,13 +1,11 @@
 // Figure 4: Blue Mountain utilization over the log, without (top) and with
-// (bottom) continual interstitial computing.  Ported to the telemetry
-// layer: the hourly series comes from the sim-time sampler's busy-CPU
-// integral deltas, and is asserted bucket-by-bucket against the legacy
-// record-based metrics::utilization_series (exit 1 on mismatch).
-
-#include <cmath>
+// (bottom) continual interstitial computing.  The hourly series is
+// metrics::utilization_series of the runs Table 6 and Figs. 5-6 read
+// (core::native_baseline and core::continual_run(site, 32, 120)).  The
+// exit code is the paper's claim: the continual stream raises both the
+// hours at >= 95% utilization and the mean utilization.
 
 #include "common.hpp"
-#include "metrics/report.hpp"
 #include "util/csv.hpp"
 
 namespace {
@@ -42,39 +40,8 @@ std::vector<double> daily(const std::vector<double>& hourly) {
   return out;
 }
 
-/// Hourly utilization from the sampler's per-interval busy-CPU-second
-/// deltas (native + interstitial), divided by the full-hour capacity —
-/// the same convention as metrics::utilization_series.
-std::vector<double> sampled_hourly(const metrics::RunMetrics& m, int cpus) {
-  const metrics::SimSampler* s = m.sampler();
-  std::vector<double> out;
-  out.reserve(s->rows().size());
-  const double denom =
-      static_cast<double>(cpus) * static_cast<double>(kSecondsPerHour);
-  for (const auto& row : s->rows()) {
-    out.push_back(static_cast<double>(row[12] + row[13]) / denom);
-  }
-  return out;
-}
-
-/// The cross-check the port hangs on: sampled integral deltas must equal
-/// the record-overlap computation exactly (both are integer CPU-second
-/// sums below 2^53, so the doubles are exact).
-bool series_match(const std::vector<double>& sampled,
-                  const std::vector<double>& legacy, const char* what) {
-  if (sampled.size() != legacy.size()) {
-    std::fprintf(stderr, "FAIL %s: %zu sampled buckets vs %zu legacy\n", what,
-                 sampled.size(), legacy.size());
-    return false;
-  }
-  for (std::size_t h = 0; h < sampled.size(); ++h) {
-    if (std::fabs(sampled[h] - legacy[h]) > 1e-9) {
-      std::fprintf(stderr, "FAIL %s: bucket %zu sampled %.12f legacy %.12f\n",
-                   what, h, sampled[h], legacy[h]);
-      return false;
-    }
-  }
-  return true;
+std::vector<double> hourly(const sched::RunResult& run) {
+  return metrics::utilization_series(run.records, run.machine.cpus, run.span);
 }
 
 }  // namespace
@@ -83,41 +50,14 @@ int main() {
   const std::string csv_path = bench::artifact_path("fig4_util.csv");
   bench::print_preamble(
       "Figure 4 — Blue Mountain utilization, native vs continual",
-      ("Hourly utilization from the sim-time sampler; dips to zero are "
+      ("Hourly utilization from the job records; dips to zero are "
        "outages.  CSV: " + csv_path).c_str());
 
   const auto site = cluster::Site::kBlueMountain;
-  const SimTime span = cluster::site_span(site);
-
-  metrics::SamplerConfig cfg;
-  cfg.interval = kSecondsPerHour;  // stop defaults to the site span
-
-  metrics::RunMetrics m0(cfg);
-  core::Scenario native;
-  native.site = site;
-  native.metrics = &m0;
-  const auto base = core::run_scenario(native);
-
-  metrics::RunMetrics m1(cfg);
-  core::Scenario continual;
-  continual.site = site;
-  continual.project =
-      core::ProjectSpec::continual_stream(32, 120, span);
-  continual.metrics = &m1;
-  const auto with_i = core::run_scenario(continual);
-
-  const auto u0 = sampled_hourly(m0, base.machine.cpus);
-  const auto u1 = sampled_hourly(m1, with_i.machine.cpus);
-
-  // Port check: the sampler-derived series must reproduce the legacy
-  // record-based series on both scenarios.
-  const bool ok =
-      series_match(u0, metrics::utilization_series(
-                           base.records, base.machine.cpus, base.span),
-                   "native") &&
-      series_match(u1, metrics::utilization_series(
-                           with_i.records, with_i.machine.cpus, with_i.span),
-                   "continual");
+  const auto& base = core::native_baseline(site);
+  const auto& with_i = core::continual_run(site, 32, 120);
+  const auto u0 = hourly(base);
+  const auto u1 = hourly(with_i);
 
   try {
     CsvWriter csv(csv_path);
@@ -145,11 +85,11 @@ int main() {
     h1_sat += u >= 0.95;
     h1_idle += u <= 0.05;
   }
+  const double mean0 = bench::overall_util(base);
+  const double mean1 = bench::overall_util(with_i);
   Table t;
   t.headers({"", "native only", "with interstitial"});
-  t.row({"mean utilization",
-         Table::num(bench::overall_util(base), 3),
-         Table::num(bench::overall_util(with_i), 3)});
+  t.row({"mean utilization", Table::num(mean0, 3), Table::num(mean1, 3)});
   t.row({"hours at >= 95%",
          Table::integer(static_cast<long long>(h0_sat)),
          Table::integer(static_cast<long long>(h1_sat))});
@@ -159,10 +99,11 @@ int main() {
   t.row({"total hours", Table::integer(static_cast<long long>(u0.size())),
          Table::integer(static_cast<long long>(u1.size()))});
   t.print();
+  const bool ok = h1_sat > h0_sat && mean1 > mean0;
   std::printf(
       "\nPaper shape check: with interstitial computing the machine runs at\n"
-      "essentially 100%% except for outages (the bottom panel of Fig. 4).\n");
-  std::printf("\nsampler vs record series cross-check: %s\n",
-              ok ? "MATCH" : "MISMATCH");
+      "essentially 100%% except for outages (the bottom panel of Fig. 4).\n"
+      "continual stream raises hours at >= 95%% and mean utilization: %s\n",
+      ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }

@@ -1,120 +1,78 @@
 // Table 8 (second, "limited"): continual interstitial computing on Blue
 // Mountain with submission restricted to instantaneous utilization caps of
-// 90%, 95% and 98% (32-CPU x 458 s jobs) — run as a fork-tree sweep.
-//
-// All four cap settings share the identical uncapped stream up to the
-// divergence time t0 (three quarters of the log); from there each point
-// caps its own fork of the run (windowed-cap semantics: the cap governs
-// submission from t0 on).  core::SweepRunner simulates [0, t0] once, forks
-// one SimRun per cap, and re-simulates every point from scratch as the
-// reference arm.  The exit gate is the tentpole's contract: every capped
-// window bit-identical between the arms, and the forked sweep at least 2x
-// faster end-to-end (1.3x under ISTC_QUICK; ISTC_FORK_SPEEDUP_MIN
-// overrides).  Threads are pinned to 1 so the speedup measures prefix
-// reuse, not host parallelism.
+// 90%, 95% and 98% for the whole run (32-CPU x 458 s jobs).  Each column is
+// core::continual_run(site, 32, 120, cap), the runs
+// PaperProperties.UtilizationCapTradeoff pins.  The exit code is the
+// paper's claim: interstitial throughput falls strictly as the cap
+// tightens, and native utilization stays that of the uncapped run.
 
-#include <cstdlib>
-#include <memory>
+#include <cmath>
+#include <iterator>
 
 #include "common.hpp"
-#include "core/fork.hpp"
-#include "core/sweep.hpp"
-
-namespace {
-
-using namespace istc;
-
-bool same_run(const sched::RunResult& a, const sched::RunResult& b) {
-  if (a.sim_end != b.sim_end || a.records.size() != b.records.size() ||
-      a.killed.size() != b.killed.size()) {
-    return false;
-  }
-  const auto same = [](const sched::JobRecord& x, const sched::JobRecord& y) {
-    return x.job.id == y.job.id && x.job.cpus == y.job.cpus &&
-           x.start == y.start && x.end == y.end;
-  };
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    if (!same(a.records[i], b.records[i])) return false;
-  }
-  for (std::size_t i = 0; i < a.killed.size(); ++i) {
-    if (!same(a.killed[i], b.killed[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main() {
   using namespace istc;
   bench::print_preamble(
       "Table 8 (limited) — Capped continual interstitial, Blue Mountain",
-      "Caps applied from the fork point on; interstitial jobs submitted "
-      "only while (busy + new)/N stays below the cap.");
+      "Interstitial jobs submitted only while (busy + new)/N stays below "
+      "the cap, over the whole run.");
 
   const auto site = cluster::Site::kBlueMountain;
-  const auto& base = core::native_baseline(site);
-  const SimTime span = cluster::site_span(site);
-  // The uncapped stream is the shared prefix; caps bite in the back
-  // eighth of the log.  (Sim-time is not wall-time: the back stretch is
-  // denser in events — stream churn plus the drain — so the final eighth
-  // still holds roughly a quarter of the per-run wall clock.)
-  const SimTime t0 = span / 8 * 7;
-
   const double caps[] = {0.90, 0.95, 0.98, 1.0};
-  constexpr std::size_t kPoints = std::size(caps);
+  constexpr std::size_t kUnlimited = std::size(caps) - 1;
+  const sched::RunResult* runs[std::size(caps)] = {};
+  for (std::size_t i = 0; i < std::size(caps); ++i) {
+    runs[i] = &core::continual_run(site, 32, 120, caps[i]);
+  }
+  const auto jobs = [&runs](std::size_t i) {
+    return static_cast<double>(runs[i]->interstitial_count());
+  };
+  const double unlimited_native = bench::native_util_of(*runs[kUnlimited]);
 
-  core::SweepRunner<core::SimRun> sweep(kPoints, [&](std::size_t) {
-    return std::make_unique<core::SimRun>(bench::bluemtn_scenario(32, 120));
-  });
-  sweep.set_threads(1);  // measure prefix reuse, not host parallelism
-  const auto verified = sweep.run_verified(
-      t0,
-      [&](core::SimRun& run, std::size_t i) {
-        if (caps[i] < 1.0) run.driver()->set_utilization_cap(caps[i]);
-        return run.finish();
-      },
-      same_run);
-
-  Table t;
+  const Seconds runtime = core::ProjectSpec::continual_stream(32, 120, 1)
+                              .runtime_on(runs[kUnlimited]->machine);
+  Table t("32CPU x " + std::to_string(runtime) + "s stream");
   t.headers({"", "Util < 90%", "Util < 95%", "Util < 98%", "Unlimited"});
   std::vector<std::string> inter{"Interstitial jobs"},
-      native{"Native jobs"}, overall{"Overall Utilization"},
-      nutil{"Native Utilization"}, waits{"Median wait (ks) all / 5% largest"};
-  for (const auto& run : verified.forked) {
+      drop{"Drop vs unlimited"}, native{"Native jobs"},
+      overall{"Overall Utilization"}, nutil{"Native Utilization"},
+      waits{"Median wait (ks) all / 5% largest"};
+  // The claims: each tighter cap costs jobs, and natives keep the
+  // utilization they have without a cap.
+  bool falls = true;
+  bool native_held = true;
+  for (std::size_t i = 0; i < std::size(caps); ++i) {
+    const sched::RunResult& run = *runs[i];
     inter.push_back(
         Table::integer(static_cast<long long>(run.interstitial_count())));
+    drop.push_back(i == kUnlimited
+                       ? "-"
+                       : Table::num(100.0 * (1.0 - jobs(i) / jobs(kUnlimited)),
+                                    1) + "%");
     native.push_back(
         Table::integer(static_cast<long long>(run.native_count())));
     overall.push_back(Table::num(bench::overall_util(run), 3));
     nutil.push_back(Table::num(bench::native_util_of(run), 3));
     waits.push_back(bench::median_waits_cell(run.records));
+    if (i > 0) falls = falls && jobs(i - 1) < jobs(i);
+    native_held = native_held &&
+                  std::fabs(bench::native_util_of(run) - unlimited_native) <=
+                      0.005;
   }
-  for (auto* row : {&inter, &native, &overall, &nutil, &waits}) t.row(*row);
+  for (auto* row : {&inter, &drop, &native, &overall, &nutil, &waits}) {
+    t.row(*row);
+  }
   t.print();
 
-  const bool quick = std::getenv("ISTC_QUICK") != nullptr;
-  double min_speedup = quick ? 1.3 : 2.0;
-  if (const char* env = std::getenv("ISTC_FORK_SPEEDUP_MIN")) {
-    min_speedup = std::atof(env);
-  }
-  const bool fast_enough =
-      min_speedup <= 0 || verified.speedup() >= min_speedup;
-
-  const double base_util = bench::overall_util(base);
   std::printf(
       "\nNative-only baseline utilization: %.3f\n"
-      "Caps are applied at the fork point t0 = %.0f h (of %.0f h): the\n"
-      "four settings share one uncapped prefix simulation, then each fork\n"
-      "caps its own submission stream.  Paper (whole-run caps): 90%%\n"
-      "costs ~40%% of the interstitial jobs, 95%% ~20%%, 98%% ~10%%; here\n"
-      "the cap only governs the final eighth, so the job deltas are\n"
-      "proportionally smaller but ordered the same way.\n"
-      "fork results bit-identical to from-scratch runs: %s\n"
-      "sweep wall time: forked %.2fs vs from-scratch %.2fs (%.2fx, need "
-      ">=%.2fx)\n",
-      base_util, static_cast<double>(t0) / 3600.0,
-      static_cast<double>(span) / 3600.0, verified.equal ? "yes" : "NO",
-      verified.forked_wall_s, verified.scratch_wall_s, verified.speedup(),
-      min_speedup);
-  return (verified.equal && fast_enough) ? 0 : 1;
+      "Paper: the 90%% cap costs ~40%% of the interstitial jobs, 95%% ~20%%,\n"
+      "98%% ~10%%, and native jobs keep their utilization.\n"
+      "interstitial jobs fall strictly as the cap tightens: %s\n"
+      "native utilization within 0.005 of the uncapped run's at every cap: "
+      "%s\n",
+      bench::overall_util(core::native_baseline(site)), falls ? "yes" : "NO",
+      native_held ? "yes" : "NO");
+  return (falls && native_held) ? 0 : 1;
 }

@@ -112,10 +112,14 @@ void print_run_summary(const char* title, const sched::RunResult& run) {
 }
 
 /// Shared --trace / --trace-chrome / --trace-csv handling.  Returns an
-/// engaged tracer when any export was requested.
+/// engaged tracer when any export was requested: one that records events
+/// for the event exports, counters only when the counter CSV is all.
 std::optional<trace::Tracer> make_tracer(const ArgParser& args) {
-  if (args.get("trace") || args.get("trace-chrome") || args.get("trace-csv")) {
+  if (args.get("trace") || args.get("trace-chrome")) {
     return std::make_optional<trace::Tracer>(trace::TraceMode::kFull);
+  }
+  if (args.get("trace-csv")) {
+    return std::make_optional<trace::Tracer>(trace::TraceMode::kCountersOnly);
   }
   return std::nullopt;
 }

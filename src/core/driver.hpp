@@ -83,11 +83,11 @@ class InterstitialDriver {
     spec_.fault_retry = policy;
   }
 
-  /// Sweep support: swap the instantaneous utilization cap (Table 9's
+  /// Sweep support: swap the instantaneous utilization cap (Table 8's
   /// limited mode) mid-run.  The cap is consulted per pass when sizing the
   /// next submission burst, so setting it on a freshly forked run caps the
   /// stream from the fork point on — the windowed-cap semantics the
-  /// fork-tree cap sweep measures (bench/table9_limited.cpp), with the
+  /// fork-tree cap sweep measures (bench/sweep_forks.cpp, gate 1), with the
   /// fork==scratch gate pinning that a scratch run receiving the same cap
   /// at the same instant behaves bit-identically.
   void set_utilization_cap(double cap) {

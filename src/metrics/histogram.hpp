@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <string>
 
 /// \file histogram.hpp
 /// Log-bucketed histogram with power-of-two buckets: allocation-free,
 /// integer-only, deterministic.  Bucket 0 holds the value 0; bucket k >= 1
 /// holds [2^(k-1), 2^k), so any uint64 lands somewhere and the index is a
-/// single std::bit_width.  This replaces the bespoke per-bench binning in
-/// the wait-histogram figures with one shared, tested implementation.
+/// single std::bit_width.  The RunReport's completion histograms and the
+/// daemon's wall-clock profiles share it.
 
 namespace istc::metrics {
 
@@ -143,8 +142,5 @@ class Log2Histogram {
   std::uint64_t min_ = ~std::uint64_t{0};
   std::uint64_t max_ = 0;
 };
-
-/// Human-readable bucket range, e.g. "0", "[1,2)", "[2,4)"; for tables.
-std::string bucket_label(int k);
 
 }  // namespace istc::metrics

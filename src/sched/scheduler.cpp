@@ -303,7 +303,6 @@ void BatchScheduler::make_reservation(std::uint32_t slot, SimTime t) {
     plan_live_ = true;
   }
   plan_.reserve(t, t + job.estimate, job.cpus);
-  ++stats_.reservations;
 #ifdef ISTC_PARANOID
   verdict_reserved_.push_back(t);
 #endif
@@ -377,8 +376,6 @@ SchedulerProbe BatchScheduler::probe() const {
 void BatchScheduler::pass(SimTime now) {
   ISTC_ASSERT(!in_pass_);
   in_pass_ = true;
-  ++stats_.passes;
-  stats_.max_queue_length = std::max(stats_.max_queue_length, pending_.size());
   // Pass timing is one chained sequence of clock reads at segment
   // boundaries (setup, then each stage), handed to the summary in ns;
   // TraceSummary::add_pass keeps stage_setup_us + sum(stage_us) ==
@@ -446,16 +443,11 @@ void BatchScheduler::prioritize() {
   const bool reuse =
       order_cached_ && !pending_dirty_ && prio_epoch_ == fairshare_.epoch();
   st.order_reused = reuse;
-  if (reuse) {
-    ++stats_.priority_reuses;
-    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-      ++tracer_->counters().priority_reuses;
-    }
-  } else {
-    ++stats_.priority_recomputes;
-    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-      ++tracer_->counters().priority_recomputes;
-    }
+  if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
+    auto& c = tracer_->counters();
+    ++(reuse ? c.priority_reuses : c.priority_recomputes);
+  }
+  if (!reuse) {
     prio_.resize(n);
     // One deficit evaluation per (user, group) principal instead of one per
     // job; priority() is pure, so the memo is bit-identical to recomputing.
@@ -564,7 +556,6 @@ void BatchScheduler::replay() {
   // The head always reserves; under conservative backfill every waiter.
   const std::size_t reserving =
       policy_.backfill == BackfillMode::kConservative ? pending_.size() : 1;
-  stats_.reservations += reserving;
   if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
     auto& c = tracer_->counters();
     c.backfill_scans += pending_.size();
@@ -700,7 +691,6 @@ void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
   // The slot parks as a zombie: the queued finish event still references
   // it, and its firing frees the slot.
   store_.mark_zombie(slot);
-  if (job.interstitial()) ++stats_.interstitial_kills;
   if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
     auto& c = tracer_->counters();
     if (reason == KillReason::kPreempted) {

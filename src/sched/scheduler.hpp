@@ -91,23 +91,18 @@ struct PassContext {
 };
 
 /// Cheap counters exposed for diagnostics, tests, and the micro benches.
+/// What a counting tracer's TraceSummary records (passes, reservations,
+/// kills, priority recomputes and reuses) is counted there only.
 struct SchedulerStats {
-  std::uint64_t passes = 0;
   std::uint64_t native_starts = 0;
   std::uint64_t interstitial_starts = 0;
   /// Native jobs started while a higher-priority job stayed blocked in the
   /// same pass — i.e. genuine backfill starts.
   std::uint64_t backfilled_starts = 0;
-  std::uint64_t reservations = 0;
   std::uint64_t wakeups = 0;
-  std::uint64_t interstitial_kills = 0;
-  /// Passes that re-sorted the queue vs. reused the cached priority order.
-  std::uint64_t priority_recomputes = 0;
-  std::uint64_t priority_reuses = 0;
   /// Passes that replayed the last full pass's verdicts instead of
   /// walking the queue (see BatchScheduler::replay()).
   std::uint64_t replayed_passes = 0;
-  std::size_t max_queue_length = 0;
 };
 
 /// Instantaneous scheduler state as seen by the metrics sampler.  Every

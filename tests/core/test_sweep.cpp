@@ -2,7 +2,7 @@
 // results at any thread count, and each forked point must match the same
 // point re-simulated from scratch — including when the shared prefix
 // itself carries a fault process.  This pins the contract the bench exit
-// gates (table9_limited, sweep_forks) are built on.
+// gates (sweep_forks, extension_faults) are built on.
 
 #include <gtest/gtest.h>
 

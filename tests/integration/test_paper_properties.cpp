@@ -79,22 +79,42 @@ TEST(PaperProperties, FallibleSlowerThanOmniscient) {
   EXPECT_GT(fall.summary().mean(), 0.8 * omni.summary().mean());
 }
 
+// The measured values below are pinned with a margin of 0.005 on each
+// fraction and 0.002 on each utilization: the runs are deterministic, so
+// the margin admits the rounding of the printed value (0.0005) and a
+// schedule shift too small to move the paper's shape; a larger shift fails
+// here and the value is re-measured with bench/table9_limited or
+// bench/fig5_wait_histogram / fig6_largest_wait_histogram.
+constexpr double kFractionMargin = 0.005;
+constexpr double kUtilMargin = 0.002;
+
 TEST(PaperProperties, UtilizationCapTradeoff) {
-  // Table 8: caps of 90/95/98% trade interstitial throughput for native
-  // protection — throughput is monotone in the cap, native impact too.
+  // Table 8 (limited): caps of 90/95/98% trade interstitial throughput for
+  // native protection — throughput is monotone in the cap, native impact
+  // too.
   const auto& full = core::continual_run(Site::kBlueMountain, 32, 120);
   const auto& cap98 = core::continual_run(Site::kBlueMountain, 32, 120, 0.98);
   const auto& cap95 = core::continual_run(Site::kBlueMountain, 32, 120, 0.95);
   const auto& cap90 = core::continual_run(Site::kBlueMountain, 32, 120, 0.90);
   EXPECT_LT(cap90.interstitial_count(), cap95.interstitial_count());
   EXPECT_LT(cap95.interstitial_count(), cap98.interstitial_count());
-  EXPECT_LE(cap98.interstitial_count(), full.interstitial_count());
+  EXPECT_LT(cap98.interstitial_count(), full.interstitial_count());
   // The paper: the 90% cap drops jobs by ~40% vs unlimited, 95% by ~20%,
-  // 98% by ~10%.
-  const double drop90 = 1.0 - static_cast<double>(cap90.interstitial_count()) /
-                                  static_cast<double>(full.interstitial_count());
-  EXPECT_GT(drop90, 0.10);
-  EXPECT_LT(drop90, 0.70);
+  // 98% by ~10%.  Measured: 25.6%, 14.3%, 6.4%.
+  const auto drop = [&full](const sched::RunResult& capped) {
+    return 1.0 - static_cast<double>(capped.interstitial_count()) /
+                     static_cast<double>(full.interstitial_count());
+  };
+  EXPECT_NEAR(drop(cap90), 0.256, kFractionMargin);
+  EXPECT_NEAR(drop(cap95), 0.143, kFractionMargin);
+  EXPECT_NEAR(drop(cap98), 0.064, kFractionMargin);
+  // Natives keep their utilization (0.792) at every cap.
+  for (const auto* run : {&full, &cap98, &cap95, &cap90}) {
+    EXPECT_NEAR(metrics::average_utilization(
+                    run->records, run->machine.cpus, 0, run->span,
+                    metrics::JobFilter::kNativeOnly),
+                0.792, kUtilMargin);
+  }
   // Native wait impact shrinks as the cap tightens.
   const auto w_full = metrics::wait_stats(full.records);
   const auto w_90 = metrics::wait_stats(cap90.records);
@@ -136,16 +156,25 @@ TEST(PaperProperties, LargestJobsBearTheImpact) {
 }
 
 TEST(PaperProperties, WaitDistributionPushedOutByDecades) {
-  // Figs. 5-6: the (0,1] second peak of the no-interstitial case moves out
+  // Figs. 5-6: the [0,1) decade peak of the no-interstitial case moves out
   // toward the interstitial-runtime decade.
   const auto& base = core::native_baseline(Site::kBlueMountain);
   const auto& with_i = core::continual_run(Site::kBlueMountain, 32, 120);
   const auto h0 = metrics::wait_histogram(base.records);
   const auto h1 = metrics::wait_histogram(with_i.records);
-  // Mass in the first decade shrinks...
-  EXPECT_LT(h1.fraction(0), h0.fraction(0));
-  // ...and re-appears around the 458-second decade ([2,3)).
-  EXPECT_GT(h1.fraction(2), h0.fraction(2));
+  // Mass in the first decade shrinks (0.495 -> 0.333)...
+  EXPECT_NEAR(h0.fraction(0), 0.495, kFractionMargin);
+  EXPECT_NEAR(h1.fraction(0), 0.333, kFractionMargin);
+  // ...and re-appears around the 458-second decade, [2,3) (0.038 -> 0.111).
+  EXPECT_NEAR(h0.fraction(2), 0.038, kFractionMargin);
+  EXPECT_NEAR(h1.fraction(2), 0.111, kFractionMargin);
+  // Fig. 6: the largest 5% lose their first decade entirely (0.178 -> 0).
+  const auto b0 =
+      metrics::wait_histogram(metrics::largest_native(base.records, 0.05));
+  const auto b1 =
+      metrics::wait_histogram(metrics::largest_native(with_i.records, 0.05));
+  EXPECT_NEAR(b0.fraction(0), 0.178, kFractionMargin);
+  EXPECT_NEAR(b1.fraction(0), 0.000, kFractionMargin);
 }
 
 TEST(PaperProperties, FallibleInfeasibleForHugeProjectOnBluePacific) {

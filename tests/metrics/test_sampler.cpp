@@ -3,11 +3,14 @@
 // covers [start+interval .. stop] with a final partial tick, the probed
 // CPU-state columns always partition the machine's capacity — including
 // under unplanned failures — the Scenario::metrics wiring feeds the
-// sampler and the dispatch hook from a real site run, and a RunReport's
-// counters are its RunResult's job counts and summary fields.
+// sampler and the dispatch hook from a real site run, whose sampled
+// busy-CPU seconds reproduce the Fig. 4 utilization series interval by
+// interval, and a RunReport's counters are its RunResult's job counts and
+// summary fields.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -20,6 +23,7 @@
 #include "fault/fault.hpp"
 #include "metrics/report.hpp"
 #include "metrics/sampler.hpp"
+#include "metrics/utilization.hpp"
 #include "sim/engine.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -174,7 +178,7 @@ TEST(SimSampler, ProbedCpuStatesPartitionCapacityUnderFaults) {
 TEST(SimSampler, CpuSecDeltasSumToRecordCpuSeconds) {
   // Kill-free miniature: the per-interval busy-CPU-second deltas must sum
   // to exactly the CPU-seconds of all completed records clipped to the
-  // span — the identity the fig4 port rests on.
+  // span.
   SamplerConfig cfg;
   cfg.interval = 60;
   RunMetrics m(cfg);
@@ -212,6 +216,20 @@ TEST(RunMetrics, ScenarioWiringFeedsSamplerAndDispatchHook) {
   ASSERT_EQ(run.killed.size(), 0u);
   EXPECT_EQ(run.interstitial_count(), 200u);
   EXPECT_EQ(m.interstice_cpus_at_dispatch().total(), 200u);
+  // Kill-free, so each interval's busy-CPU-second deltas (native +
+  // interstitial) are the record-overlap numerator of the same bucket of
+  // utilization_series, the Fig. 4 series; the partial final interval
+  // matches the clipped final bucket.
+  const auto series = utilization_series(run.records, run.machine.cpus,
+                                         run.span, cfg.interval);
+  ASSERT_EQ(s->rows().size(), series.size());
+  const double capacity = static_cast<double>(run.machine.cpus) *
+                          static_cast<double>(cfg.interval);
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    const auto& row = s->rows()[k];
+    EXPECT_EQ(row[12] + row[13], std::llround(series[k] * capacity))
+        << "interval " << k;
+  }
 }
 
 using Counter = std::pair<std::string, std::uint64_t>;

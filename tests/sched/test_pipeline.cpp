@@ -46,15 +46,17 @@ TEST(Pipeline, PriorityOrderReusedBetweenLedgerCharges) {
   sim::Engine eng;
   PolicySpec policy;
   BatchScheduler s(eng, machine_of(12), policy);
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  s.set_tracer(&tracer);
   // A deep queue on a small machine: many passes see an unchanged pending
   // set between completions (charges), so the sorted order must be reused.
   submit_random_burst(s, 60, 33);
   eng.run();
-  const auto& st = s.stats();
-  EXPECT_GT(st.priority_reuses, 0u);
-  EXPECT_GT(st.priority_recomputes, 0u);
+  const auto& sum = tracer.summary();
+  EXPECT_GT(sum.priority_reuses, 0u);
+  EXPECT_GT(sum.priority_recomputes, 0u);
   // Every pass with a non-empty queue either recomputed or reused.
-  EXPECT_LE(st.priority_recomputes + st.priority_reuses, st.passes);
+  EXPECT_LE(sum.priority_recomputes + sum.priority_reuses, sum.sched_passes);
   s.take_result(10000);
 }
 
@@ -64,15 +66,14 @@ TEST(Pipeline, StageTimersLandInTraceSummaryWhenCounting) {
   BatchScheduler s(eng, machine_of(16), policy);
   trace::Tracer tracer(trace::TraceMode::kCountersOnly);
   s.set_tracer(&tracer);
+  std::uint64_t passes = 0;
+  s.set_post_pass_hook([&passes](const PassContext&) { ++passes; });
   submit_random_burst(s, 30, 55);
   eng.run();
   const auto& sum = tracer.summary();
   EXPECT_GT(sum.sched_passes, 0u);
   // Every pass lands in the summary exactly once.
-  EXPECT_EQ(sum.sched_passes, s.stats().passes);
-  // The priority cache counters mirror the scheduler's own stats.
-  EXPECT_EQ(sum.priority_recomputes, s.stats().priority_recomputes);
-  EXPECT_EQ(sum.priority_reuses, s.stats().priority_reuses);
+  EXPECT_EQ(sum.sched_passes, passes);
   s.take_result(10000);
 }
 

@@ -7,6 +7,7 @@
 
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "trace/tracer.hpp"
 
 namespace istc::sched {
 namespace {
@@ -54,6 +55,8 @@ struct Harness {
 
 TEST(Preemption, NativeStartsImmediatelyByEvicting) {
   Harness s(preempting_policy());
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  s.sched.set_tracer(&tracer);
   s.eng.run(0);
   for (workload::JobId i = 100; i < 105; ++i) {
     ASSERT_TRUE(s.sched.try_start_immediately(interstitial_job(i, 4, 500)));
@@ -70,7 +73,7 @@ TEST(Preemption, NativeStartsImmediatelyByEvicting) {
   EXPECT_EQ(native_start, 10);
   // Exactly 3 victims (12 CPUs needed, 4 per victim; 0 free).
   EXPECT_EQ(r.killed.size(), 3u);
-  EXPECT_EQ(s.sched.stats().interstitial_kills, 3u);
+  EXPECT_EQ(tracer.summary().interstitial_killed, 3u);
   // Survivors completed normally.
   EXPECT_EQ(r.interstitial_count(), 2u);
 }
@@ -148,7 +151,7 @@ TEST(Preemption, NoSpuriousKillsWhenEvictionCannotHelp) {
   s.eng.schedule_wake(1);
   s.sched.submit(native_job(1, 10, 20, 50));
   s.eng.run(200);
-  EXPECT_EQ(s.sched.stats().interstitial_kills, 0u);
+  EXPECT_TRUE(s.sched.killed_records().empty());
   s.eng.run();
   s.sched.take_result(2000);
 }

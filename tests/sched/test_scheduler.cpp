@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 
+#include "trace/tracer.hpp"
 #include "util/rng.hpp"
 
 namespace istc::sched {
@@ -312,18 +313,20 @@ TEST(Scheduler, PostPassHookSeesQueueState) {
 TEST(Scheduler, StatsCountersTrackActivity) {
   sim::Engine eng;
   BatchScheduler s(eng, machine_of(10), fcfs_policy());
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  s.set_tracer(&tracer);
   // Head blocks behind a runner; a small job backfills.
   s.submit(mk(0, 0, 6, 100));
   s.submit(mk(1, 1, 8, 100));
   s.submit(mk(2, 2, 4, 50));
   eng.run();
   const auto& st = s.stats();
-  EXPECT_GE(st.passes, 3u);              // at least one per event time
   EXPECT_EQ(st.native_starts, 3u);
   EXPECT_EQ(st.interstitial_starts, 0u);
   EXPECT_GE(st.backfilled_starts, 1u);   // job 2 starts past blocked job 1
-  EXPECT_GE(st.reservations, 1u);        // job 1's head reservation
-  EXPECT_GE(st.max_queue_length, 1u);
+  const auto sum = tracer.summary();
+  EXPECT_GE(sum.sched_passes, 3u);       // at least one per event time
+  EXPECT_GE(sum.reservations_made, 1u);  // job 1's head reservation
   s.take_result(1000);
 }
 
@@ -420,6 +423,8 @@ TEST(Scheduler, IncrementalProfileEqualsRebuildAfterEveryPass) {
     BatchScheduler s(eng,
                      machine_of(32, cluster::DowntimeCalendar({{900, 1100}})),
                      fcfs_policy(mode));
+    trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+    s.set_tracer(&tracer);
     std::uint64_t checked = 0;
     s.set_post_pass_hook([&](const PassContext& c) {
       EXPECT_TRUE(s.profile().same_function(s.rebuild_profile(c.now)))
@@ -435,8 +440,8 @@ TEST(Scheduler, IncrementalProfileEqualsRebuildAfterEveryPass) {
                   runtime * (1 + static_cast<Seconds>(rng.below(3)))));
     }
     eng.run();
-    EXPECT_EQ(checked, s.stats().passes);
-    EXPECT_GT(s.stats().reservations, 0u);
+    EXPECT_EQ(checked, tracer.summary().sched_passes);
+    EXPECT_GT(tracer.summary().reservations_made, 0u);
     EXPECT_EQ(s.take_result(10000).records.size(), 120u);
   }
 }
