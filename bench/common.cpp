@@ -7,7 +7,7 @@
 #include "core/fork.hpp"
 #include "core/sweep.hpp"
 #include "metrics/waits.hpp"
-#include "trace/summary.hpp"
+#include "trace/export.hpp"
 #include "util/thread_pool.hpp"
 
 namespace istc::bench {
@@ -153,47 +153,6 @@ std::vector<sched::RunResult> run_scenarios(
       0, [](core::SimRun& run, std::size_t) { return run.finish(); });
 }
 
-void print_trace_counters(const char* title, const sched::RunResult& run) {
-  const trace::TraceSummary& t = run.trace;
-  if (t.sched_passes == 0) return;  // run predates tracing or untraced
-  KeyValueBlock kv(title);
-  kv.add("scheduler passes",
-         Table::integer(static_cast<long long>(t.sched_passes)));
-  kv.add("pass cost total (us)",
-         Table::integer(static_cast<long long>(t.sched_pass_us_total)));
-  kv.add("pass cost mean (us)", t.mean_pass_us(), 2);
-  kv.add("pass cost max (us)",
-         Table::integer(static_cast<long long>(t.sched_pass_us_max)));
-  kv.add("backfill scans",
-         Table::integer(static_cast<long long>(t.backfill_scans)));
-  kv.add("events drained",
-         Table::integer(static_cast<long long>(t.engine_events_drained)));
-  kv.add("gate open / closed",
-         Table::integer(static_cast<long long>(t.gate_open)) + " / " +
-             Table::integer(static_cast<long long>(t.gate_closed)));
-  kv.add("interstitial submitted",
-         Table::integer(static_cast<long long>(t.interstitial_submitted)));
-  kv.add("rejected by gate",
-         Table::integer(
-             static_cast<long long>(t.interstitial_rejected_by_gate)));
-  kv.add("interstitial killed",
-         Table::integer(static_cast<long long>(t.interstitial_killed)));
-  kv.add("event queue peak depth",
-         Table::integer(static_cast<long long>(t.engine_peak_queue_depth)));
-  kv.add("largest timestep batch",
-         Table::integer(static_cast<long long>(t.engine_max_timestep_batch)));
-  kv.add("events submit/finish/wake",
-         Table::integer(static_cast<long long>(t.engine_events_job_submit)) +
-             " / " +
-             Table::integer(
-                 static_cast<long long>(t.engine_events_job_finish)) +
-             " / " +
-             Table::integer(static_cast<long long>(t.engine_events_wake)));
-  kv.add("event queue heap allocs",
-         Table::integer(static_cast<long long>(t.engine_heap_allocations)));
-  kv.print();
-}
-
 void print_continual_table(cluster::Site site, Seconds short_1ghz,
                            Seconds long_1ghz) {
   const auto& base = core::native_baseline(site);
@@ -233,7 +192,7 @@ void print_continual_table(cluster::Site site, Seconds short_1ghz,
   std::printf("\n");
   char title[64];
   std::snprintf(title, sizeof title, "scheduling cost (%s stream)", h_short);
-  print_trace_counters(title, s_run);
+  trace::print_counters(title, s_run.trace);
 }
 
 }  // namespace istc::bench

@@ -86,12 +86,6 @@ core::Scenario bluemtn_scenario(int cpus_per_job = 0, Seconds sec_at_1ghz = 0);
 std::vector<sched::RunResult> run_scenarios(
     const std::vector<core::Scenario>& scenarios);
 
-/// Scheduling-cost counters of a run (RunResult::trace, populated by the
-/// counters-only tracer every cached experiment run carries), printed as a
-/// key-value block so BENCH_*.json trajectories can track scheduler-pass
-/// cost per experiment.  No-op for runs without trace data.
-void print_trace_counters(const char* title, const sched::RunResult& run);
-
 /// The shared body of Tables 6, 7 and 8: continual interstitial computing
 /// on one machine with two job lengths (seconds @ 1 GHz).
 void print_continual_table(cluster::Site site, Seconds short_1ghz,

@@ -124,61 +124,6 @@ std::optional<trace::Tracer> make_tracer(const ArgParser& args) {
   return std::nullopt;
 }
 
-/// Per-stage pass cost (priority / dispatch / backfill / gate) from the
-/// trace summary; printed whenever tracing was requested so --trace runs
-/// always surface where scheduling time went.
-void print_stage_timings(const trace::TraceSummary& s) {
-  if (s.sched_passes == 0) return;
-  std::printf("scheduler pass cost: %llu passes, mean %.1f us, max %llu us\n",
-              static_cast<unsigned long long>(s.sched_passes),
-              s.mean_pass_us(),
-              static_cast<unsigned long long>(s.sched_pass_us_max));
-  std::printf("  %-8s %8llu us over %llu runs\n", "setup",
-              static_cast<unsigned long long>(s.stage_setup_us),
-              static_cast<unsigned long long>(s.sched_passes));
-  static constexpr const char* kStageNames[trace::TraceSummary::kNumStages] = {
-      "priority", "dispatch", "backfill", "gate"};
-  for (int i = 0; i < trace::TraceSummary::kNumStages; ++i) {
-    std::printf("  %-8s %8llu us over %llu runs\n", kStageNames[i],
-                static_cast<unsigned long long>(s.stage_us[i]),
-                static_cast<unsigned long long>(s.sched_passes));
-  }
-  const std::uint64_t sorts = s.priority_recomputes + s.priority_reuses;
-  if (sorts > 0) {
-    std::printf("  priority order reused in %llu/%llu passes; "
-                "%llu profile rebuilds\n",
-                static_cast<unsigned long long>(s.priority_reuses),
-                static_cast<unsigned long long>(sorts),
-                static_cast<unsigned long long>(s.profile_rebuilds));
-  }
-  std::printf("event core: peak queue depth %llu, largest timestep batch "
-              "%llu, %llu heap allocs\n",
-              static_cast<unsigned long long>(s.engine_peak_queue_depth),
-              static_cast<unsigned long long>(s.engine_max_timestep_batch),
-              static_cast<unsigned long long>(s.engine_heap_allocations));
-  std::printf("  events scheduled: %llu submit, %llu finish, %llu wake\n",
-              static_cast<unsigned long long>(s.engine_events_job_submit),
-              static_cast<unsigned long long>(s.engine_events_job_finish),
-              static_cast<unsigned long long>(s.engine_events_wake));
-  if (s.faults_injected > 0) {
-    std::printf("faults: %llu injected (%llu crashes, %llu node failures)\n",
-                static_cast<unsigned long long>(s.faults_injected),
-                static_cast<unsigned long long>(s.fault_crashes),
-                static_cast<unsigned long long>(s.fault_node_failures));
-    std::printf("  killed %llu native / %llu interstitial; "
-                "%llu native resubmits\n",
-                static_cast<unsigned long long>(s.fault_killed_native),
-                static_cast<unsigned long long>(s.fault_killed_interstitial),
-                static_cast<unsigned long long>(s.fault_native_resubmits));
-    std::printf("  cpu-hours lost %.1f, recovered by checkpoints %.1f\n",
-                static_cast<double>(s.fault_cpu_sec_lost) / 3600.0,
-                static_cast<double>(s.fault_cpu_sec_recovered) / 3600.0);
-    std::printf("  %llu retries submitted, %llu lineages exhausted\n",
-                static_cast<unsigned long long>(s.fault_retries),
-                static_cast<unsigned long long>(s.fault_retries_exhausted));
-  }
-}
-
 void export_traces(const ArgParser& args, const trace::Tracer& tracer,
                    const cluster::MachineSpec& machine) {
   const auto write = [](const char* what, const std::string& path,
@@ -204,7 +149,7 @@ void export_traces(const ArgParser& args, const trace::Tracer& tracer,
         [&](const std::string& p) {
           trace::write_counters_csv(p, tracer.summary());
         });
-  print_stage_timings(tracer.summary());
+  trace::print_counters("trace counters", tracer.summary());
   if (tracer.dropped() > 0) {
     std::fprintf(stderr,
                  "warning: %llu events past the buffer cap were dropped\n",

@@ -37,8 +37,6 @@ InterstitialDriver::InterstitialDriver(sched::BatchScheduler& scheduler,
       job_runtime_(other.job_runtime_),
       next_id_(other.next_id_),
       submitted_(other.submitted_),
-      kills_observed_(other.kills_observed_),
-      retries_exhausted_(other.retries_exhausted_),
       resume_(other.resume_),
       retry_queue_(other.retry_queue_),
       retry_attempts_(other.retry_attempts_) {
@@ -53,7 +51,6 @@ InterstitialDriver::InterstitialDriver(sched::BatchScheduler& scheduler,
 void InterstitialDriver::on_kill(const sched::JobRecord& victim,
                                  sched::KillReason reason) {
   if (!victim.interstitial()) return;
-  ++kills_observed_;
   if (reason != sched::KillReason::kPreempted) {
     on_fault_kill(victim);
     return;
@@ -100,7 +97,6 @@ void InterstitialDriver::on_fault_kill(const sched::JobRecord& victim) {
     c.fault_cpu_sec_recovered += cpus * static_cast<std::uint64_t>(saved);
   }
   if (attempts >= policy.max_retries) {
-    ++retries_exhausted_;
     if (ISTC_TRACE_COUNTERS_ON(tracer)) {
       ++tracer->counters().fault_retries_exhausted;
     }

@@ -104,14 +104,12 @@ class InterstitialDriver {
   /// flowing.  Already-running jobs are unaffected.
   void set_stop_time(SimTime stop) { spec_.stop_time = stop; }
 
-  /// Kill accounting: every interstitial kill the scheduler reported
-  /// (preemption and faults alike; see PreemptionRecovery / FaultRetryPolicy).
-  std::size_t kills_observed() const { return kills_observed_; }
+  /// Redo work still owed: checkpointed preemption fragments
+  /// (PreemptionRecovery) and fault retries waiting out their backoff
+  /// (ProjectSpec::fault_retry).  What kills and retries cost is counted
+  /// in the tracer's TraceSummary (interstitial_killed, fault_*).
   std::size_t resume_fragments_pending() const { return resume_.size(); }
-
-  /// Fault-retry accounting (see ProjectSpec::fault_retry).
   std::size_t fault_retries_pending() const { return retry_queue_.size(); }
-  std::size_t retries_exhausted() const { return retries_exhausted_; }
 
  private:
   /// A fault-killed job waiting to be resubmitted: the runtime still owed
@@ -138,8 +136,6 @@ class InterstitialDriver {
   Seconds job_runtime_;
   workload::JobId next_id_;
   std::size_t submitted_ = 0;
-  std::size_t kills_observed_ = 0;
-  std::size_t retries_exhausted_ = 0;
   /// Remaining runtimes of checkpointed victims awaiting resubmission.
   std::vector<Seconds> resume_;
   /// Fault-killed jobs awaiting retry, ordered by eligible_at (kills

@@ -28,32 +28,21 @@ sched::RunResult run_scenario(const Scenario& scenario) {
   return run.finish();
 }
 
-namespace {
-
-// Free functions default to the process-wide cache; callers owning their
-// own RunCache pass it explicitly.
-RunCache& cache_or_default(RunCache* cache) {
-  return cache != nullptr ? *cache : default_run_cache();
+const sched::RunResult& native_baseline(Site site) {
+  return default_run_cache().native_baseline(site);
 }
 
-}  // namespace
-
-const sched::RunResult& native_baseline(Site site, RunCache* cache) {
-  return cache_or_default(cache).native_baseline(site);
-}
-
-double native_utilization(Site site, RunCache* cache) {
-  const auto& base = native_baseline(site, cache);
+double native_utilization(Site site) {
+  const auto& base = native_baseline(site);
   return metrics::average_utilization(base.records, base.machine.cpus, 0,
                                       base.span, metrics::JobFilter::kAll);
 }
 
 const sched::RunResult& continual_run(Site site, int cpus_per_job,
                                       Seconds sec_at_1ghz,
-                                      double utilization_cap,
-                                      RunCache* cache) {
-  return cache_or_default(cache).continual_run(site, cpus_per_job,
-                                               sec_at_1ghz, utilization_cap);
+                                      double utilization_cap) {
+  return default_run_cache().continual_run(site, cpus_per_job, sec_at_1ghz,
+                                           utilization_cap);
 }
 
 void clear_experiment_caches() { default_run_cache().clear(); }
@@ -92,12 +81,11 @@ cluster::DowntimeCalendar tile_calendar(const cluster::DowntimeCalendar& cal,
 }
 
 MakespanSample omniscient_makespans(Site site, const ProjectSpec& spec,
-                                    int reps, std::uint64_t seed,
-                                    RunCache* cache) {
+                                    int reps, std::uint64_t seed) {
   ISTC_EXPECTS(reps >= 1);
   ISTC_EXPECTS(!spec.continual());
 
-  const sched::RunResult& base = native_baseline(site, cache);
+  const sched::RunResult& base = native_baseline(site);
   const SimTime span = base.span;
 
   // Tile the native environment so projects started late in the log keep
@@ -130,13 +118,12 @@ MakespanSample omniscient_makespans(Site site, const ProjectSpec& spec,
 }
 
 MakespanSample fallible_makespans(Site site, const ProjectSpec& spec,
-                                  int nsamples, std::uint64_t seed,
-                                  RunCache* cache) {
+                                  int nsamples, std::uint64_t seed) {
   ISTC_EXPECTS(!spec.continual());
   const Seconds sec_at_1ghz = static_cast<Seconds>(
       spec.work_per_cpu / cluster::kGiga);
   const sched::RunResult& run =
-      continual_run(site, spec.cpus_per_job, sec_at_1ghz, 1.0, cache);
+      continual_run(site, spec.cpus_per_job, sec_at_1ghz);
   const auto completions = metrics::interstitial_completions(run.records);
   Rng rng(seed ^ (static_cast<std::uint64_t>(site) << 24) ^
           static_cast<std::uint64_t>(spec.total_jobs));

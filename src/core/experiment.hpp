@@ -32,8 +32,6 @@ enum class BackfillMode : std::uint8_t;  // sched/scheduler.hpp
 
 namespace istc::core {
 
-class RunCache;  // run_cache.hpp
-
 /// One simulation setup.
 struct Scenario {
   cluster::Site site = cluster::Site::kBlueMountain;
@@ -59,9 +57,10 @@ struct Scenario {
   /// spec has its stop clamped to the site span, and the run stays
   /// deterministic per (scenario, faults.seed).
   fault::FaultSpec faults;
-  /// Observability: when set, the engine/scheduler/driver record into this
-  /// tracer and the RunResult carries its TraceSummary.  Not owned; must
-  /// outlive the call.  Tracing never perturbs the schedule.
+  /// Observability: when set, the scheduler, driver and fault injector
+  /// record into this tracer (the scheduler folds the engine's counts in)
+  /// and the RunResult carries its TraceSummary.  Not owned; must outlive
+  /// the call.  Tracing never perturbs the schedule.
   trace::Tracer* tracer = nullptr;
   /// Telemetry: when set, run_scenario attaches the RunMetrics (start hook
   /// + optional sim-time sampler) before the run.  Not owned; must outlive
@@ -74,15 +73,14 @@ struct Scenario {
 /// Run a scenario to completion and collect all records.
 sched::RunResult run_scenario(const Scenario& scenario);
 
-/// Native-only run of the canonical site log, cached in `cache` (default:
-/// the process-wide RunCache; every comparison experiment shares it,
+/// Native-only run of the canonical site log, cached in the process-wide
+/// RunCache (default_run_cache(); every comparison experiment shares it,
 /// exactly as the paper reuses one log per machine).
-const sched::RunResult& native_baseline(cluster::Site site,
-                                        RunCache* cache = nullptr);
+const sched::RunResult& native_baseline(cluster::Site site);
 
 /// Average native utilization of the baseline over [0, span), including
 /// outages — the measured analogue of Table 1's "Utilization".
-double native_utilization(cluster::Site site, RunCache* cache = nullptr);
+double native_utilization(cluster::Site site);
 
 /// Replicated makespans, mean/std in hours.
 struct MakespanSample {
@@ -95,23 +93,20 @@ struct MakespanSample {
 /// project starts within the (tiled) native log.
 MakespanSample omniscient_makespans(cluster::Site site,
                                     const ProjectSpec& spec, int reps,
-                                    std::uint64_t seed = 0x7AB1E2,
-                                    RunCache* cache = nullptr);
+                                    std::uint64_t seed = 0x7AB1E2);
 
 /// §4.3.1 continual-sampling: run one continual stream of the project's
 /// job shape, then sample `nsamples` random project start times.
 /// The continual run is cached per (site, cpus, work) so the eight Table 4
 /// rows on a machine share two underlying simulations.
 MakespanSample fallible_makespans(cluster::Site site, const ProjectSpec& spec,
-                                  int nsamples, std::uint64_t seed = 0xFA111B,
-                                  RunCache* cache = nullptr);
+                                  int nsamples, std::uint64_t seed = 0xFA111B);
 
 /// Cached continual co-simulation for a job shape (32 CPU x 458 s etc.):
 /// the Table 5-8 scenarios.  utilization_cap keys the cache too.
 const sched::RunResult& continual_run(cluster::Site site, int cpus_per_job,
                                       Seconds sec_at_1ghz,
-                                      double utilization_cap = 1.0,
-                                      RunCache* cache = nullptr);
+                                      double utilization_cap = 1.0);
 
 /// Tile a record set k times along the time axis (the native environment
 /// repeated, used to let large projects run past the end of one log pass —

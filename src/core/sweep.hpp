@@ -105,7 +105,6 @@ class SweepRunner {
   void set_threads(std::size_t threads) { threads_ = threads; }
 
   std::size_t points() const { return points_; }
-  const SweepTiming& last_timing() const { return timing_; }
 
   /// Fork mode: simulate [0, t0] once, fork per point, finish each fork.
   /// `finish(Run&, i)` sees the run standing at t0 — apply point i's knobs

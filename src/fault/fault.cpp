@@ -82,7 +82,7 @@ FaultInjector::FaultInjector(sched::BatchScheduler& scheduler,
     : scheduler_(scheduler),
       spec_(other.spec_),
       timeline_(other.timeline_),
-      stats_(other.stats_) {
+      resubmits_(other.resubmits_) {
   scheduler_.engine().set_fault_hook([this](std::uint32_t i) { fire(i); });
 }
 
@@ -99,7 +99,6 @@ void FaultInjector::fire(std::size_t index) {
       ev.crash ? sched::KillReason::kMachineCrash
                : sched::KillReason::kNodeFailure);
 
-  ++(ev.crash ? stats_.crashes : stats_.node_failures);
   trace::Tracer* tracer = scheduler_.tracer();
   if (ISTC_TRACE_COUNTERS_ON(tracer)) {
     trace::TraceSummary& c = tracer->counters();
@@ -122,20 +121,11 @@ void FaultInjector::fire(std::size_t index) {
   // CPU-time is lost.  Killed interstitials reach the driver through the
   // scheduler's kill hook instead (ProjectSpec::fault_retry).
   for (const sched::JobRecord& v : victims) {
-    if (v.interstitial()) {
-      ++stats_.interstitial_kills;
-      continue;
-    }
-    ++stats_.native_kills;
-    const double lost = static_cast<double>(v.job.cpus) *
-                        static_cast<double>(v.end - v.start);
-    stats_.native_cpu_seconds_lost += lost;
+    if (v.interstitial()) continue;
     workload::Job again = v.job;
-    again.id = kResubmitIdBase + static_cast<workload::JobId>(
-                                     stats_.native_resubmits);
+    again.id = kResubmitIdBase + resubmits_++;
     again.submit = now;
     scheduler_.submit(again);
-    ++stats_.native_resubmits;
     if (ISTC_TRACE_COUNTERS_ON(tracer)) {
       trace::TraceSummary& c = tracer->counters();
       c.fault_cpu_sec_lost +=

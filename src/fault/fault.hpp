@@ -56,19 +56,6 @@ struct FaultSpec {
   void check() const;
 };
 
-/// Tallies kept by the injector itself (the tracer-independent view; the
-/// same quantities also reach TraceSummary when counters are on).
-struct FaultStats {
-  std::size_t crashes = 0;
-  std::size_t node_failures = 0;
-  std::size_t native_kills = 0;
-  std::size_t interstitial_kills = 0;
-  std::size_t native_resubmits = 0;
-  /// CPU-seconds of executed native work thrown away (natives restart
-  /// from scratch; interstitial loss is the driver's accounting).
-  double native_cpu_seconds_lost = 0;
-};
-
 /// Schedules the failure timeline through the engine's typed event core
 /// and fires each failure against the scheduler.  Construct after the
 /// driver (order only affects event sequence numbers, not times) and keep
@@ -81,14 +68,13 @@ class FaultInjector {
   /// `other`'s immutable timeline.  The forked engine's queue already
   /// holds the not-yet-fired kFaultFire events (each carrying its
   /// timeline index), so the clone schedules nothing — it only registers
-  /// itself as the fault hook and carries the tallies forward.
+  /// itself as the fault hook and carries the resubmission count forward.
   FaultInjector(sched::BatchScheduler& scheduler, const FaultInjector& other);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultSpec& spec() const { return spec_; }
-  const FaultStats& stats() const { return stats_; }
   /// Failures on the pre-generated timeline (fired + still pending).
   std::size_t scheduled_faults() const { return timeline_->size(); }
 
@@ -104,7 +90,10 @@ class FaultInjector {
   FaultSpec spec_;
   /// Immutable once generated; shared between a run and its forks.
   std::shared_ptr<const std::vector<FaultEvent>> timeline_;
-  FaultStats stats_;
+  /// Natives resubmitted so far; numbers each resubmission's fresh id.
+  /// What the faults cost is counted in the tracer's TraceSummary
+  /// (faults_injected, fault_killed_*, fault_cpu_sec_lost, ...).
+  workload::JobId resubmits_ = 0;
 };
 
 }  // namespace istc::fault

@@ -206,6 +206,8 @@ class GridMachine {
   /// Packed delivery spans received (one timed arrival event each); the
   /// message-batching win is port_stats().delivered / delivery_batches().
   std::size_t delivery_batches() const { return delivery_spans_.size(); }
+  /// The machine's counting tracer.  The engine's counts (events drained,
+  /// queue gauges) reach it when take_result() runs.
   const trace::Tracer& tracer() const { return tracer_; }
   const core::InterstitialDriver* driver() const { return run_->driver(); }
   const fault::FaultInjector* injector() const { return run_->injector(); }

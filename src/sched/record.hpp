@@ -27,19 +27,6 @@ enum class KillReason : std::uint8_t {
   kNodeFailure = 2,   ///< partial-capacity node failure
 };
 
-/// Stable lower-case name ("preempted", "machine_crash", "node_failure").
-constexpr const char* kill_reason_name(KillReason reason) {
-  switch (reason) {
-    case KillReason::kPreempted:
-      return "preempted";
-    case KillReason::kMachineCrash:
-      return "machine_crash";
-    case KillReason::kNodeFailure:
-      return "node_failure";
-  }
-  return "unknown";
-}
-
 struct JobRecord {
   workload::Job job;
   SimTime start = -1;
@@ -69,15 +56,19 @@ struct RunResult {
   SimTime sim_end = 0;
   /// Completed jobs in completion order (native and interstitial mixed).
   std::vector<JobRecord> records;
-  /// Interstitial jobs killed by native preemption (extension feature);
-  /// end is the kill time, so end - start < runtime and cpu-time in
-  /// [start, end) is the wasted work.
+  /// Jobs killed before completion, in kill order: interstitials evicted
+  /// by native preemption (extension feature), and natives and
+  /// interstitials alike lost to unplanned failures (fault::FaultInjector;
+  /// killed natives rerun under fresh ids).  end is the kill time, so
+  /// end - start < runtime and cpu-time in [start, end) is the work the
+  /// kill cost, before any checkpoint credit.
   std::vector<JobRecord> killed;
-  /// Scheduling-cost counters, populated when a trace::Tracer was attached
-  /// to the run (all-zero otherwise); see trace/summary.hpp.
+  /// What the run counted: the attached trace::Tracer's TraceSummary, with
+  /// the engine's counts folded in by take_result (all-zero when no tracer
+  /// was attached).  trace::summary_fields() names every row.
   trace::TraceSummary trace;
 
-  /// Wasted CPU-seconds of killed interstitial jobs.
+  /// CPU-seconds the killed jobs had executed when they were killed.
   double wasted_cpu_seconds() const;
 
   std::size_t native_count() const;

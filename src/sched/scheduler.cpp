@@ -94,8 +94,10 @@ void BatchScheduler::job_finish(std::uint32_t slot) {
 }
 
 void BatchScheduler::set_tracer(trace::Tracer* tracer) {
+  if (tracer_ != nullptr) fold_engine_counters();
   tracer_ = tracer;
-  engine_.set_tracer(tracer);
+  events_folded_ = engine_.events_processed();
+  timesteps_folded_ = engine_.stats().timesteps;
   // A replay emits reservation events from reserved_start_, which only an
   // attached tracer fills: the next pass must walk the queue.
   replay_ok_ = false;
@@ -114,6 +116,34 @@ void BatchScheduler::set_tracer(trace::Tracer* tracer) {
     end.aux_time = w.start;
     tracer_->record(end);
   }
+}
+
+void BatchScheduler::fold_engine_counters() {
+  const sim::EngineStats& e = engine_.stats();
+  trace::TraceSummary& c = tracer_->counters();
+  c.engine_events_drained += engine_.events_processed() - events_folded_;
+  c.engine_timesteps += e.timesteps - timesteps_folded_;
+  events_folded_ = engine_.events_processed();
+  timesteps_folded_ = e.timesteps;
+  // Gauges, not increments: a tracer shared by several runs reports the
+  // largest value seen.
+  const auto gauge = [](std::uint64_t& into, std::uint64_t value) {
+    into = std::max(into, value);
+  };
+  const auto scheduled = [&e](sim::EventType type) {
+    return e.scheduled_by_type[static_cast<int>(type)];
+  };
+  gauge(c.engine_peak_queue_depth, e.peak_queue_depth);
+  gauge(c.engine_max_timestep_batch, e.max_timestep_batch);
+  gauge(c.engine_heap_allocations, e.heap_allocations);
+  gauge(c.engine_events_job_submit, scheduled(sim::EventType::kJobSubmit));
+  gauge(c.engine_events_job_finish, scheduled(sim::EventType::kJobFinish));
+  gauge(c.engine_events_wake, scheduled(sim::EventType::kSchedulerWake));
+  gauge(c.engine_events_sample, scheduled(sim::EventType::kSample));
+  gauge(c.engine_events_repair, scheduled(sim::EventType::kCapacityRepair));
+  gauge(c.engine_events_fault, scheduled(sim::EventType::kFaultFire));
+  gauge(c.engine_events_grid_arrival,
+        scheduled(sim::EventType::kGridArrival));
 }
 
 void BatchScheduler::trace_job(trace::EventKind kind, const workload::Job& job,
@@ -703,12 +733,13 @@ void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
   if (on_kill_) on_kill_(killed_records_.back(), reason);
 }
 
-bool BatchScheduler::preempt_for(const workload::Job& job, SimTime now) {
-  // Youngest interstitial first: the least work is thrown away.  One scan
-  // over the hot state/class columns collects the candidates.
+void BatchScheduler::collect_victims(bool interstitial_only) {
+  // Youngest first: the least work is thrown away.  One scan over the hot
+  // state/class columns collects the candidates.
   victim_buf_.clear();
   for (std::uint32_t s = 0; s < store_.slots(); ++s) {
-    if (store_.state(s) == SlotState::kRunning && store_.interstitial(s)) {
+    if (store_.state(s) == SlotState::kRunning &&
+        (!interstitial_only || store_.interstitial(s))) {
       victim_buf_.push_back(s);
     }
   }
@@ -719,6 +750,10 @@ bool BatchScheduler::preempt_for(const workload::Job& job, SimTime now) {
               }
               return store_.id(a) > store_.id(b);
             });
+}
+
+bool BatchScheduler::preempt_for(const workload::Job& job, SimTime now) {
+  collect_victims(/*interstitial_only=*/true);
   for (const std::uint32_t v : victim_buf_) {
     if (plan().min_free(now, now + job.estimate) >= job.cpus) break;
     kill_running_job(v, KillReason::kPreempted);
@@ -737,20 +772,9 @@ std::vector<JobRecord> BatchScheduler::fail_capacity(int cpus, SimTime until,
   if (cpus <= 0) return {};
   const std::size_t first_killed = killed_records_.size();
   if (machine_.free_cpus() < cpus) {
-    // Youngest running job first (least work lost), natives and
-    // interstitials alike: an unplanned failure spares nobody.  Sorted by
-    // (start, id) so fault schedules are independent of storage order.
-    victim_buf_.clear();
-    for (std::uint32_t s = 0; s < store_.slots(); ++s) {
-      if (store_.state(s) == SlotState::kRunning) victim_buf_.push_back(s);
-    }
-    std::sort(victim_buf_.begin(), victim_buf_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (store_.start(a) != store_.start(b)) {
-                  return store_.start(a) > store_.start(b);
-                }
-                return store_.id(a) > store_.id(b);
-              });
+    // Youngest running job first, natives and interstitials alike: an
+    // unplanned failure spares nobody.
+    collect_victims(/*interstitial_only=*/false);
     for (const std::uint32_t s : victim_buf_) {
       if (machine_.free_cpus() >= cpus) break;
       kill_running_job(s, reason);
@@ -829,7 +853,10 @@ RunResult BatchScheduler::take_result(SimTime span) {
   result.sim_end = engine_.now();
   result.records = records_.take();
   result.killed = std::move(killed_records_);
-  if (tracer_ != nullptr) result.trace = tracer_->summary();
+  if (tracer_ != nullptr) {
+    fold_engine_counters();
+    result.trace = tracer_->summary();
+  }
   killed_records_.clear();
   return result;
 }

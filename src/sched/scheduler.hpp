@@ -211,8 +211,11 @@ class BatchScheduler : private sim::JobEventSink {
 
   /// Attach a tracer (nullptr detaches): job lifecycle, reservations, and
   /// pass cost flow into it, and the downtime calendar is recorded once up
-  /// front.  Also forwarded to the engine so the whole stack shares one
-  /// event stream.  Tracing observes the schedule, never perturbs it.
+  /// front.  The engine's counts (sim::EngineStats, events processed) are
+  /// folded into the tracer's counters when take_result runs and when
+  /// this call swaps the tracer out; drained events and timesteps cover
+  /// only the attached window, and gauges fold by max.  Tracing observes
+  /// the schedule, never perturbs it.
   void set_tracer(trace::Tracer* tracer);
   trace::Tracer* tracer() const { return tracer_; }
 
@@ -221,7 +224,6 @@ class BatchScheduler : private sim::JobEventSink {
   const FairShareTracker& fairshare() const { return fairshare_; }
   sim::Engine& engine() { return engine_; }
 
-  std::size_t queue_length() const { return pending_.size(); }
   std::size_t running_count() const {
     return running_native_ + running_interstitial_;
   }
@@ -260,7 +262,8 @@ class BatchScheduler : private sim::JobEventSink {
   SchedulerProbe probe() const;
 
   /// Collect results; requires the simulation to have drained (no pending
-  /// or running jobs).
+  /// or running jobs).  Folds the engine's counts into the attached
+  /// tracer first, so RunResult::trace and the tracer agree.
   RunResult take_result(SimTime span);
 
  private:
@@ -399,6 +402,11 @@ class BatchScheduler : private sim::JobEventSink {
   /// (killing nothing further helps) if the fit never materializes.
   bool preempt_for(const workload::Job& job, SimTime now);
 
+  /// Fill victim_buf_ with the running jobs' slots (interstitials only,
+  /// or every class), youngest first: start descending, then id
+  /// descending, so kill order is independent of storage order.
+  void collect_victims(bool interstitial_only);
+
   /// Kill one running job: release its CPUs and profile remainder (on the
   /// plan too while one is live), append the kill record, park the slot as
   /// a zombie for its stale completion event, and fire the kill hook.
@@ -413,6 +421,11 @@ class BatchScheduler : private sim::JobEventSink {
   /// Accumulate busy-CPU integrals up to `now` (lazy: called at every
   /// start/complete/kill, i.e. whenever a busy count is about to change).
   void advance_busy_integrals(SimTime now);
+
+  /// Add the engine's drained events and timesteps since the last fold
+  /// (or attach) to the tracer's counters, max-merge its gauges, and
+  /// restart the window.  Requires a tracer.
+  void fold_engine_counters();
 
   /// Record a job-lifecycle trace event (no-op without a full tracer).
   void trace_job(trace::EventKind kind, const workload::Job& job,
@@ -468,6 +481,9 @@ class BatchScheduler : private sim::JobEventSink {
   /// Snapshot of the most recent pass (see last_pass()).
   PassContext last_pass_;
   trace::Tracer* tracer_ = nullptr;
+  /// Engine counts at the last fold or attach; see fold_engine_counters.
+  std::uint64_t events_folded_ = 0;
+  std::uint64_t timesteps_folded_ = 0;
   /// Reservation each waiting job last held, by job-store slot
   /// (kTimeInfinity: none), scored honored/violated when the job starts.
   /// Filled whenever a tracer is attached; a waiting slot is released only
@@ -504,7 +520,7 @@ class BatchScheduler : private sim::JobEventSink {
   bool order_cached_ = false;
   /// Scratch for gate()'s in-order queue compaction.
   std::vector<std::uint32_t> compact_buf_;
-  /// Scratch for victim collection (preempt_for / fail_capacity).
+  /// Scratch for collect_victims (preempt_for / fail_capacity).
   std::vector<std::uint32_t> victim_buf_;
 
   /// Future wake timestamps with a queued engine event, pruned each pass;

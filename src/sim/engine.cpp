@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-
 namespace istc::sim {
 
 void Engine::on_quiescent(std::function<void(SimTime)> hook) {
@@ -35,41 +33,6 @@ void Engine::dispatch(const Event& e) {
   }
 }
 
-void Engine::sync_counters() {
-  // Gauges, not increments: the engine owns the running values in stats_
-  // and mirrors the maxima into the shared counter block (so a tracer
-  // attached to several engines reports the largest seen).
-  trace::TraceSummary& c = tracer_->counters();
-  c.engine_peak_queue_depth = std::max(
-      c.engine_peak_queue_depth,
-      static_cast<std::uint64_t>(stats_.peak_queue_depth));
-  c.engine_max_timestep_batch =
-      std::max(c.engine_max_timestep_batch, stats_.max_timestep_batch);
-  c.engine_heap_allocations =
-      std::max(c.engine_heap_allocations, stats_.heap_allocations);
-  c.engine_events_job_submit = std::max(
-      c.engine_events_job_submit, stats_.scheduled_by_type[static_cast<int>(
-                                      EventType::kJobSubmit)]);
-  c.engine_events_job_finish = std::max(
-      c.engine_events_job_finish, stats_.scheduled_by_type[static_cast<int>(
-                                      EventType::kJobFinish)]);
-  c.engine_events_wake = std::max(
-      c.engine_events_wake, stats_.scheduled_by_type[static_cast<int>(
-                                EventType::kSchedulerWake)]);
-  c.engine_events_sample = std::max(
-      c.engine_events_sample, stats_.scheduled_by_type[static_cast<int>(
-                                  EventType::kSample)]);
-  c.engine_events_repair = std::max(
-      c.engine_events_repair, stats_.scheduled_by_type[static_cast<int>(
-                                  EventType::kCapacityRepair)]);
-  c.engine_events_fault = std::max(
-      c.engine_events_fault, stats_.scheduled_by_type[static_cast<int>(
-                                 EventType::kFaultFire)]);
-  c.engine_events_grid_arrival = std::max(
-      c.engine_events_grid_arrival, stats_.scheduled_by_type[static_cast<int>(
-                                        EventType::kGridArrival)]);
-}
-
 void Engine::drain_current_time() {
   // Alternate "drain events at now_" with "run hooks" until neither side
   // produces more work at this timestamp.  The guard bounds pathological
@@ -77,9 +40,7 @@ void Engine::drain_current_time() {
   constexpr int kMaxRounds = 64;
   int rounds = 0;
   std::uint64_t batch = 0;
-  if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-    ++tracer_->counters().engine_timesteps;
-  }
+  ++stats_.timesteps;
   // Claim the pending sample up front; it fires after the timestep
   // settles, so it observes the post-pass state and its hook can re-arm.
   const bool sample_due = next_sample_ == now_;
@@ -89,9 +50,6 @@ void Engine::drain_current_time() {
     while (!queue_.empty() && queue_.next_time() == now_) {
       ++events_processed_;
       ++batch;
-      if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-        ++tracer_->counters().engine_events_drained;
-      }
       dispatch(queue_.pop());
       fired = true;
     }
@@ -109,14 +67,10 @@ void Engine::drain_current_time() {
   if (sample_due) {
     ++events_processed_;
     ++batch;
-    if (ISTC_TRACE_COUNTERS_ON(tracer_)) {
-      ++tracer_->counters().engine_events_drained;
-    }
     if (sample_hook_) sample_hook_(now_);
   }
   if (batch > stats_.max_timestep_batch) stats_.max_timestep_batch = batch;
   stats_.heap_allocations = queue_.heap_allocations();
-  if (ISTC_TRACE_COUNTERS_ON(tracer_)) sync_counters();
 }
 
 bool Engine::step() {

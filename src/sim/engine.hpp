@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
-#include "trace/tracer.hpp"
+#include "util/assert.hpp"
 #include "util/time.hpp"
 
 /// \file engine.hpp
@@ -51,9 +51,13 @@ class JobEventSink {
 };
 
 /// Engine-side event statistics, tracked unconditionally (all are cheap
-/// increments / compares) and mirrored into TraceSummary when a tracer
-/// with counters is attached.
+/// increments / compares).  The engine knows no tracer:
+/// sched::BatchScheduler folds these into its counting tracer's
+/// TraceSummary when it takes the run's result or swaps tracers.
 struct EngineStats {
+  /// Timesteps drained: distinct timestamps at which queued events or the
+  /// pending sample fired.
+  std::uint64_t timesteps = 0;
   /// Events scheduled, indexed by EventType.
   std::uint64_t scheduled_by_type[kNumEventTypes] = {};
   /// High-water mark of simultaneously queued events.
@@ -159,12 +163,6 @@ class Engine {
   /// Event-core statistics (see EngineStats).
   const EngineStats& stats() const { return stats_; }
 
-  /// Attach a tracer (nullptr detaches).  The engine only feeds counters
-  /// (events drained, quiescent timesteps, event-core gauges); it never
-  /// records events, so attaching a tracer cannot perturb event order.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-  trace::Tracer* tracer() const { return tracer_; }
-
   /// Run until the queue empties or the clock would pass `until`.
   /// Events at exactly `until` are processed.
   void run(SimTime until = kTimeInfinity);
@@ -210,8 +208,6 @@ class Engine {
 
   void dispatch(const Event& e);
   void drain_current_time();
-  /// Mirror the event-core gauges into the attached tracer's counters.
-  void sync_counters();
 
   CalendarEventQueue queue_;
   JobEventSink* sink_ = nullptr;
@@ -225,7 +221,6 @@ class Engine {
   SimTime now_ = 0;
   std::uint64_t events_processed_ = 0;
   EngineStats stats_;
-  trace::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace istc::sim

@@ -11,6 +11,7 @@
 
 #include "util/csv.hpp"
 #include "util/json_text.hpp"
+#include "util/table.hpp"
 
 namespace istc::trace {
 
@@ -274,10 +275,13 @@ void write_chrome_trace_file(const std::string& path, const Tracer& tracer,
 std::vector<SummaryField> summary_fields(const TraceSummary& s) {
   // Pinned column order of counters.csv: new fields append at the end so
   // existing consumers keep their offsets.  Wall-clock (`*_us`) timers are
-  // flagged — they never participate in determinism comparisons.
+  // flagged — they never participate in determinism comparisons.  The
+  // literal-0 rows keep v1 RunReport paths: buffer bookkeeping lives on
+  // Tracer::size()/dropped(), so no counter depends on the trace mode,
+  // and the engine has no generic-callback event any more.
   return {
-      {"events_recorded", s.events_recorded, false},
-      {"events_dropped", s.events_dropped, false},
+      {"events_recorded", 0, false},
+      {"events_dropped", 0, false},
       {"engine_events_drained", s.engine_events_drained, false},
       {"engine_timesteps", s.engine_timesteps, false},
       {"sched_passes", s.sched_passes, false},
@@ -305,7 +309,7 @@ std::vector<SummaryField> summary_fields(const TraceSummary& s) {
       // Engine event-core gauges (typed event queue).
       {"engine_peak_queue_depth", s.engine_peak_queue_depth, false},
       {"engine_max_timestep_batch", s.engine_max_timestep_batch, false},
-      {"engine_events_callback", s.engine_events_callback, false},
+      {"engine_events_callback", 0, false},
       {"engine_events_job_submit", s.engine_events_job_submit, false},
       {"engine_events_job_finish", s.engine_events_job_finish, false},
       {"engine_events_wake", s.engine_events_wake, false},
@@ -346,6 +350,17 @@ void write_counters_csv(const std::string& path,
   CsvWriter csv(path);
   csv.header(names);
   csv.row(values);
+}
+
+void print_counters(const char* title, const TraceSummary& summary) {
+  const auto fields = summary_fields(summary);
+  KeyValueBlock kv(title);
+  for (const bool wall_clock : {false, true}) {
+    for (const SummaryField& f : fields) {
+      if (f.wall_clock == wall_clock) kv.add(f.name, std::to_string(f.value));
+    }
+  }
+  kv.print();
 }
 
 }  // namespace istc::trace

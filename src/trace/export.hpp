@@ -59,4 +59,10 @@ std::vector<SummaryField> summary_fields(const TraceSummary& summary);
 /// columns are summary_fields() in order.
 void write_counters_csv(const std::string& path, const TraceSummary& summary);
 
+/// Counter listing on stdout: a `title` line, then one "name : value" line
+/// per summary_fields() row under its counters.csv name, deterministic
+/// rows first, then wall-clock rows.  The CLI's trace breakdown and the
+/// bench drivers' scheduling-cost block both print this.
+void print_counters(const char* title, const TraceSummary& summary);
+
 }  // namespace istc::trace

@@ -4,8 +4,10 @@
 
 /// \file summary.hpp
 /// Aggregate counters and timers collected alongside (or instead of) the
-/// event stream.  Deliberately dependency-free: sched::RunResult embeds a
-/// TraceSummary so every experiment carries its scheduling-cost profile.
+/// event stream: the one store of what a run counted.  Deliberately
+/// dependency-free: sched::RunResult embeds a TraceSummary so every
+/// experiment carries its scheduling-cost profile, and
+/// trace::summary_fields() (export.hpp) is the one list of its names.
 ///
 /// Wall-clock timers (`*_us`) are host measurements and therefore *not*
 /// deterministic across runs; they never feed the event stream, only this
@@ -15,23 +17,20 @@
 namespace istc::trace {
 
 struct TraceSummary {
-  // -- event volume -------------------------------------------------------
-  std::uint64_t events_recorded = 0;   ///< events kept in the buffer
-  std::uint64_t events_dropped = 0;    ///< events past the buffer cap
-
   // -- engine -------------------------------------------------------------
+  // Folded from the engine (sim::EngineStats, events processed) by
+  // sched::BatchScheduler at take_result and when its tracer is swapped
+  // out; the engine itself knows no tracer.  These two cover only the
+  // window the tracer was attached.
   std::uint64_t engine_events_drained = 0;  ///< events fired
   std::uint64_t engine_timesteps = 0;       ///< distinct quiescent passes
 
   // -- engine event core ---------------------------------------------------
-  // Gauges mirrored from sim::EngineStats once per timestep (max-merged,
-  // so a tracer shared across engines reports the largest value seen).
-  // The by-kind counts tally *scheduled* events per sim::EventType.
+  // Gauges of the engine's whole life, max-merged so a tracer shared by
+  // several runs reports the largest value seen.  The by-kind counts
+  // tally *scheduled* events per sim::EventType.
   std::uint64_t engine_peak_queue_depth = 0;   ///< event-heap high-water mark
   std::uint64_t engine_max_timestep_batch = 0; ///< largest same-time batch
-  /// Always 0: the engine has no generic-callback event any more.  Kept
-  /// because the v2 RunReport promises every v1 counter at its path.
-  std::uint64_t engine_events_callback = 0;
   std::uint64_t engine_events_job_submit = 0;  ///< typed job-submit events
   std::uint64_t engine_events_job_finish = 0;  ///< typed job-finish events
   std::uint64_t engine_events_wake = 0;        ///< scheduler-wake events
@@ -95,13 +94,6 @@ struct TraceSummary {
   std::uint64_t fault_native_resubmits = 0;  ///< killed natives re-queued
   std::uint64_t fault_retries = 0;           ///< interstitial retry submissions
   std::uint64_t fault_retries_exhausted = 0; ///< jobs abandoned after retries
-
-  /// Mean scheduler-pass cost in µs (0 when no pass was timed).
-  double mean_pass_us() const {
-    return sched_passes == 0 ? 0.0
-                             : static_cast<double>(sched_pass_us_total) /
-                                   static_cast<double>(sched_passes);
-  }
 
   /// Account one timed scheduler pass from its segment durations in ns:
   /// [0] is pass setup, [1 + k] is stage_us[k].  Each slot gains whole

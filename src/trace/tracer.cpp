@@ -47,13 +47,6 @@ void Tracer::record(TraceEvent event) {
   ++size_;
 }
 
-TraceSummary Tracer::summary() const {
-  TraceSummary s = counters_;
-  s.events_recorded = size_;
-  s.events_dropped = dropped_;
-  return s;
-}
-
 std::vector<TraceEvent> Tracer::sorted_events() const {
   std::vector<TraceEvent> events;
   events.reserve(size_);

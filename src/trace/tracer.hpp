@@ -9,9 +9,9 @@
 
 /// \file tracer.hpp
 /// The tracing core: a chunked, preallocated event buffer plus the
-/// TraceSummary counters.  Hooks throughout sim/sched/core hold a
+/// TraceSummary counters.  Hooks throughout sched/core/fault hold a
 /// `Tracer*` that is null by default, so an untraced run pays one branch
-/// per hook.
+/// per hook; the engine holds none (the scheduler folds its counts in).
 ///
 /// Determinism contract: `record()` stamps each event with a monotone
 /// sequence number, so the (time, seq) key mirrors the engine's event queue
@@ -37,8 +37,8 @@ class Tracer {
   static constexpr std::size_t kChunkEvents = 1u << 16;
 
   /// Default cap: 1M events (~48 MB).  Past the cap events are counted in
-  /// `events_dropped` but not stored — a trace that silently truncates
-  /// must say so.
+  /// dropped() but not stored — a trace that silently truncates must say
+  /// so.
   static constexpr std::size_t kDefaultMaxEvents = 1u << 20;
 
   explicit Tracer(TraceMode mode = TraceMode::kFull,
@@ -55,8 +55,9 @@ class Tracer {
   TraceSummary& counters() { return counters_; }
   const TraceSummary& counters() const { return counters_; }
 
-  /// Counter snapshot with the event-volume fields filled in.
-  TraceSummary summary() const;
+  /// Counter snapshot (a copy of counters()).  Buffer bookkeeping is
+  /// not a counter: read size() and dropped().
+  TraceSummary summary() const { return counters_; }
 
   std::size_t size() const { return size_; }
   std::uint64_t dropped() const { return dropped_; }

@@ -40,16 +40,6 @@ int SizeDistribution::operator()(Rng& rng) const {
   return class_cpus_[class_sampler_(rng)];
 }
 
-double SizeDistribution::common_mean() const {
-  // The sampler stores cumulative probabilities; recompute weights from
-  // the original cpus list is not possible, so approximate by Monte Carlo
-  // in tests instead.  Here we return the unweighted mean of classes as a
-  // sanity anchor only.
-  double sum = 0;
-  for (int c : class_cpus_) sum += static_cast<double>(c);
-  return sum / static_cast<double>(class_cpus_.size());
-}
-
 RuntimeDistribution::RuntimeDistribution(Seconds median, Seconds mean,
                                          Seconds min_runtime,
                                          Seconds max_runtime)

@@ -39,9 +39,6 @@ class SizeDistribution {
 
   int max_cpus() const { return max_cpus_; }
 
-  /// Analytic mean of the common-class part (tail excluded); used by tests.
-  double common_mean() const;
-
  private:
   std::vector<int> class_cpus_;
   DiscreteSampler class_sampler_;

@@ -323,6 +323,8 @@ TEST(Driver, CheckpointRecoveryResubmitsRemainingWork) {
   // project work.
   sim::Engine eng;
   sched::BatchScheduler s(eng, machine_of(10), preempting_easy());
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  s.set_tracer(&tracer);
   ProjectSpec spec = ProjectSpec::paper(4, 10, 100);  // serial waves
   spec.recovery = PreemptionRecovery::kCheckpoint;
   InterstitialDriver driver(s, spec, 1000);
@@ -330,7 +332,7 @@ TEST(Driver, CheckpointRecoveryResubmitsRemainingWork) {
   eng.run();
   const auto r = s.take_result(5000);
   ASSERT_EQ(r.killed.size(), 1u);
-  EXPECT_EQ(driver.kills_observed(), 1u);
+  EXPECT_EQ(r.trace.interstitial_killed, 1u);
   EXPECT_EQ(driver.resume_fragments_pending(), 0u);  // fragment completed
   // Completed interstitial runtime: 3 full jobs + one 40 s executed-lost
   // + one 60 s fragment... executed work of the victim is *lost* under

@@ -21,6 +21,7 @@
 #include "metrics/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "trace/tracer.hpp"
 #include "util/cow_log.hpp"
 #include "util/rng.hpp"
 
@@ -92,10 +93,10 @@ TEST(ForkDeterminism, SiblingForksAreIsolated) {
   faults.node_cpus = 256;
   faults.start = faulted->now();
   faulted->add_faults(faults);
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  faulted->set_tracer(&tracer);
   const sched::RunResult faulted_result = faulted->finish();
-  EXPECT_GT(faulted->injector()->stats().crashes +
-                faulted->injector()->stats().node_failures,
-            0u);
+  EXPECT_GT(faulted_result.trace.faults_injected, 0u);
 
   expect_identical(clean->finish(), scratch);
   expect_identical(prefix.finish(), scratch);
@@ -119,18 +120,21 @@ TEST(ForkDeterminism, FaultedForkMatchesScratchRunWithSameFaultStart) {
   prefix.run_until(t0);
   std::unique_ptr<SimRun> forked = prefix.fork();
   forked->add_faults(faults);
+  trace::Tracer fork_tracer(trace::TraceMode::kCountersOnly);
+  forked->set_tracer(&fork_tracer);
   const sched::RunResult via_fork = forked->finish();
 
   SimRun scratch(scenario);
   scratch.run_until(t0);
   scratch.add_faults(faults);
+  trace::Tracer scratch_tracer(trace::TraceMode::kCountersOnly);
+  scratch.set_tracer(&scratch_tracer);
   const sched::RunResult via_scratch = scratch.finish();
 
   expect_identical(via_fork, via_scratch);
-  EXPECT_EQ(forked->injector()->stats().crashes,
-            scratch.injector()->stats().crashes);
-  EXPECT_EQ(forked->injector()->stats().native_resubmits,
-            scratch.injector()->stats().native_resubmits);
+  EXPECT_EQ(via_fork.trace.fault_crashes, via_scratch.trace.fault_crashes);
+  EXPECT_EQ(via_fork.trace.fault_native_resubmits,
+            via_scratch.trace.fault_native_resubmits);
 }
 
 // RunReport equality: the forked and from-scratch results, each reported

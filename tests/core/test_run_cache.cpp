@@ -71,16 +71,6 @@ TEST(RunCache, FreeFunctionsUseTheDefaultInstance) {
   EXPECT_EQ(&via_free, &via_default);
 }
 
-TEST(RunCache, FreeFunctionsHonourExplicitCache) {
-  RunCache mine;
-  const auto& r = native_baseline(kSite, &mine);
-  EXPECT_EQ(mine.size(), 1u);
-  EXPECT_EQ(&r, &mine.native_baseline(kSite));
-  // The continual entry point threads the cache too.
-  (void)continual_run(kSite, 32, 120, 1.0, &mine);
-  EXPECT_EQ(mine.size(), 2u);
-}
-
 TEST(RunCache, EqualKeysYieldIdenticalRuns) {
   // Two isolated caches must simulate to the same records — the cache is
   // a pure memoization layer, never a source of nondeterminism.

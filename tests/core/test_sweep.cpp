@@ -17,6 +17,7 @@
 #include "core/fork.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
+#include "trace/tracer.hpp"
 
 namespace istc::core {
 namespace {
@@ -125,8 +126,10 @@ TEST(SweepRunner, VerifiedSweepWithFaultedPrefix) {
   faults.crash_mtbf = 30 * kSecondsPerHour;
   faults.start = 0;
   probe.add_faults(faults);
+  trace::Tracer tracer(trace::TraceMode::kCountersOnly);
+  probe.set_tracer(&tracer);
   probe.run_until(t0);
-  EXPECT_GT(probe.injector()->stats().crashes, 0u);
+  EXPECT_GT(tracer.counters().fault_crashes, 0u);
 }
 
 // Scratch mode builds one run per point, so points may differ from t=0 —

@@ -124,11 +124,11 @@ TEST(FleetFork, ForkMatchesUnforkedAtSeveralTimes) {
     if (!faults) continue;
     std::size_t fired = 0, grid_jobs_hit = 0, port_kills = 0;
     for (std::size_t m = 0; m < whole->machine_count(); ++m) {
-      const fault::FaultInjector* injector = whole->machine(m).injector();
-      ASSERT_NE(injector, nullptr);
-      fired += injector->stats().node_failures;
-      grid_jobs_hit += injector->stats().interstitial_kills;
+      ASSERT_NE(whole->machine(m).injector(), nullptr);
       const FleetMachineOutcome& out = scratch.machines[m];
+      // Every grid machine counts into its own tracer (RunResult::trace).
+      fired += out.run.trace.fault_node_failures;
+      grid_jobs_hit += out.run.trace.fault_killed_interstitial;
       std::size_t grid_kills = 0;
       for (const auto& k : out.run.killed) grid_kills += k.interstitial();
       EXPECT_EQ(out.port.killed, grid_kills) << out.name;

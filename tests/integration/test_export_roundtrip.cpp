@@ -1,14 +1,11 @@
-// End-to-end export path: a full co-simulation's records exported as SWF,
-// read back through the trace reader, and replayed as a foreign log.
+// End-to-end export path: a native log written as SWF, read back through
+// the trace reader, and replayed as a foreign log.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
-#include "core/experiment.hpp"
-#include "metrics/export.hpp"
-#include "metrics/utilization.hpp"
+#include "cluster/presets.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 #include "workload/presets.hpp"
@@ -18,23 +15,6 @@ namespace istc {
 namespace {
 
 using cluster::Site;
-
-TEST(ExportRoundTrip, CoSimRecordsSurviveSwf) {
-  const auto& run = core::continual_run(Site::kRoss, 32, 960);
-  std::ostringstream out;
-  metrics::write_swf_records(out, run.records, "Ross co-simulation");
-
-  std::istringstream in(out.str());
-  workload::SwfReadOptions opts;
-  opts.rebase_time = false;
-  const auto log = workload::read_swf(in, opts);
-
-  ASSERT_EQ(log.size(), run.records.size());
-  // Work is conserved through the round trip.
-  double work = 0;
-  for (const auto& r : run.records) work += r.cpu_seconds();
-  EXPECT_NEAR(log.total_cpu_seconds(), work, 1.0);
-}
 
 TEST(ExportRoundTrip, ExportedNativeLogReplaysDeterministically) {
   // Export the canonical Blue Pacific *input* log, read it back, and

@@ -344,6 +344,99 @@ TEST(Scheduler, StatsCountInterstitialStartsSeparately) {
   s.take_result(1000);
 }
 
+// Churn for the fold tests: 60 random natives on 16 CPUs, with
+// overestimates so reservations drift and wakes get armed.
+void submit_churn(BatchScheduler& s) {
+  Rng rng(7);
+  for (workload::JobId id = 0; id < 60; ++id) {
+    const auto run = 10 + static_cast<Seconds>(rng.below(300));
+    s.submit(mk(id, static_cast<SimTime>(rng.below(2000)),
+                1 + static_cast<int>(rng.below(16)), run,
+                run * (1 + static_cast<Seconds>(rng.below(3)))));
+  }
+}
+
+// The engine knows no tracer: take_result folds its counts into the
+// attached one.  Attached at construction, the tracer sees every drained
+// event and timestep, and each gauge equals the engine's own; attaching
+// one, in either mode, changes nothing the engine drains.
+TEST(SchedulerTrace, TakeResultFoldsEngineStatsIntoTracer) {
+  const auto drain = [](trace::Tracer* tracer, sim::EngineStats& stats) {
+    sim::Engine eng;
+    BatchScheduler s(eng, machine_of(16), fcfs_policy());
+    if (tracer != nullptr) s.set_tracer(tracer);
+    submit_churn(s);
+    eng.run();
+    const RunResult r = s.take_result(3000);
+    if (tracer != nullptr) {
+      EXPECT_EQ(r.trace.engine_events_drained,
+                tracer->counters().engine_events_drained);
+    }
+    stats = eng.stats();
+    return eng.events_processed();
+  };
+  sim::EngineStats bare_stats;
+  const std::uint64_t bare = drain(nullptr, bare_stats);
+  trace::Tracer counters(trace::TraceMode::kCountersOnly);
+  trace::Tracer full(trace::TraceMode::kFull);
+  for (trace::Tracer* tracer : {&counters, &full}) {
+    sim::EngineStats e;
+    EXPECT_EQ(drain(tracer, e), bare);
+    EXPECT_EQ(e.timesteps, bare_stats.timesteps);
+    const trace::TraceSummary& c = tracer->counters();
+    const auto scheduled = [&e](sim::EventType type) {
+      return e.scheduled_by_type[static_cast<int>(type)];
+    };
+    EXPECT_EQ(c.engine_events_drained, bare);
+    EXPECT_EQ(c.engine_timesteps, e.timesteps);
+    EXPECT_EQ(c.engine_peak_queue_depth, e.peak_queue_depth);
+    EXPECT_EQ(c.engine_max_timestep_batch, e.max_timestep_batch);
+    EXPECT_EQ(c.engine_heap_allocations, e.heap_allocations);
+    EXPECT_EQ(c.engine_events_job_submit,
+              scheduled(sim::EventType::kJobSubmit));
+    EXPECT_EQ(c.engine_events_job_finish,
+              scheduled(sim::EventType::kJobFinish));
+    EXPECT_EQ(c.engine_events_wake, scheduled(sim::EventType::kSchedulerWake));
+    EXPECT_EQ(c.engine_events_sample, scheduled(sim::EventType::kSample));
+    EXPECT_EQ(c.engine_events_repair,
+              scheduled(sim::EventType::kCapacityRepair));
+    EXPECT_EQ(c.engine_events_fault, scheduled(sim::EventType::kFaultFire));
+    EXPECT_EQ(c.engine_events_grid_arrival,
+              scheduled(sim::EventType::kGridArrival));
+  }
+  EXPECT_EQ(counters.counters().engine_events_job_submit, 60u);
+  EXPECT_GT(counters.counters().engine_events_wake, 0u);
+}
+
+// Swapping tracers folds the engine's counts into the outgoing one, and
+// the tracer attached mid-run counts drained events and timesteps of its
+// own window only; gauges cover the engine's whole life.
+TEST(SchedulerTrace, MidRunAttachCountsOnlyTheAttachedWindow) {
+  sim::Engine eng;
+  BatchScheduler s(eng, machine_of(16), fcfs_policy());
+  trace::Tracer first(trace::TraceMode::kCountersOnly);
+  s.set_tracer(&first);
+  submit_churn(s);
+  eng.run(1000);
+  const std::uint64_t events_at_swap = eng.events_processed();
+  const std::uint64_t steps_at_swap = eng.stats().timesteps;
+  ASSERT_GT(events_at_swap, 0u);
+  trace::Tracer second(trace::TraceMode::kCountersOnly);
+  s.set_tracer(&second);
+  EXPECT_EQ(first.counters().engine_events_drained, events_at_swap);
+  EXPECT_EQ(first.counters().engine_timesteps, steps_at_swap);
+  eng.run();
+  const RunResult r = s.take_result(3000);
+  ASSERT_GT(eng.events_processed(), events_at_swap);
+  const trace::TraceSummary& c = second.counters();
+  EXPECT_EQ(c.engine_events_drained, eng.events_processed() - events_at_swap);
+  EXPECT_EQ(c.engine_timesteps, eng.stats().timesteps - steps_at_swap);
+  EXPECT_EQ(c.engine_peak_queue_depth, eng.stats().peak_queue_depth);
+  EXPECT_EQ(r.trace.engine_timesteps, c.engine_timesteps);
+  // The outgoing tracer kept only its own window.
+  EXPECT_EQ(first.counters().engine_events_drained, events_at_swap);
+}
+
 TEST(Scheduler, WakeAtDedupsCoveredWakes) {
   sim::Engine eng;
   BatchScheduler s(eng, machine_of(10), fcfs_policy());

@@ -147,9 +147,9 @@ TEST(TraceDeterminism, MiniatureJsonlMatchesGolden) {
 }
 
 TEST(TraceDeterminism, EngineEventCoreGaugesReachSummary) {
-  // The engine mirrors its event-core gauges (queue high-water mark,
-  // largest same-timestamp batch, scheduled-by-kind tallies) into the
-  // counting tracer once per drained timestep.
+  // The scheduler folds the engine's event-core gauges (queue high-water
+  // mark, largest same-timestamp batch, scheduled-by-kind tallies) into
+  // the counting tracer when it takes the result.
   Tracer tracer(TraceMode::kCountersOnly);
   run_miniature(42, &tracer);
   const auto& s = tracer.summary();
@@ -160,9 +160,6 @@ TEST(TraceDeterminism, EngineEventCoreGaugesReachSummary) {
   EXPECT_EQ(s.engine_events_job_submit, 150u);
   EXPECT_GT(s.engine_events_job_finish, 0u);
   EXPECT_GT(s.engine_events_wake, 0u);
-  // The whole scheduler stack runs on typed events: nothing in the
-  // miniature needs the type-erased callback fallback.
-  EXPECT_EQ(s.engine_events_callback, 0u);
 }
 
 // Telemetry with sampling disabled is a pure observer: the golden
@@ -234,12 +231,8 @@ TEST(TraceDeterminism, CountersOnlySummaryMatchesFullTracer) {
   const auto b = summary_fields(full.summary());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::string name = a[i].name;
-    if (a[i].wall_clock || name == "events_recorded" ||
-        name == "events_dropped") {
-      continue;
-    }
-    EXPECT_EQ(a[i].value, b[i].value) << name;
+    if (a[i].wall_clock) continue;
+    EXPECT_EQ(a[i].value, b[i].value) << a[i].name;
   }
   EXPECT_GT(full.summary().reservations_honored, 0u);
 }
@@ -285,9 +278,9 @@ TEST(TraceDeterminism, TracingObservesButNeverPerturbs) {
   }
   EXPECT_EQ(traced.sim_end, bare.sim_end);
 
-  // And the traced run's summary reflects real work.
+  // And the traced run's buffer and summary reflect real work.
+  EXPECT_GT(tracer.size(), 0u);
   const auto s = tracer.summary();
-  EXPECT_GT(s.events_recorded, 0u);
   EXPECT_GT(s.sched_passes, 0u);
   EXPECT_GT(s.gate_decisions, 0u);
 }

@@ -145,7 +145,7 @@ TEST(ChromeExport, RunningJobsAtTraceEndStillRender) {
 TEST(CountersCsv, HeaderAndRowRoundTrip) {
   const std::string path = ::testing::TempDir() + "/istc_trace_counters.csv";
   TraceSummary s;
-  s.events_recorded = 12;
+  s.engine_events_drained = 12;
   s.sched_passes = 3;
   s.sched_pass_us_total = 450;
   s.interstitial_rejected_by_gate = 7;
@@ -154,7 +154,8 @@ TEST(CountersCsv, HeaderAndRowRoundTrip) {
   std::remove(path.c_str());
   EXPECT_NE(text.find("events_recorded,"), std::string::npos);
   EXPECT_NE(text.find("interstitial_rejected_by_gate"), std::string::npos);
-  EXPECT_NE(text.find("\n12,0,"), std::string::npos);
+  // events_recorded and events_dropped are literal-0 rows.
+  EXPECT_NE(text.find("\n0,0,12,0,3,"), std::string::npos);
 }
 
 TEST(CountersCsv, EngineEventCoreColumnsRoundTrip) {
@@ -162,7 +163,6 @@ TEST(CountersCsv, EngineEventCoreColumnsRoundTrip) {
   TraceSummary s;
   s.engine_peak_queue_depth = 321;
   s.engine_max_timestep_batch = 17;
-  s.engine_events_callback = 4;
   s.engine_events_job_submit = 150;
   s.engine_events_job_finish = 140;
   s.engine_events_wake = 88;
@@ -177,8 +177,9 @@ TEST(CountersCsv, EngineEventCoreColumnsRoundTrip) {
         "engine_heap_allocations"}) {
     EXPECT_NE(text.find(col), std::string::npos) << col;
   }
-  // The gauge values land in the row in header order.
-  EXPECT_NE(text.find("321,17,4,150,140,88,2"), std::string::npos);
+  // The gauge values land in the row in header order; the callback column
+  // is a literal 0 (the engine has no generic-callback event).
+  EXPECT_NE(text.find("321,17,0,150,140,88,2"), std::string::npos);
 }
 
 }  // namespace
