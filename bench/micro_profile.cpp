@@ -81,18 +81,6 @@ void BM_ProfileRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileRebuild)->Arg(64)->Arg(512);
 
-// Full canonicalization sweep on an already-canonical profile: the
-// worst-case steady-state cost the scheduler's gate stage pays per pass.
-void BM_ProfileCoalesce(benchmark::State& state) {
-  Rng rng(9);
-  auto p = busy_profile(1000, rng);
-  for (auto _ : state) {
-    p.coalesce();
-    benchmark::DoNotOptimize(p.steps());
-  }
-}
-BENCHMARK(BM_ProfileCoalesce);
-
 // Window scan at a short (one-hour) and a long (quarter-span) window; the
 // long one covers many breakpoints, the regime the omniscient packer
 // queries in.

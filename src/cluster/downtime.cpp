@@ -1,6 +1,7 @@
 #include "cluster/downtime.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/assert.hpp"
 
@@ -46,8 +47,14 @@ SimTime DowntimeCalendar::up_again_at(SimTime t) const {
 
 bool DowntimeCalendar::can_run(SimTime t, Seconds dur) const {
   ISTC_EXPECTS(dur >= 0);
-  if (is_down(t)) return false;
-  return t + dur <= next_down_start(t);
+  // One search answers both questions.  The first window starting after t
+  // is the next to open, and only its predecessor can contain t; when that
+  // one does not, no window starts at t either.
+  const auto it = std::upper_bound(
+      windows_.begin(), windows_.end(), t,
+      [](SimTime v, const DowntimeWindow& w) { return v < w.start; });
+  if (it != windows_.begin() && t < std::prev(it)->end) return false;
+  return t + dur <= (it == windows_.end() ? kTimeInfinity : it->start);
 }
 
 Seconds DowntimeCalendar::down_seconds(SimTime lo, SimTime hi) const {

@@ -44,62 +44,52 @@ int ResourceProfile::min_free(SimTime start, SimTime end) const {
   return lo;
 }
 
-std::size_t ResourceProfile::split_at(SimTime t) {
-  const std::size_t i = find(t);
-  if (pts_[i].t == t) return i;
-  pts_.insert(pts_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-              Pt{t, pts_[i].f});
-  return i + 1;
-}
-
-void ResourceProfile::coalesce(SimTime lo, SimTime hi) {
-  // Mirror of the textbook map walk: consider (kept, next) pairs while the
-  // kept breakpoint is at or before hi; drop `next` when equal-valued.
-  // Survivors compact leftward in place; the single erase at the end
-  // closes the gap with one move of the untouched tail.
-  const auto first = pts_.begin() + static_cast<std::ptrdiff_t>(head_);
-  const auto it = std::lower_bound(
-      first, pts_.end(), lo, [](const Pt& p, SimTime v) { return p.t < v; });
-  std::size_t w = static_cast<std::size_t>(it - pts_.begin());
-  if (w > head_) --w;  // include the segment the range's left edge cuts into
-  std::size_t j = w + 1;
-  for (; j < pts_.size(); ++j) {
-    if (pts_[w].t > hi) break;
-    if (pts_[j].f == pts_[w].f) continue;  // merged into the kept segment
-    pts_[++w] = pts_[j];
+void ResourceProfile::shift(SimTime start, SimTime end, int delta) {
+  ISTC_EXPECTS(start >= origin_);
+  ISTC_EXPECTS(end > start);
+  const auto at = [this](std::size_t i) {
+    return pts_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  // Segments lo..hi meet [start, end); the same walk takes their minimum.
+  std::size_t lo = find(start);
+  std::size_t hi = lo;
+  int lowest = pts_[lo].f;
+  while (hi + 1 < pts_.size() && pts_[hi + 1].t < end) {
+    ++hi;
+    lowest = std::min(lowest, pts_[hi].f);
   }
-  if (j != w + 1) {
-    pts_.erase(pts_.begin() + static_cast<std::ptrdiff_t>(w) + 1,
-               pts_.begin() + static_cast<std::ptrdiff_t>(j));
+  // A reservation needs its CPUs free throughout; nothing has moved yet.
+  ISTC_EXPECTS(lowest + delta >= 0);
+  // Breakpoints at end and at start (end first, so lo stays valid); each
+  // inserted one repeats the value in force where it lands.
+  std::size_t e = hi + 1;
+  if (e == pts_.size() || pts_[e].t != end) {
+    pts_.insert(at(e), Pt{end, pts_[hi].f});
   }
+  if (pts_[lo].t != start) {
+    pts_.insert(at(lo + 1), Pt{start, pts_[lo].f});
+    ++lo;
+    ++e;
+  }
+  for (std::size_t i = lo; i < e; ++i) {
+    pts_[i].f += delta;
+    ISTC_ASSERT(pts_[i].f <= capacity_);
+  }
+  // The interior pairs were distinct and moved together, and an inserted
+  // boundary now differs from its neighbour by delta, so only a boundary
+  // that already existed can equal its outside neighbour.
+  if (pts_[e].f == pts_[e - 1].f) pts_.erase(at(e));
+  if (lo > head_ && pts_[lo - 1].f == pts_[lo].f) pts_.erase(at(lo));
 }
 
 void ResourceProfile::reserve(SimTime start, SimTime end, int cpus) {
-  ISTC_EXPECTS(start >= origin_);
-  ISTC_EXPECTS(end > start);
   ISTC_EXPECTS(cpus > 0);
-  ISTC_EXPECTS(min_free(start, end) >= cpus);
-  const std::size_t lo = split_at(start);
-  // end may be past every breakpoint; splitting materializes the boundary.
-  const std::size_t hi = split_at(end);
-  for (std::size_t i = lo; i < hi; ++i) {
-    pts_[i].f -= cpus;
-    ISTC_ASSERT(pts_[i].f >= 0);
-  }
-  coalesce(start, end);
+  shift(start, end, -cpus);
 }
 
 void ResourceProfile::release(SimTime start, SimTime end, int cpus) {
-  ISTC_EXPECTS(start >= origin_);
-  ISTC_EXPECTS(end > start);
   ISTC_EXPECTS(cpus > 0);
-  const std::size_t lo = split_at(start);
-  const std::size_t hi = split_at(end);
-  for (std::size_t i = lo; i < hi; ++i) {
-    pts_[i].f += cpus;
-    ISTC_ASSERT(pts_[i].f <= capacity_);
-  }
-  coalesce(start, end);
+  shift(start, end, cpus);
 }
 
 ResourceProfile::Step ResourceProfile::step_at(SimTime t) const {
@@ -141,10 +131,6 @@ void ResourceProfile::advance_origin(SimTime t) {
   }
 }
 
-void ResourceProfile::coalesce() {
-  coalesce(origin_, pts_.back().t);
-}
-
 bool ResourceProfile::same_function(const ResourceProfile& other) const {
   if (origin_ != other.origin_ || capacity_ != other.capacity_) return false;
   // Sweep the union of breakpoints; the functions are equal iff they agree
@@ -179,45 +165,29 @@ SimTime ResourceProfile::earliest_fit(int cpus, Seconds duration,
   ISTC_EXPECTS(cpus > 0);
   ISTC_EXPECTS(duration > 0);
   ISTC_EXPECTS(cpus <= capacity_);
-  SimTime t = std::max(not_before, origin_);
   const std::size_t n = pts_.size();
-  // Walk candidate start times: current t, then each breakpoint where free
-  // capacity rises.  For each candidate, scan the window; on failure, jump
-  // to the step after the blocking segment.
+  SimTime t = std::max(not_before, origin_);
+  // One search for the segment covering t.  Candidate starts only move
+  // forward (t, then each step where free capacity rises to cpus), so
+  // every later candidate continues the scan where the last one stopped.
+  std::size_t i = find(t);
   for (;;) {
-    // Find the segment covering t.
-    std::size_t i = find(t);
     if (pts_[i].f < cpus) {
-      // Blocked immediately; advance to the next step with enough room.
-      ++i;
-      while (i < n && pts_[i].f < cpus) ++i;
-      if (i == n) {
-        // Last segment value is reachable only if >= cpus; since the final
-        // segment extends to infinity and capacity >= cpus, the last
-        // segment must eventually fit.  If not, the profile is saturated
-        // forever, which reserve() forbids (it cannot exceed capacity).
-        ISTC_ASSERT(pts_[n - 1].f >= cpus);
-        return pts_[n - 1].t > t ? pts_[n - 1].t : t;
-      }
+      // Blocked at t: advance to the next step with enough room.  One
+      // exists: every reservation ends, so the last segment, which runs to
+      // infinity, is back at full capacity.
+      do {
+        ++i;
+      } while (i < n && pts_[i].f < cpus);
+      ISTC_ASSERT(i < n);
       t = pts_[i].t;
-      continue;
     }
-    // Scan forward through [t, t+duration).
+    // Segment i covers t and has room; scan the rest of [t, t+duration).
     const SimTime end = t + duration;
-    std::size_t scan = i + 1;
-    bool ok = true;
-    for (; scan < n && pts_[scan].t < end; ++scan) {
-      if (pts_[scan].f < cpus) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return t;
-    // Restart after the blocking segment.
-    std::size_t after = scan;
-    while (after < n && pts_[after].f < cpus) ++after;
-    ISTC_ASSERT(after < n || pts_[n - 1].f >= cpus);
-    t = after < n ? pts_[after].t : pts_[n - 1].t;
+    ++i;
+    while (i < n && pts_[i].t < end && pts_[i].f >= cpus) ++i;
+    if (i == n || pts_[i].t >= end) return t;
+    // Segment i blocks the window: the next candidate starts after it.
   }
 }
 

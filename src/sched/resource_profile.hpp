@@ -14,14 +14,19 @@
 /// start at which a (cpus x duration) rectangle fits.
 ///
 /// Storage is a flat sorted array of breakpoints, not a tree: every hot
-/// pass operation is a scan (earliest_fit walks candidate windows,
-/// reserve/release sweep an interval, coalesce merges a run), and scanning
-/// a few hundred contiguous 16-byte entries beats chasing red-black tree
-/// nodes by a wide margin.  Point lookups are binary searches.  The
-/// per-pass advance_origin bumps a head cursor instead of erasing nodes;
-/// the dead prefix is reclaimed in bulk once it dominates the array.
+/// pass operation is one binary search followed by a forward scan
+/// (earliest_fit walks candidate windows from where the last one stopped,
+/// reserve/release sweep their interval once), and scanning a few hundred
+/// contiguous 16-byte entries beats chasing red-black tree nodes by a wide
+/// margin.  The per-pass advance_origin bumps a head cursor instead of
+/// erasing nodes; the dead prefix is reclaimed in bulk once it dominates
+/// the array.
 ///
-/// Queries scan the live breakpoints linearly at every profile size.
+/// The profile is always canonical: no two adjacent segments hold the same
+/// value, so steps() counts the step function's value changes.  Every
+/// mutator keeps it so; reserve/release merge only at their interval's two
+/// edges, because shifting a whole interval by one delta keeps its interior
+/// pairs distinct.
 
 namespace istc::sched {
 
@@ -74,21 +79,14 @@ class ResourceProfile {
   /// scheduler advances to `now` at the top of every pass.
   void advance_origin(SimTime t);
 
-  /// Merge every run of adjacent equal-valued segments.  reserve/release
-  /// already coalesce around their own interval; this full sweep is the
-  /// backstop for callers composing many operations (and the guarantee the
-  /// segment-count tests pin: steps() is bounded by the number of distinct
-  /// future change points, never by the operation count).
-  void coalesce();
-
   /// True when `other` is the same step function over [origin, inf):
-  /// same origin, same free CPUs at every instant (segmentation-agnostic,
-  /// though coalesced profiles are canonical).  ISTC_PARANOID uses this to
-  /// check the incrementally maintained profile against a from-scratch
-  /// rebuild.
+  /// same origin, same free CPUs at every instant (segmentation-agnostic).
+  /// ISTC_PARANOID uses this to check the incrementally maintained profile
+  /// against a from-scratch rebuild.
   bool same_function(const ResourceProfile& other) const;
 
-  /// Number of internal breakpoints (diagnostics / complexity tests).
+  /// Number of internal breakpoints: the value changes over [origin, inf)
+  /// plus one (diagnostics / complexity tests).
   std::size_t steps() const { return pts_.size() - head_; }
 
  private:
@@ -101,11 +99,11 @@ class ResourceProfile {
   /// Index of the segment covering t (last live index with .t <= t).
   std::size_t find(SimTime t) const;
 
-  /// Ensure a breakpoint exists exactly at t; returns its index.
-  std::size_t split_at(SimTime t);
-
-  /// Merge adjacent equal-valued steps around the given key range.
-  void coalesce(SimTime lo, SimTime hi);
+  /// Add `delta` over [start, end) in one walk: one find(start), one scan
+  /// to the last segment before end that also takes the interval's minimum
+  /// (no segment may go negative: a precondition, checked before anything
+  /// moves), at most two inserts, the delta, then the two edge merges.
+  void shift(SimTime start, SimTime end, int delta);
 
   SimTime origin_;
   int capacity_;

@@ -1,9 +1,9 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -194,11 +194,9 @@ SimTime BatchScheduler::earliest_start(const ResourceProfile& profile,
   // Each constraint pushes t forward monotonically; converges because the
   // downtime calendar is finite and a time-of-day window opens every day.
   for (int iter = 0; iter < 1000; ++iter) {
-    const SimTime fit = profile.earliest_fit(job.cpus, job.estimate, t);
-    if (fit != t) {
-      t = fit;
-      continue;
-    }
+    // The earliest fit at or after t fits at itself, so one call settles
+    // the profile constraint for this round.
+    t = profile.earliest_fit(job.cpus, job.estimate, t);
     if (policy_.time_of_day && !policy_.time_of_day->allowed(job, t)) {
       t = policy_.time_of_day->earliest_allowed(job, t);
       continue;
@@ -481,16 +479,30 @@ void BatchScheduler::prioritize() {
     prio_.resize(n);
     // One deficit evaluation per (user, group) principal instead of one per
     // job; priority() is pure, so the memo is bit-identical to recomputing.
-    std::unordered_map<std::uint32_t, double> deficits;
-    deficits.reserve(n);
+    // The memo is an open-addressed table in reused scratch, at most half
+    // full.  A slot counts only when this recompute stamped it, so the
+    // table is never cleared and a recompute allocates nothing.
+    if (deficit_memo_.size() < 2 * n) {
+      deficit_memo_.assign(std::bit_ceil(2 * n), DeficitSlot{});
+    }
+    ++memo_stamp_;
+    const std::size_t mask = deficit_memo_.size() - 1;
     for (std::size_t i = 0; i < n; ++i) {
       const workload::Job& job = store_.job(pending_[i]);
       const std::uint32_t key =
-          (static_cast<std::uint32_t>(job.user) << 16) |
-          static_cast<std::uint32_t>(job.group);
-      auto [it, fresh] = deficits.try_emplace(key, 0.0);
-      if (fresh) it->second = fairshare_.deficit(job.user, job.group, st.now);
-      prio_[i] = fairshare_.priority_with_deficit(it->second, job, st.now);
+          (static_cast<std::uint32_t>(job.user) << 16) | job.group;
+      std::size_t h =
+          static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+      while (deficit_memo_[h].stamp == memo_stamp_ &&
+             deficit_memo_[h].key != key) {
+        h = (h + 1) & mask;
+      }
+      DeficitSlot& slot = deficit_memo_[h];
+      if (slot.stamp != memo_stamp_) {
+        slot = {memo_stamp_, key,
+                fairshare_.deficit(job.user, job.group, st.now)};
+      }
+      prio_[i] = fairshare_.priority_with_deficit(slot.deficit, job, st.now);
     }
     std::stable_sort(st.order.begin(), st.order.end(),
                      [&](std::size_t a, std::size_t b) {
@@ -634,7 +646,7 @@ void BatchScheduler::check_replay() const {
 void BatchScheduler::gate() {
   PassState& st = pass_state_;
   // The reservations lived on the plan only; the persistent profile saw
-  // just the starts and kills, each coalesced around its own interval.
+  // just the starts and kills.
   plan_live_ = false;
 
   // Drop started jobs, leaving pending_ in priority order.  The priority

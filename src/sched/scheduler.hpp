@@ -516,6 +516,15 @@ class BatchScheduler : private sim::JobEventSink {
   /// no job entered the queue since the last sort.
   std::vector<double> prio_;
   std::uint64_t prio_epoch_ = 0;
+  /// Scratch for prioritize(): the deficit of each (user, group) principal
+  /// in the current recompute, open-addressed by user << 16 | group.
+  struct DeficitSlot {
+    std::uint64_t stamp = 0;  ///< the recompute that filled the slot
+    std::uint32_t key = 0;
+    double deficit = 0.0;
+  };
+  std::vector<DeficitSlot> deficit_memo_;
+  std::uint64_t memo_stamp_ = 0;
   bool pending_dirty_ = true;
   bool order_cached_ = false;
   /// Scratch for gate()'s in-order queue compaction.

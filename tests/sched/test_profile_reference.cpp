@@ -66,7 +66,7 @@ class ReferenceProfile {
   }
 
   /// Maximal equal-valued runs over [origin, inf): the segment count of a
-  /// fully coalesced profile.
+  /// canonical profile (no two adjacent segments hold the same value).
   std::size_t runs() const {
     std::size_t n = 1;
     for (SimTime t = origin_ + 1; t <= horizon(); ++t) {
@@ -145,6 +145,8 @@ TEST_P(ProfileDifferential, MatchesBruteForce) {
       ASSERT_EQ(fast.min_free(a, b), slow.min_free(a, b))
           << "min_free(" << a << "," << b << ")";
     }
+    // Every mutator leaves the profile canonical.
+    ASSERT_EQ(fast.steps(), slow.runs()) << "op " << op;
   }
 }
 
@@ -156,8 +158,8 @@ class ProfileOriginDifferential
 
 // The pass-persistent operations against the same oracle: the origin
 // advances past history, reservations straddling it become unreleasable,
-// full coalesce sweeps interleave with mutations, and after every operation
-// the whole step function is walked through step_at.
+// and after every operation the profile must be canonical and the whole
+// step function is walked through step_at.
 TEST_P(ProfileOriginDifferential, MatchesBruteForce) {
   constexpr int kCapacity = 48;
   constexpr SimTime kHorizon = 800;
@@ -210,10 +212,8 @@ TEST_P(ProfileOriginDifferential, MatchesBruteForce) {
       fast.advance_origin(to);
       slow.advance_origin(to);
       std::erase_if(live, [&](const Reservation& r) { return r.start < to; });
-    } else {
-      fast.coalesce();
-      ASSERT_EQ(fast.steps(), slow.runs()) << "op " << op;
     }
+    ASSERT_EQ(fast.steps(), slow.runs()) << "op " << op;
     ASSERT_NO_FATAL_FAILURE(expect_same_function(fast, slow)) << "op " << op;
   }
 }

@@ -175,7 +175,6 @@ TEST(ResourceProfile, CoalesceCanonicalizesAfterComposedOps) {
   ResourceProfile p(0, 100);
   p.reserve(10, 30, 20);
   p.reserve(30, 50, 20);  // adjacent, equal value: one logical segment
-  p.coalesce();
   // origin segment, the merged reservation, and the tail.
   EXPECT_EQ(p.steps(), 3u);
   EXPECT_EQ(p.min_free(10, 50), 80);
@@ -204,9 +203,14 @@ TEST(ResourceProfile, SegmentCountBoundedUnderChurn) {
     // what is outstanding, never on the 2000-operation history.
     EXPECT_LE(p.steps(), 2u * live + 1u);
   }
-  const std::size_t before = p.steps();
-  p.coalesce();
-  EXPECT_EQ(p.steps(), before);  // reserve/release already canonicalize
+  // reserve/release already canonicalize: one breakpoint per value change,
+  // counted by hopping step_at, which skips equal-valued neighbours.
+  std::size_t runs = 1;
+  for (auto s = p.step_at(p.origin()); s.until != kTimeInfinity;
+       s = p.step_at(s.until)) {
+    ++runs;
+  }
+  EXPECT_EQ(p.steps(), runs);
 }
 
 TEST(ResourceProfile, SameFunctionComparesValuesNotSegmentation) {
@@ -240,6 +244,12 @@ TEST(ResourceProfileDeath, OverReserveAborts) {
   ResourceProfile p(0, 10);
   p.reserve(0, 100, 8);
   EXPECT_DEATH(p.reserve(50, 60, 3), "precondition");
+  // The short segment in the middle of the interval, and as its last
+  // segment before end: the check covers the whole walk, before any move.
+  ResourceProfile q(0, 10);
+  q.reserve(20, 30, 8);
+  EXPECT_DEATH(q.reserve(10, 40, 3), "precondition");
+  EXPECT_DEATH(q.reserve(10, 30, 3), "precondition");
 }
 
 TEST(ResourceProfileDeath, QueryBeforeOriginAborts) {
