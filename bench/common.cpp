@@ -60,10 +60,16 @@ std::string makespan_cell(const core::MakespanSample& sample) {
   return Table::pm(s.mean(), s.stddev(), 1);
 }
 
-int reps(int full) {
-  const char* quick = std::getenv("ISTC_QUICK");
-  if (quick && quick[0] == '1') return std::max(2, full / 10);
-  return full;
+bool quick() {
+  const char* env = std::getenv("ISTC_QUICK");
+  return env != nullptr && env[0] == '1';
+}
+
+int reps(int full) { return quick() ? std::max(2, full / 10) : full; }
+
+double env_number(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  return (env != nullptr && env[0] != '\0') ? std::atof(env) : fallback;
 }
 
 std::string kjobs_label(std::size_t jobs) {

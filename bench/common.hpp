@@ -35,10 +35,18 @@ std::string artifact_path(const char* filename);
 /// "12.3 ± 4.5" in hours, or the paper's "n/a*" for infeasible cells.
 std::string makespan_cell(const core::MakespanSample& sample);
 
+/// True when `ISTC_QUICK` starts with '1': drivers shrink their work to
+/// keep CI fast without changing defaults.
+bool quick();
+
 /// Number of replications for Monte-Carlo experiments; the paper uses 20
-/// random starts (Table 2) and 500 samples (Table 4).  Honouring
-/// ISTC_QUICK=1 keeps CI fast without changing defaults.
+/// random starts (Table 2) and 500 samples (Table 4); a tenth (at least
+/// two) under quick().
 int reps(int full);
+
+/// A numeric override from the environment (a gate's floor or budget):
+/// the variable's value, or `fallback` when it is unset or empty.
+double env_number(const char* name, double fallback);
 
 /// "2k" / "¼k" style job-count label used by the paper's tables.
 std::string kjobs_label(std::size_t jobs);

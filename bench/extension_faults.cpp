@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -109,7 +108,7 @@ int main() {
       "Harvest lift vs crash MTBF x checkpoint interval via run forks; "
       "natives stay pinned.");
 
-  const bool quick = std::getenv("ISTC_QUICK") != nullptr;
+  const bool quick = bench::quick();
   const SimTime span = cluster::site_span(cluster::Site::kBlueMountain);
   // Failures are confined to the back stretch; everything before t0 is the
   // shared fault-free prefix the forks reuse.
@@ -236,10 +235,8 @@ int main() {
   // simulates each shared prefix once (two prefixes) plus one fault
   // window per variant; the scratch arm re-simulates everything.
   const double speedup = forked_wall > 0 ? scratch_wall / forked_wall : 0;
-  double min_speedup = quick ? 1.3 : 2.0;
-  if (const char* env = std::getenv("ISTC_FORK_SPEEDUP_MIN")) {
-    min_speedup = std::atof(env);
-  }
+  const double min_speedup =
+      bench::env_number("ISTC_FORK_SPEEDUP_MIN", quick ? 1.3 : 2.0);
   const bool fast_enough = min_speedup <= 0 || speedup >= min_speedup;
 
   std::printf(

@@ -1,6 +1,5 @@
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -90,10 +89,7 @@ int main() {
       "Fleet-scale harvest: global broker over Ross + Blue Mountain +\n"
       "Blue Pacific + 1 synthetic, competing projects under fair-share");
 
-  const bool quick = [] {
-    const char* q = std::getenv("ISTC_QUICK");
-    return q && q[0] == '1';
-  }();
+  const bool quick = bench::quick();
   const SweepConfig sweep{6, quick ? std::size_t{60} : std::size_t{250},
                           0.25};
 
@@ -185,10 +181,7 @@ int main() {
 
   // -- speedup gate (skipped on hosts without >= 4 hardware threads).
   const unsigned hw = std::thread::hardware_concurrency();
-  const double speedup_min = [] {
-    const char* env = std::getenv("ISTC_GRID_SPEEDUP_MIN");
-    return (env && env[0] != '\0') ? std::atof(env) : 2.0;
-  }();
+  const double speedup_min = bench::env_number("ISTC_GRID_SPEEDUP_MIN", 2.0);
   double speedup = 0.0;
   bool speedup_skipped = true;
   bool speedup_ok = true;

@@ -7,8 +7,6 @@
 // sampler's hook-transparent fast path honest.
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "common.hpp"
 #include "metrics/report.hpp"
@@ -46,14 +44,6 @@ RepResult run_once(std::uint64_t log_seed, bool with_metrics) {
   return r;
 }
 
-double overhead_limit() {
-  if (const char* env = std::getenv("ISTC_METRICS_OVERHEAD_MAX");
-      env != nullptr && env[0] != '\0') {
-    return std::atof(env);
-  }
-  return 0.03;
-}
-
 }  // namespace
 
 int main() {
@@ -87,7 +77,7 @@ int main() {
   }
 
   const double overhead = (min_on - min_off) / min_off;
-  const double limit = overhead_limit();
+  const double limit = bench::env_number("ISTC_METRICS_OVERHEAD_MAX", 0.03);
   Table t;
   t.headers({"", "metrics off", "metrics on"});
   t.row({"min wall (ms)", Table::num(min_off, 1), Table::num(min_on, 1)});

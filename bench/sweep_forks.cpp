@@ -25,7 +25,6 @@
 // 2 and 8 threads and require identical hashes, not identical wall.
 
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -39,16 +38,6 @@
 namespace {
 
 using namespace istc;
-
-bool quick_mode() {
-  const char* q = std::getenv("ISTC_QUICK");
-  return q && q[0] == '1';
-}
-
-double env_min(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return (env && env[0] != '\0') ? std::atof(env) : fallback;
-}
 
 bool same_fleet(const grid::FleetResult& a, const grid::FleetResult& b) {
   if (a.hash != b.hash || a.epochs != b.epochs || a.sim_end != b.sim_end ||
@@ -103,7 +92,8 @@ GateResult cap_sweep() {
 
   GateResult g;
   g.speedup = verified.speedup();
-  g.threshold = env_min("ISTC_FORK_SPEEDUP_MIN", quick_mode() ? 1.3 : 2.0);
+  g.threshold = bench::env_number("ISTC_FORK_SPEEDUP_MIN",
+                                  bench::quick() ? 1.3 : 2.0);
   g.equal = verified.equal;
   g.forked_wall_s = verified.forked_wall_s;
   g.scratch_wall_s = verified.scratch_wall_s;
@@ -132,7 +122,7 @@ GateResult cap_sweep() {
 // -- 2. fleet policy x quota sweep on FleetRun ------------------------------
 
 GateResult fleet_sweep() {
-  const bool quick = quick_mode();
+  const bool quick = bench::quick();
   // The fork point sits at the Ross span: four projects arrive before it
   // (their routing is prefix work shared by all nine points, along with
   // both Ross-class machines' entire native logs), and the last two arrive
@@ -186,7 +176,7 @@ GateResult fleet_sweep() {
 
   GateResult g;
   g.speedup = verified.speedup();
-  g.threshold = env_min("ISTC_FLEET_SPEEDUP_MIN", quick ? 1.2 : 1.5);
+  g.threshold = bench::env_number("ISTC_FLEET_SPEEDUP_MIN", quick ? 1.2 : 1.5);
   g.equal = verified.equal;
   g.forked_wall_s = verified.forked_wall_s;
   g.scratch_wall_s = verified.scratch_wall_s;
@@ -252,7 +242,7 @@ struct StreamResult {
 };
 
 StreamResult million_stream() {
-  const bool quick = quick_mode();
+  const bool quick = bench::quick();
   const std::size_t jobs_each = quick ? 25'000 : 250'000;
   constexpr std::size_t kProjects = 4;
   const int widths[kProjects] = {1, 2, 4, 8};

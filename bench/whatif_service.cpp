@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <thread>
@@ -33,16 +32,6 @@
 namespace {
 
 using namespace istc;
-
-bool quick_mode() {
-  const char* q = std::getenv("ISTC_QUICK");
-  return q && q[0] == '1';
-}
-
-double env_ms(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  return (env && env[0] != '\0') ? std::atof(env) : fallback;
-}
 
 std::string swf_line(SimTime submit, Seconds runtime, int cpus,
                      Seconds estimate) {
@@ -118,10 +107,10 @@ struct BenchResult {
 };
 
 BenchResult run_gates() {
-  const bool quick = quick_mode();
+  const bool quick = bench::quick();
   BenchResult b;
   b.threads = 8;
-  b.budget_ms = env_ms("ISTC_WHATIF_P99_MS", quick ? 400.0 : 250.0);
+  b.budget_ms = bench::env_number("ISTC_WHATIF_P99_MS", quick ? 400.0 : 250.0);
 
   service::SessionConfig cfg;
   cfg.site = cluster::Site::kRoss;
@@ -199,7 +188,7 @@ BenchResult run_gates() {
   // catastrophic-regression backstop only.  The tight 3% bar is the full
   // run's, on the dedicated perf-smoke runner.
   b.obs_overhead_max =
-      env_ms("ISTC_OBS_OVERHEAD_MAX", quick ? 1.00 : 0.03);
+      bench::env_number("ISTC_OBS_OVERHEAD_MAX", quick ? 1.00 : 0.03);
   const int ab_reps = quick ? 9 : 15;
   const int ab_cycles = quick ? 24 : 12;
   int obs_mismatches = 0;

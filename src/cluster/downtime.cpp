@@ -19,42 +19,19 @@ DowntimeCalendar::DowntimeCalendar(std::vector<DowntimeWindow> windows)
   }
 }
 
-bool DowntimeCalendar::is_down(SimTime t) const {
-  // First window with start > t; the candidate container is its predecessor.
-  auto it = std::upper_bound(
-      windows_.begin(), windows_.end(), t,
-      [](SimTime v, const DowntimeWindow& w) { return v < w.start; });
-  if (it == windows_.begin()) return false;
-  --it;
-  return t < it->end;
-}
-
-SimTime DowntimeCalendar::next_down_start(SimTime t) const {
-  auto it = std::lower_bound(
-      windows_.begin(), windows_.end(), t,
-      [](const DowntimeWindow& w, SimTime v) { return w.start < v; });
-  return it == windows_.end() ? kTimeInfinity : it->start;
-}
-
-SimTime DowntimeCalendar::up_again_at(SimTime t) const {
-  auto it = std::upper_bound(
-      windows_.begin(), windows_.end(), t,
-      [](SimTime v, const DowntimeWindow& w) { return v < w.start; });
-  if (it == windows_.begin()) return t;
-  --it;
-  return t < it->end ? it->end : t;
-}
-
-bool DowntimeCalendar::can_run(SimTime t, Seconds dur) const {
+SimTime DowntimeCalendar::next_clear(SimTime t, Seconds dur) const {
   ISTC_EXPECTS(dur >= 0);
-  // One search answers both questions.  The first window starting after t
-  // is the next to open, and only its predecessor can contain t; when that
-  // one does not, no window starts at t either.
+  // One search finds both windows that can block the start.  The first
+  // window starting after t is the next to open, and only its predecessor
+  // can contain t; when that one does not, no window starts at t either.
   const auto it = std::upper_bound(
       windows_.begin(), windows_.end(), t,
       [](SimTime v, const DowntimeWindow& w) { return v < w.start; });
-  if (it != windows_.begin() && t < std::prev(it)->end) return false;
-  return t + dur <= (it == windows_.end() ? kTimeInfinity : it->start);
+  if (it != windows_.begin() && t < std::prev(it)->end) {
+    return std::prev(it)->end;
+  }
+  if (it != windows_.end() && t + dur > it->start) return it->end;
+  return t;
 }
 
 Seconds DowntimeCalendar::down_seconds(SimTime lo, SimTime hi) const {

@@ -15,6 +15,11 @@
 /// next window, so by the time a window opens the machine has drained.
 /// Because estimates always dominate actual runtimes (see workload), no
 /// running job ever overlaps a window.
+///
+/// The calendar answers one question, in one binary search: may a job of a
+/// given estimate start at t, and if not, how far must it move
+/// (next_clear).  Every start path asks it — native dispatch, backfill,
+/// the interstitial gate and the interstitial driver's idle wake.
 
 namespace istc::cluster {
 
@@ -34,17 +39,14 @@ class DowntimeCalendar {
   bool empty() const { return windows_.empty(); }
   const std::vector<DowntimeWindow>& windows() const { return windows_; }
 
-  /// Is t inside a down window?
-  bool is_down(SimTime t) const;
-
-  /// Start of the first window with start >= t (kTimeInfinity if none).
-  SimTime next_down_start(SimTime t) const;
-
-  /// End of the window containing t; t itself if the machine is up.
-  SimTime up_again_at(SimTime t) const;
+  /// t itself when a job occupying [t, t + dur) touches no window (t inside
+  /// a window counts as touching it, even for dur == 0); otherwise the end
+  /// of the first window that interval touches.  No start in [t, result)
+  /// is clear, so repeated calls reach the earliest clear start.
+  SimTime next_clear(SimTime t, Seconds dur) const;
 
   /// May a job occupying [t, t + dur) run without touching a window?
-  bool can_run(SimTime t, Seconds dur) const;
+  bool can_run(SimTime t, Seconds dur) const { return next_clear(t, dur) == t; }
 
   /// Total down seconds inside [lo, hi).
   Seconds down_seconds(SimTime lo, SimTime hi) const;

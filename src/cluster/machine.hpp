@@ -10,7 +10,9 @@
 /// \file machine.hpp
 /// The machine model: N identical CPUs at clock C, space-shared (a job owns
 /// its CPUs exclusively from start to completion — the paper's jobs are
-/// non-preemptive and dedicated).
+/// non-preemptive and dedicated), plus its planned-outage calendar.  Both
+/// are fixed for a run; who holds which CPUs is the scheduler's state
+/// (sched::BatchScheduler::free_cpus).
 
 namespace istc::cluster {
 
@@ -52,8 +54,8 @@ struct MachineSpec {
   }
 };
 
-/// Dynamic allocation state of a machine during simulation.
-/// Invariant: 0 <= in_use <= cpus at all times (checked).
+/// A machine as the scheduler sees it: its spec and downtime calendar.
+/// Immutable once built.
 class Machine {
  public:
   Machine(MachineSpec spec, DowntimeCalendar downtime = {})
@@ -63,37 +65,11 @@ class Machine {
 
   const MachineSpec& spec() const { return spec_; }
   const DowntimeCalendar& downtime() const { return downtime_; }
-
   int total_cpus() const { return spec_.cpus; }
-  int in_use() const { return in_use_; }
-  int free_cpus() const { return spec_.cpus - in_use_; }
-
-  /// Instantaneous utilization in [0, 1].
-  double utilization() const {
-    return static_cast<double>(in_use_) / static_cast<double>(spec_.cpus);
-  }
-
-  void allocate(int cpus) {
-    ISTC_EXPECTS(cpus > 0);
-    ISTC_EXPECTS(in_use_ + cpus <= spec_.cpus);
-    in_use_ += cpus;
-  }
-
-  void release(int cpus) {
-    ISTC_EXPECTS(cpus > 0);
-    ISTC_EXPECTS(cpus <= in_use_);
-    in_use_ -= cpus;
-  }
-
-  /// May a job of `cpus` run in [t, t+dur) w.r.t. space and downtime?
-  bool can_start(int cpus, SimTime t, Seconds estimated_dur) const {
-    return cpus <= free_cpus() && downtime_.can_run(t, estimated_dur);
-  }
 
  private:
   MachineSpec spec_;
   DowntimeCalendar downtime_;
-  int in_use_ = 0;
 };
 
 }  // namespace istc::cluster

@@ -226,19 +226,13 @@ void InterstitialDriver::on_pass(const sched::PassContext& ctx) {
   }
 
   // Keep the stream alive across machine-idle stretches: if nothing is
-  // running and nothing is queued, no completion event will retrigger us —
-  // wake after the blocking downtime window (the only reason an empty
-  // machine refuses an interstitial job).
-  if (machine.in_use() == 0 && ctx.queue_empty &&
+  // running, nothing is offline and nothing is queued, no completion event
+  // will retrigger us — wake after the blocking downtime window (the only
+  // reason an empty machine refuses an interstitial job).
+  if (scheduler_.free_cpus() == machine.total_cpus() && ctx.queue_empty &&
       (!exhausted() || !resume_.empty() || !retry_queue_.empty())) {
-    const auto& cal = machine.downtime();
-    SimTime wake = kTimeInfinity;
-    if (cal.is_down(ctx.now)) {
-      wake = cal.up_again_at(ctx.now);
-    } else if (!cal.can_run(ctx.now, job_runtime_)) {
-      wake = cal.up_again_at(cal.next_down_start(ctx.now));
-    }
-    if (wake < spec_.stop_time) scheduler_.wake_at(wake);
+    const SimTime wake = machine.downtime().next_clear(ctx.now, job_runtime_);
+    if (wake != ctx.now && wake < spec_.stop_time) scheduler_.wake_at(wake);
   }
 
   // Retries still serving their backoff: re-arm the wake every pass so

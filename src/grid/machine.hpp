@@ -182,7 +182,7 @@ class GridMachine {
   // -- routing surface (read by the broker at boundaries) -----------------
 
   int capacity() const { return machine().total_cpus(); }
-  int free_cpus() const { return machine().free_cpus(); }
+  int free_cpus() const { return run_->scheduler().free_cpus(); }
   Seconds runtime_for(cluster::Cycles work) const {
     return machine().spec().runtime_for(work);
   }

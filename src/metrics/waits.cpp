@@ -56,48 +56,4 @@ Log10Histogram wait_histogram(std::span<const sched::JobRecord> records,
   return h;
 }
 
-SlowdownStats bounded_slowdown(std::span<const sched::JobRecord> records,
-                               Seconds tau) {
-  std::vector<double> slow;
-  for (const auto& r : records) {
-    if (r.interstitial()) continue;
-    const double denom =
-        static_cast<double>(std::max(r.job.runtime, tau));
-    const double s =
-        static_cast<double>(r.wait() + r.job.runtime) / denom;
-    slow.push_back(std::max(1.0, s));
-  }
-  SlowdownStats out;
-  out.jobs = slow.size();
-  if (slow.empty()) return out;
-  const Summary summary(std::move(slow));
-  out.avg = summary.mean();
-  out.median = summary.median();
-  out.p95 = summary.quantile(0.95);
-  return out;
-}
-
-std::vector<double> queue_length_series(
-    std::span<const sched::JobRecord> records, SimTime span, Seconds bucket) {
-  const auto nbuckets =
-      static_cast<std::size_t>((span + bucket - 1) / bucket);
-  std::vector<double> waiting_seconds(nbuckets, 0.0);
-  for (const auto& r : records) {
-    if (r.interstitial()) continue;
-    const SimTime a = std::max<SimTime>(0, r.job.submit);
-    const SimTime b = std::min(span, r.start);
-    if (b <= a) continue;
-    const auto first = static_cast<std::size_t>(a / bucket);
-    const auto last = static_cast<std::size_t>((b - 1) / bucket);
-    for (std::size_t k = first; k <= last && k < nbuckets; ++k) {
-      const SimTime blo = static_cast<SimTime>(k) * bucket;
-      const SimTime bhi = blo + bucket;
-      waiting_seconds[k] +=
-          static_cast<double>(std::min(b, bhi) - std::max(a, blo));
-    }
-  }
-  for (auto& v : waiting_seconds) v /= static_cast<double>(bucket);
-  return waiting_seconds;
-}
-
 }  // namespace istc::metrics

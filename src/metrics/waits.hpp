@@ -35,23 +35,4 @@ std::vector<double> native_waits(std::span<const sched::JobRecord> records);
 Log10Histogram wait_histogram(std::span<const sched::JobRecord> records,
                               std::size_t decades = 6);
 
-/// Bounded slowdown, the scheduling literature's standard responsiveness
-/// metric: max(1, (wait + runtime) / max(runtime, tau)).  The tau floor
-/// (default 10 s) keeps trivially short jobs from dominating.
-struct SlowdownStats {
-  double avg = 0.0;
-  double median = 0.0;
-  double p95 = 0.0;
-  std::size_t jobs = 0;
-};
-
-SlowdownStats bounded_slowdown(std::span<const sched::JobRecord> records,
-                               Seconds tau = 10);
-
-/// Time-averaged number of waiting native jobs per bucket over [0, span):
-/// a job contributes to the queue from submit until start.
-std::vector<double> queue_length_series(
-    std::span<const sched::JobRecord> records, SimTime span,
-    Seconds bucket = kSecondsPerHour);
-
 }  // namespace istc::metrics

@@ -191,27 +191,20 @@ SimTime BatchScheduler::earliest_start(const ResourceProfile& profile,
                                        SimTime from) const {
   const auto& downtime = machine_.downtime();
   SimTime t = from;
-  // Each constraint pushes t forward monotonically; converges because the
+  // Each constraint moves t forward only past times it forbids, so the
+  // fixed point is the least t all three allow.  It converges because the
   // downtime calendar is finite and a time-of-day window opens every day.
   for (int iter = 0; iter < 1000; ++iter) {
-    // The earliest fit at or after t fits at itself, so one call settles
-    // the profile constraint for this round.
+    // The earliest fit at or after t fits at itself, so the profile is
+    // asked again only when another constraint moved t.
     t = profile.earliest_fit(job.cpus, job.estimate, t);
-    if (policy_.time_of_day && !policy_.time_of_day->allowed(job, t)) {
-      t = policy_.time_of_day->earliest_allowed(job, t);
-      continue;
+    SimTime next = t;
+    if (policy_.time_of_day) {
+      next = policy_.time_of_day->earliest_allowed(job, next);
     }
-    if (!downtime.can_run(t, job.estimate)) {
-      if (downtime.is_down(t)) {
-        t = downtime.up_again_at(t);
-      } else {
-        // Up now, but the job's estimate crosses the next window: resume
-        // after that window ends.
-        t = downtime.up_again_at(downtime.next_down_start(t));
-      }
-      continue;
-    }
-    return t;
+    next = downtime.next_clear(next, job.estimate);
+    if (next == t) return t;
+    t = next;
   }
   ISTC_ASSERT(false);  // non-convergence means an unschedulable job
   return kTimeInfinity;
@@ -231,6 +224,9 @@ void BatchScheduler::advance_busy_integrals(SimTime now) {
 
 void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
   const workload::Job& job = store_.job(slot);
+  // Observational start hook: fires before the allocation so the reported
+  // free-CPU count is the interstice width this dispatch landed in.
+  if (on_start_) on_start_(job, free_cpus());
   advance_busy_integrals(now);
   if (job.interstitial()) {
     ++stats_.interstitial_starts;
@@ -241,9 +237,7 @@ void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
     busy_native_cpus_ += job.cpus;
     ++running_native_;
   }
-  // Observational start hook: fires before the allocation so the reported
-  // free-CPU count is the interstice width this dispatch landed in.
-  if (on_start_) on_start_(job, machine_.free_cpus());
+  ISTC_ASSERT(free_cpus() >= 0);
   trace_job(trace::EventKind::kJobStart, job, job.runtime, now + job.estimate);
   if (slot < reserved_start_.size() &&
       reserved_start_[slot] != kTimeInfinity) {
@@ -258,7 +252,6 @@ void BatchScheduler::start_job(std::uint32_t slot, SimTime now) {
                       : trace::EventKind::kReservationViolated,
               job, honored ? 0 : now - reserved, reserved);
   }
-  machine_.allocate(job.cpus);
   // Persistent-profile delta: the job occupies cpus until its estimate.
   profile_.reserve(now, now + job.estimate, job.cpus);
   if (plan_live_) plan_.reserve(now, now + job.estimate, job.cpus);
@@ -285,8 +278,8 @@ void BatchScheduler::complete_job(std::uint32_t slot, SimTime now) {
     busy_native_cpus_ -= job.cpus;
     --running_native_;
   }
+  ISTC_ASSERT(busy_native_cpus_ >= 0 && busy_interstitial_cpus_ >= 0);
   trace_job(trace::EventKind::kJobFinish, job, 0, start);
-  machine_.release(job.cpus);
   // Persistent-profile delta: return the estimated remainder.  When the
   // estimate was exact (est_end == now) nothing of it lies in the future.
   // Freed capacity may pull a waiter's earliest start forward.
@@ -374,7 +367,7 @@ SchedulerProbe BatchScheduler::probe() const {
   p.now = now;
   p.busy_native_cpus = busy_native_cpus_;
   p.busy_interstitial_cpus = busy_interstitial_cpus_;
-  p.free_cpus = machine_.free_cpus();
+  p.free_cpus = free_cpus();
   p.offline_cpus = failed_cpus_;
   p.queue_native = pending_.size();
   p.running_native = running_native_;
@@ -682,7 +675,7 @@ void BatchScheduler::gate() {
   // is installed.
   PassContext ctx;
   ctx.now = st.now;
-  ctx.free_cpus = machine_.free_cpus();
+  ctx.free_cpus = free_cpus();
   ctx.queue_empty = pending_.empty();
   ctx.head_earliest_start = pending_.empty() ? kTimeInfinity : st.head_earliest;
   ctx.queue_earliest_start =
@@ -692,15 +685,17 @@ void BatchScheduler::gate() {
   if (post_pass_) post_pass_(ctx);
 }
 
+bool BatchScheduler::calendar_allows(const workload::Job& job,
+                                     SimTime t) const {
+  return machine_.downtime().can_run(t, job.estimate) &&
+         (!policy_.time_of_day || policy_.time_of_day->allowed(job, t));
+}
+
 bool BatchScheduler::could_start_with_kills(const workload::Job& job,
                                             SimTime now) const {
   // Killing every running interstitial frees exactly the CPUs they hold.
-  if (machine_.free_cpus() + busy_interstitial_cpus_ < job.cpus) return false;
-  if (!machine_.downtime().can_run(now, job.estimate)) return false;
-  if (policy_.time_of_day && !policy_.time_of_day->allowed(job, now)) {
-    return false;
-  }
-  return true;
+  return free_cpus() + busy_interstitial_cpus_ >= job.cpus &&
+         calendar_allows(job, now);
 }
 
 void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
@@ -717,9 +712,9 @@ void BatchScheduler::kill_running_job(std::uint32_t slot, KillReason reason) {
     busy_native_cpus_ -= job.cpus;
     --running_native_;
   }
+  ISTC_ASSERT(busy_native_cpus_ >= 0 && busy_interstitial_cpus_ >= 0);
   trace_job(trace::EventKind::kJobKill, job, static_cast<std::int64_t>(reason),
             start);
-  machine_.release(job.cpus);
   // Permanent profile delta: the victim's remaining reservation goes away
   // (its origin-side history was already chopped by advance_origin).  A
   // fault kill can race a same-instant completion estimate: when est_end
@@ -783,17 +778,16 @@ std::vector<JobRecord> BatchScheduler::fail_capacity(int cpus, SimTime until,
   cpus = std::min(cpus, machine_.total_cpus() - failed_cpus_);
   if (cpus <= 0) return {};
   const std::size_t first_killed = killed_records_.size();
-  if (machine_.free_cpus() < cpus) {
+  if (free_cpus() < cpus) {
     // Youngest running job first, natives and interstitials alike: an
     // unplanned failure spares nobody.
     collect_victims(/*interstitial_only=*/false);
     for (const std::uint32_t s : victim_buf_) {
-      if (machine_.free_cpus() >= cpus) break;
+      if (free_cpus() >= cpus) break;
       kill_running_job(s, reason);
     }
   }
-  ISTC_ASSERT(machine_.free_cpus() >= cpus);
-  machine_.allocate(cpus);
+  ISTC_ASSERT(free_cpus() >= cpus);
   failed_cpus_ += cpus;
   // The downed capacity is a reservation ending at the repair time, so
   // backfill plans around the outage exactly like around running jobs.
@@ -820,7 +814,6 @@ void BatchScheduler::capacity_repair(std::uint32_t outage_id) {
   ISTC_ASSERT(it != outages_.end());
   const int cpus = it->cpus;
   ISTC_ASSERT(it->until == engine_.now());
-  machine_.release(cpus);
   failed_cpus_ -= cpus;
   ISTC_ASSERT(failed_cpus_ >= 0);
   outages_.erase(it);
@@ -839,11 +832,7 @@ void BatchScheduler::capacity_repair(std::uint32_t outage_id) {
 bool BatchScheduler::try_start_immediately(const workload::Job& job) {
   job.check();
   const SimTime now = engine_.now();
-  if (job.cpus > machine_.free_cpus()) return false;
-  if (!machine_.downtime().can_run(now, job.estimate)) return false;
-  if (policy_.time_of_day && !policy_.time_of_day->allowed(job, now)) {
-    return false;
-  }
+  if (job.cpus > free_cpus() || !calendar_allows(job, now)) return false;
   // Meta-backfilled jobs never enter the queue: submit and start coincide.
   // A start whose estimate ends by the queue's earliest start M moves no
   // waiter's earliest start.

@@ -108,8 +108,9 @@ struct SchedulerStats {
 /// Instantaneous scheduler state as seen by the metrics sampler.  Every
 /// field is sim-time derived, so equal-seed runs probe identical values.
 /// CPU accounting satisfies busy_native_cpus + busy_interstitial_cpus +
-/// free_cpus + offline_cpus == machine capacity at every instant (pinned
-/// by tests/metrics/test_sampler.cpp under a fault timeline).
+/// free_cpus + offline_cpus == machine capacity at every instant by
+/// construction: BatchScheduler::free_cpus is capacity minus the other
+/// three.
 struct SchedulerProbe {
   SimTime now = 0;
   int busy_native_cpus = 0;         ///< CPUs held by running native jobs
@@ -202,6 +203,14 @@ class BatchScheduler : private sim::JobEventSink {
 
   /// CPUs currently held offline by unplanned failures.
   int failed_cpus() const { return failed_cpus_; }
+
+  /// Idle, allocatable CPUs: capacity minus the CPUs running jobs hold and
+  /// those failures hold offline.  The scheduler's busy counters are the
+  /// run's only CPU tally.
+  int free_cpus() const {
+    return machine_.total_cpus() - busy_native_cpus_ -
+           busy_interstitial_cpus_ - failed_cpus_;
+  }
 
   /// Wake the scheduler at time t (schedules a no-op event; passes run
   /// after every event timestamp).  Deduplicated: if a wake is already
@@ -393,6 +402,11 @@ class BatchScheduler : private sim::JobEventSink {
   /// conservative backfill).
   void make_reservation(std::uint32_t slot, SimTime t);
 
+  /// Do the downtime calendar and the time-of-day rule let `job` start at
+  /// t?  The start constraints other than space, shared by the immediate
+  /// interstitial path and the preemption check.
+  bool calendar_allows(const workload::Job& job, SimTime t) const;
+
   /// Preemption (policy.preempt_interstitial): can `job` start now if we
   /// killed every running interstitial job?  (space, downtime, gating).
   bool could_start_with_kills(const workload::Job& job, SimTime now) const;
@@ -434,7 +448,8 @@ class BatchScheduler : private sim::JobEventSink {
   void complete_job(std::uint32_t slot, SimTime now);
 
   /// Earliest start >= from satisfying profile space, downtime drain, and
-  /// time-of-day gating, all per the *estimate*.
+  /// time-of-day gating, all per the *estimate*: the fixed point of the
+  /// three constraints' "earliest feasible start at or after t" answers.
   SimTime earliest_start(const ResourceProfile& profile,
                          const workload::Job& job, SimTime from) const;
 

@@ -82,7 +82,6 @@ class CalendarEventQueue {
     e.arg = arg;
     e.type = type;
     ++size_;
-    if (size_ > peak_size_) peak_size_ = size_;
     if (!anchored_) anchor(bucket1(e.time));
     route(e);
     // A push into a drained queue may land in a rung; restore the
@@ -126,7 +125,6 @@ class CalendarEventQueue {
     far_ = other.far_;
     size_ = other.size_;
     seq_ = other.seq_;
-    peak_size_ = other.peak_size_;
     anchored_ = other.anchored_;
     cursor_ = other.cursor_;
     limit1_ = other.limit1_;
@@ -137,8 +135,6 @@ class CalendarEventQueue {
   /// Heap allocations performed by the queue since construction (backing-
   /// vector growth).
   std::uint64_t heap_allocations() const { return grows_; }
-  /// High-water mark of simultaneously queued events.
-  std::size_t peak_size() const { return peak_size_; }
 
  private:
   static std::int64_t bucket1(SimTime t) { return t >> kRung1Shift; }
@@ -249,7 +245,6 @@ class CalendarEventQueue {
   std::size_t size_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t grows_ = 0;
-  std::size_t peak_size_ = 0;
   /// Wheel geometry, in bucket units.  Invariants at rest: events with
   /// rung-1 bucket <= cursor_ are in cur_ (or popped); rung 1 covers
   /// (cursor_, limit1_); rung 2 covers [cursor2_, limit2_) with

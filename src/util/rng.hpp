@@ -136,12 +136,6 @@ class Rng {
     return std::exp(normal(mu, sigma));
   }
 
-  /// Pareto with scale xm and shape alpha (heavy tail for alpha <= 2).
-  double pareto(double xm, double alpha) {
-    ISTC_EXPECTS(xm > 0 && alpha > 0);
-    return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-  }
-
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double lo, double hi, double alpha) {
     ISTC_EXPECTS(0 < lo && lo < hi && alpha > 0);

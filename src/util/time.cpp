@@ -23,10 +23,4 @@ std::string format_duration(Seconds s) {
   return buf;
 }
 
-std::string format_hours(SimTime t, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f h", precision, to_hours(t));
-  return buf;
-}
-
 }  // namespace istc

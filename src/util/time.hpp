@@ -46,7 +46,4 @@ constexpr std::int64_t day_index(SimTime t) { return t / kSecondsPerDay; }
 /// "3d 04:05:06"-style rendering for logs and reports.
 std::string format_duration(Seconds s);
 
-/// "1234.5 h" style rendering used in the paper's tables.
-std::string format_hours(SimTime t, int precision = 1);
-
 }  // namespace istc

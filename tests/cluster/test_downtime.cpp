@@ -12,37 +12,45 @@ DowntimeCalendar two_windows() {
 TEST(Downtime, EmptyCalendarAlwaysUp) {
   DowntimeCalendar cal;
   EXPECT_TRUE(cal.empty());
-  EXPECT_FALSE(cal.is_down(0));
-  EXPECT_FALSE(cal.is_down(1000000));
-  EXPECT_EQ(cal.next_down_start(0), kTimeInfinity);
+  EXPECT_EQ(cal.next_clear(0, 0), 0);
+  EXPECT_EQ(cal.next_clear(1000000, 0), 1000000);
+  EXPECT_EQ(cal.next_clear(0, kTimeInfinity / 8), 0);
   EXPECT_TRUE(cal.can_run(0, days(365)));
   EXPECT_EQ(cal.down_seconds(0, 1000), 0);
 }
 
+// A zero-length query asks only "is t inside a window?": it moves t to
+// the window's end when it is, and leaves it alone when it is not.
 TEST(Downtime, IsDownBoundaries) {
   const auto cal = two_windows();
-  EXPECT_FALSE(cal.is_down(99));
-  EXPECT_TRUE(cal.is_down(100));   // inclusive start
-  EXPECT_TRUE(cal.is_down(199));
-  EXPECT_FALSE(cal.is_down(200));  // exclusive end
-  EXPECT_TRUE(cal.is_down(520));
+  EXPECT_EQ(cal.next_clear(99, 0), 99);
+  EXPECT_EQ(cal.next_clear(100, 0), 200);  // inclusive start
+  EXPECT_EQ(cal.next_clear(199, 0), 200);
+  EXPECT_EQ(cal.next_clear(200, 0), 200);  // exclusive end
+  EXPECT_EQ(cal.next_clear(520, 0), 550);
 }
 
+// From a time the machine is up, a job is clear exactly when it ends by the
+// next window's start; one second longer and it must wait that window out.
 TEST(Downtime, NextDownStart) {
   const auto cal = two_windows();
-  EXPECT_EQ(cal.next_down_start(0), 100);
-  EXPECT_EQ(cal.next_down_start(100), 100);
-  EXPECT_EQ(cal.next_down_start(101), 500);
-  EXPECT_EQ(cal.next_down_start(550), kTimeInfinity);
+  EXPECT_EQ(cal.next_clear(0, 100), 0);
+  EXPECT_EQ(cal.next_clear(0, 101), 200);
+  EXPECT_EQ(cal.next_clear(100, 1), 200);  // the window starts at t
+  EXPECT_EQ(cal.next_clear(201, 299), 201);
+  EXPECT_EQ(cal.next_clear(201, 300), 550);
+  EXPECT_EQ(cal.next_clear(550, kTimeInfinity / 8), 550);  // none after
 }
 
+// Inside a window every duration waits for the window's end, including
+// durations that would also cross the window after it.
 TEST(Downtime, UpAgainAt) {
   const auto cal = two_windows();
-  EXPECT_EQ(cal.up_again_at(50), 50);     // already up
-  EXPECT_EQ(cal.up_again_at(100), 200);
-  EXPECT_EQ(cal.up_again_at(150), 200);
-  EXPECT_EQ(cal.up_again_at(200), 200);
-  EXPECT_EQ(cal.up_again_at(549), 550);
+  EXPECT_EQ(cal.next_clear(50, 10), 50);  // already up
+  EXPECT_EQ(cal.next_clear(100, 10), 200);
+  EXPECT_EQ(cal.next_clear(150, 1000), 200);
+  EXPECT_EQ(cal.next_clear(200, 10), 200);
+  EXPECT_EQ(cal.next_clear(549, 10), 550);
 }
 
 TEST(Downtime, CanRun) {
@@ -65,7 +73,7 @@ TEST(Downtime, DownSeconds) {
 TEST(Downtime, WindowsSortedOnConstruction) {
   DowntimeCalendar cal({{500, 550}, {100, 200}});
   EXPECT_EQ(cal.windows().front().start, 100);
-  EXPECT_EQ(cal.next_down_start(0), 100);
+  EXPECT_EQ(cal.next_clear(0, 101), 200);
 }
 
 TEST(Downtime, PeriodicGeneratorProperties) {
@@ -97,17 +105,18 @@ TEST(Downtime, PeriodicDeterministicPerSeed) {
   }
 }
 
-// Property: for any time t, exactly one of is_down / can_run(t, 1) given
-// the next window is not immediately adjacent.
+// Property: for any time t, exactly one of "down at t" (a zero-length
+// query moves t) and can_run(t, 1) holds; a down t moves to the same
+// window end whatever the duration.
 class DowntimeSweep : public ::testing::TestWithParam<SimTime> {};
 
 TEST_P(DowntimeSweep, DownXorRunnable) {
   const auto cal = two_windows();
   const SimTime t = GetParam();
-  if (cal.is_down(t)) {
-    EXPECT_FALSE(cal.can_run(t, 1));
-  } else if (t + 1 <= cal.next_down_start(t)) {
-    EXPECT_TRUE(cal.can_run(t, 1));
+  const bool down = cal.next_clear(t, 0) != t;
+  EXPECT_NE(down, cal.can_run(t, 1));
+  if (down) {
+    EXPECT_EQ(cal.next_clear(t, 1), cal.next_clear(t, 0));
   }
 }
 

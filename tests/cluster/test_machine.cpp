@@ -31,48 +31,5 @@ TEST(MachineSpec, CyclesInInvertsRuntime) {
   EXPECT_DOUBLE_EQ(m.cycles_in(10), 10 * 0.5e9);
 }
 
-TEST(Machine, AllocationLifecycle) {
-  Machine m(tiny());
-  EXPECT_EQ(m.total_cpus(), 100);
-  EXPECT_EQ(m.free_cpus(), 100);
-  EXPECT_EQ(m.in_use(), 0);
-  m.allocate(30);
-  EXPECT_EQ(m.free_cpus(), 70);
-  EXPECT_DOUBLE_EQ(m.utilization(), 0.3);
-  m.allocate(70);
-  EXPECT_EQ(m.free_cpus(), 0);
-  m.release(100);
-  EXPECT_EQ(m.free_cpus(), 100);
-}
-
-TEST(Machine, CanStartChecksSpace) {
-  Machine m(tiny());
-  m.allocate(95);
-  EXPECT_TRUE(m.can_start(5, 0, 100));
-  EXPECT_FALSE(m.can_start(6, 0, 100));
-}
-
-TEST(Machine, CanStartChecksDowntime) {
-  Machine m(tiny(), DowntimeCalendar({{1000, 2000}}));
-  EXPECT_TRUE(m.can_start(1, 0, 1000));    // ends exactly at window start
-  EXPECT_FALSE(m.can_start(1, 0, 1001));   // crosses
-  EXPECT_FALSE(m.can_start(1, 1500, 10));  // inside window
-  EXPECT_TRUE(m.can_start(1, 2000, 10));
-}
-
-#ifdef GTEST_HAS_DEATH_TEST
-TEST(MachineDeath, OverAllocationAborts) {
-  Machine m(tiny());
-  m.allocate(100);
-  EXPECT_DEATH(m.allocate(1), "precondition");
-}
-
-TEST(MachineDeath, OverReleaseAborts) {
-  Machine m(tiny());
-  m.allocate(10);
-  EXPECT_DEATH(m.release(11), "precondition");
-}
-#endif
-
 }  // namespace
 }  // namespace istc::cluster

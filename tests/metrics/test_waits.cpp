@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/report.hpp"
+
 namespace istc::metrics {
 namespace {
 
@@ -84,68 +86,32 @@ TEST(NativeWaits, ExtractsSeconds) {
   EXPECT_DOUBLE_EQ(w[1], 0.0);
 }
 
+// The RunReport's bounded slowdown, max(1, (wait + runtime) /
+// max(runtime, tau)) in integer milli-units (tau defaults to 10 s).
 TEST(BoundedSlowdown, UnitForImmediateStarts) {
-  const std::vector<sched::JobRecord> rs{rec(0, 0, 100), rec(5, 5, 50)};
-  const auto s = bounded_slowdown(rs);
-  EXPECT_EQ(s.jobs, 2u);
-  EXPECT_DOUBLE_EQ(s.avg, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 1.0);
+  EXPECT_EQ(bounded_slowdown_milli(0, 100), 1000u);
+  EXPECT_EQ(bounded_slowdown_milli(0, 50), 1000u);
 }
 
 TEST(BoundedSlowdown, KnownValues) {
-  const std::vector<sched::JobRecord> rs{
-      rec(0, 100, 100),  // (100+100)/100 = 2
-      rec(0, 300, 100),  // (300+100)/100 = 4
-  };
-  const auto s = bounded_slowdown(rs);
-  EXPECT_DOUBLE_EQ(s.avg, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
+  EXPECT_EQ(bounded_slowdown_milli(100, 100), 2000u);  // (100+100)/100
+  EXPECT_EQ(bounded_slowdown_milli(300, 100), 4000u);  // (300+100)/100
+  EXPECT_EQ(bounded_slowdown_milli(50, 300), 1166u);   // truncated
 }
 
 TEST(BoundedSlowdown, TauFloorsShortJobs) {
   // A 1-second job waiting 9 s: raw slowdown 10; with tau=10 it is
   // (9+1)/10 = 1.
-  const std::vector<sched::JobRecord> rs{rec(0, 9, 1)};
-  EXPECT_DOUBLE_EQ(bounded_slowdown(rs, 10).avg, 1.0);
-  EXPECT_DOUBLE_EQ(bounded_slowdown(rs, 1).avg, 10.0);
+  EXPECT_EQ(bounded_slowdown_milli(9, 1, 10), 1000u);
+  EXPECT_EQ(bounded_slowdown_milli(9, 1, 1), 10000u);
 }
 
 TEST(BoundedSlowdown, IgnoresInterstitial) {
   const std::vector<sched::JobRecord> rs{
-      rec(0, 1000, 100, 1, /*interstitial=*/true)};
-  EXPECT_EQ(bounded_slowdown(rs).jobs, 0u);
-}
-
-TEST(QueueLengthSeries, CountsWaitingJobs) {
-  // Job waits [0, 200); buckets of 100 s over span 300.
-  const std::vector<sched::JobRecord> rs{rec(0, 200, 50)};
-  const auto q = queue_length_series(rs, 300, 100);
-  ASSERT_EQ(q.size(), 3u);
-  EXPECT_DOUBLE_EQ(q[0], 1.0);
-  EXPECT_DOUBLE_EQ(q[1], 1.0);
-  EXPECT_DOUBLE_EQ(q[2], 0.0);
-}
-
-TEST(QueueLengthSeries, FractionalOccupancy) {
-  // Waits [50, 150): half of bucket 0, half of bucket 1.
-  const std::vector<sched::JobRecord> rs{rec(50, 150, 10)};
-  const auto q = queue_length_series(rs, 200, 100);
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_DOUBLE_EQ(q[0], 0.5);
-  EXPECT_DOUBLE_EQ(q[1], 0.5);
-}
-
-TEST(QueueLengthSeries, OverlappingJobsSum) {
-  const std::vector<sched::JobRecord> rs{rec(0, 100, 10), rec(0, 100, 10)};
-  const auto q = queue_length_series(rs, 100, 100);
-  ASSERT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q[0], 2.0);
-}
-
-TEST(QueueLengthSeries, ZeroWaitContributesNothing) {
-  const std::vector<sched::JobRecord> rs{rec(10, 10, 100)};
-  const auto q = queue_length_series(rs, 200, 100);
-  EXPECT_DOUBLE_EQ(q[0], 0.0);
+      rec(0, 1000, 100, 1, /*interstitial=*/true), rec(0, 100, 100)};
+  const auto h = completion_histograms(rs);
+  EXPECT_EQ(h.native_slowdown_milli.total(), 1u);
+  EXPECT_EQ(h.native_slowdown_milli.max(), 2000u);
 }
 
 TEST(WaitHistogram, BinsLikeThePaper) {

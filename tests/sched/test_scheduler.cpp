@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
@@ -253,6 +254,29 @@ TEST(Scheduler, TryStartImmediatelyRespectsDowntime) {
   eng.schedule_wake(0);
   eng.run();
   EXPECT_EQ(s.take_result(100).records.size(), 0u);
+}
+
+TEST(Scheduler, StartHookSeesFreeCpusBeforeTheAllocation) {
+  // The hook reports the interstice a start landed in (RunMetrics records
+  // it): the free count before this job's CPUs are taken, net of failures.
+  const auto hook_values = [](int failed) {
+    sim::Engine eng;
+    BatchScheduler s(eng, machine_of(16), fcfs_policy());
+    std::vector<int> seen;
+    s.set_start_hook([&seen](const Job&, int free) { seen.push_back(free); });
+    eng.run(0);
+    if (failed > 0) s.fail_capacity(failed, 100, KillReason::kNodeFailure);
+    for (const workload::JobId id : {100, 101}) {
+      Job j = mk(id, 0, 4, 50);
+      j.klass = JobClass::kInterstitial;
+      EXPECT_TRUE(s.try_start_immediately(j));
+    }
+    eng.run();
+    s.take_result(1000);
+    return seen;
+  };
+  EXPECT_EQ(hook_values(0), (std::vector<int>{16, 12}));
+  EXPECT_EQ(hook_values(4), (std::vector<int>{12, 8}));
 }
 
 TEST(Scheduler, RecordsCompleteAndConsistent) {
@@ -546,7 +570,7 @@ TEST(Scheduler, ProfileDescribesRunningJobsBetweenPasses) {
   BatchScheduler s(eng, machine_of(16), fcfs_policy());
   bool checked = false;
   s.set_post_pass_hook([&](const PassContext& c) {
-    EXPECT_EQ(s.profile().free_at(c.now), s.machine().free_cpus());
+    EXPECT_EQ(s.profile().free_at(c.now), s.free_cpus());
     checked = true;
   });
   Rng rng(7);

@@ -102,10 +102,8 @@ TEST(EventQueue, SizeTracksPushPop) {
   q.push_typed(1, EventType::kSchedulerWake, 0);
   q.push_typed(2, EventType::kSchedulerWake, 0);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.peak_size(), 2u);
   q.pop();
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.peak_size(), 2u);
 }
 
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {

@@ -116,11 +116,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(median_of(v), std::exp(3.0), 0.5);
 }
 
-TEST(Rng, ParetoSupport) {
-  Rng rng(11);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, BoundedParetoSupport) {
   Rng rng(12);
   for (int i = 0; i < 10000; ++i) {

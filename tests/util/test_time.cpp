@@ -55,11 +55,6 @@ TEST(Time, FormatDurationNegative) {
   EXPECT_EQ(format_duration(-61), "-00:01:01");
 }
 
-TEST(Time, FormatHours) {
-  EXPECT_EQ(format_hours(3600), "1.0 h");
-  EXPECT_EQ(format_hours(5400, 2), "1.50 h");
-}
-
 TEST(Time, InfinityIsFarButSafe) {
   // Adding a realistic duration to "infinity" must not overflow.
   EXPECT_GT(kTimeInfinity + days(100000), kTimeInfinity);
