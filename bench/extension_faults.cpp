@@ -259,22 +259,25 @@ int main() {
       native_pinned ? "yes" : "NO", forks_exact ? "yes" : "NO", forked_wall,
       scratch_wall, speedup, min_speedup);
 
-  // BENCH-style JSON artifact (same shape the micro benches emit) so CI
-  // can track the degradation curve and the fork speedup across commits.
+  // Gate artifact so CI can track the degradation curve and the fork
+  // speedup across commits.
+  const bool pass = native_pinned && forks_exact && fast_enough;
   const std::string path = bench::artifact_path("BENCH_faults.json");
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "{\"benchmarks\":[\n");
+    std::fprintf(f,
+                 "{\n  \"schema\": \"istc.bench_faults.v1\",\n"
+                 "  \"variants\": [\n");
     for (std::size_t i = 0; i < forked.size(); ++i) {
       const VariantResult& c = forked[i];
       const auto& s = c.counters;
       std::fprintf(
           f,
-          "{\"name\":\"faults/%s/ckpt_%lld\",\"mtbf_s\":%lld,"
-          "\"checkpoint_s\":%lld,\"faults_injected\":%llu,"
-          "\"overall_util\":%.6f,\"native_util\":%.6f,"
-          "\"native_util_reference\":%.6f,\"cpu_h_lost\":%.2f,"
-          "\"cpu_h_recovered\":%.2f,\"retries\":%llu,"
-          "\"retries_exhausted\":%llu},\n",
+          "    {\"name\": \"%s/ckpt_%lld\", \"mtbf_s\": %lld, "
+          "\"checkpoint_s\": %lld, \"faults_injected\": %llu, "
+          "\"overall_util\": %.6f, \"native_util\": %.6f, "
+          "\"native_util_reference\": %.6f, \"cpu_h_lost\": %.2f, "
+          "\"cpu_h_recovered\": %.2f, \"retries\": %llu, "
+          "\"retries_exhausted\": %llu}%s\n",
           c.variant.name, static_cast<long long>(c.variant.checkpoint),
           static_cast<long long>(c.variant.mtbf),
           static_cast<long long>(c.variant.checkpoint),
@@ -284,15 +287,19 @@ int main() {
           static_cast<double>(s.fault_cpu_sec_lost) / 3600.0,
           static_cast<double>(s.fault_cpu_sec_recovered) / 3600.0,
           static_cast<unsigned long long>(s.fault_retries),
-          static_cast<unsigned long long>(s.fault_retries_exhausted));
+          static_cast<unsigned long long>(s.fault_retries_exhausted),
+          i + 1 < forked.size() ? "," : "");
     }
     std::fprintf(f,
-                 "{\"name\":\"faults/fork_sweep\",\"forked_wall_s\":%.3f,"
-                 "\"scratch_wall_s\":%.3f,\"speedup\":%.3f}\n",
-                 forked_wall, scratch_wall, speedup);
-    std::fprintf(f, "]}\n");
+                 "  ],\n  \"native_pinned\": %s,\n  \"forks_exact\": %s,\n"
+                 "  \"fork_sweep\": {\"forked_wall_s\": %.3f, "
+                 "\"scratch_wall_s\": %.3f, \"speedup\": %.3f, "
+                 "\"threshold\": %.2f},\n  \"gate\": \"%s\"\n}\n",
+                 native_pinned ? "true" : "false",
+                 forks_exact ? "true" : "false", forked_wall, scratch_wall,
+                 speedup, min_speedup, pass ? "pass" : "fail");
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
   }
-  return (native_pinned && forks_exact && fast_enough) ? 0 : 1;
+  return pass ? 0 : 1;
 }

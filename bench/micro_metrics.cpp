@@ -87,27 +87,27 @@ int main() {
   t.print();
   std::printf("\noverhead: %+.2f%% (budget %.0f%%)\n", overhead * 100.0,
               limit * 100.0);
-
-  const std::string path = bench::artifact_path("BENCH_metrics.json");
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\"benchmarks\":[\n"
-                 "{\"name\":\"metrics/continual_bluemtn/off\","
-                 "\"min_ms\":%.3f,\"records\":%zu},\n"
-                 "{\"name\":\"metrics/continual_bluemtn/on_60s\","
-                 "\"min_ms\":%.3f,\"records\":%zu,\"samples\":%zu,"
-                 "\"overhead\":%.6f,\"overhead_budget\":%.6f}\n"
-                 "]}\n",
-                 min_off, records_off, min_on, records_on, samples, overhead,
-                 limit);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-  }
-
   if (overhead > limit) {
     std::fprintf(stderr, "FAIL: telemetry overhead %.2f%% exceeds budget "
                  "%.0f%%\n", overhead * 100.0, limit * 100.0);
     ok = false;
   }
+
+  const std::string path = bench::artifact_path("BENCH_metrics.json");
+  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+    std::fprintf(f,
+                 "{\n  \"schema\": \"istc.bench_metrics.v1\",\n"
+                 "  \"scenario\": \"continual_bluemtn\",\n"
+                 "  \"off\": {\"min_ms\": %.3f, \"records\": %zu},\n"
+                 "  \"on_60s\": {\"min_ms\": %.3f, \"records\": %zu, "
+                 "\"samples\": %zu},\n"
+                 "  \"overhead\": %.6f,\n  \"overhead_budget\": %.6f,\n"
+                 "  \"gate\": \"%s\"\n}\n",
+                 min_off, records_off, min_on, records_on, samples, overhead,
+                 limit, ok ? "pass" : "fail");
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+  }
+
   return ok ? 0 : 1;
 }

@@ -428,7 +428,7 @@ int cmd_serve(const ArgParser& args) {
 
   // Wall-clock observability: --obs turns on the span recorder and its
   // per-name profile (feeding the stats verb and /metrics); --obs-trace PATH
-  // additionally exports the span rings as chrome://tracing JSON on
+  // additionally exports the span ring as chrome://tracing JSON on
   // shutdown.  Neither changes any reply byte (the purity tests run with
   // observability fully enabled).
   const std::string obs_trace = args.get_or("obs-trace", "");
@@ -482,8 +482,9 @@ int cmd_serve(const ArgParser& args) {
   std::printf("istc serve: shutdown after epoch %llu\n",
               static_cast<unsigned long long>(session.epoch()));
   if (!obs_trace.empty()) {
-    // Exported after serve() returned: every connection thread is joined,
-    // so the rings are quiesced (the recorder's export contract).
+    // Exported after serve() returned, so the trace ends with the last
+    // query; the export takes the recorder's lock and would be as safe
+    // while the daemon runs.
     try {
       obs::write_chrome_spans_file(obs_trace);
       const auto rec = obs::recorder_stats();

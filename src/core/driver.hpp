@@ -71,7 +71,6 @@ class InterstitialDriver {
   }
 
   const ProjectSpec& spec() const { return spec_; }
-  Seconds job_runtime() const { return job_runtime_; }
 
   /// Sweep support: swap the fault-retry policy (max retries, backoff,
   /// checkpoint cadence) mid-run.  The policy is only consulted when a

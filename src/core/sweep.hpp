@@ -104,8 +104,6 @@ class SweepRunner {
   /// gates pin 1 so they measure prefix reuse, not host parallelism.
   void set_threads(std::size_t threads) { threads_ = threads; }
 
-  std::size_t points() const { return points_; }
-
   /// Fork mode: simulate [0, t0] once, fork per point, finish each fork.
   /// `finish(Run&, i)` sees the run standing at t0 — apply point i's knobs
   /// there, then drain.  Results are in point order.

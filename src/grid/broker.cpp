@@ -8,6 +8,18 @@
 
 namespace istc::grid {
 
+namespace {
+
+/// Re-check cadence while eligible jobs exist but nothing is placeable.
+constexpr Seconds kPoll = 10 * kSecondsPerMinute;
+/// Delay before a bounced job becomes routable again (prevents tight
+/// bounce/re-route cycles against a machine whose gate stays closed).
+constexpr Seconds kBounceBackoff = 10 * kSecondsPerMinute;
+/// Bounces per job before its work is abandoned.
+constexpr int kMaxBounces = 64;
+
+}  // namespace
+
 const char* broker_policy_name(BrokerPolicy policy) {
   switch (policy) {
     case BrokerPolicy::kBestFit:
@@ -40,9 +52,6 @@ void GridProjectSpec::check() const {
 
 void BrokerConfig::check() const {
   ISTC_ASSERT(latency > 0);
-  ISTC_ASSERT(poll > 0);
-  ISTC_ASSERT(bounce_backoff >= 0);
-  ISTC_ASSERT(max_bounces >= 0);
 }
 
 GridBroker::GridBroker(std::vector<GridProjectSpec> projects, BrokerConfig cfg)
@@ -51,12 +60,6 @@ GridBroker::GridBroker(std::vector<GridProjectSpec> projects, BrokerConfig cfg)
   for (const auto& p : specs_) p.check();
   projects_.resize(specs_.size());
   ledgers_.resize(specs_.size());
-}
-
-std::size_t GridBroker::total_jobs() const {
-  std::size_t n = 0;
-  for (const auto& p : specs_) n += p.jobs;
-  return n;
 }
 
 bool GridBroker::done() const {
@@ -77,12 +80,12 @@ SimTime GridBroker::next_wake(SimTime now) const {
     }
     // Fresh jobs are always eligible: one still waiting means the last
     // route() pass could not place it.
-    if (projects_[p].fresh != 0) t = std::min(t, now + cfg_.poll);
+    if (projects_[p].fresh != 0) t = std::min(t, now + kPoll);
     for (const auto& w : projects_[p].pending) {
       // An eligible job still queued means the last route() pass could not
       // place it — re-check on the poll cadence.  An ineligible job has a
       // known wake time.
-      t = std::min(t, w.eligible_at <= now ? now + cfg_.poll : w.eligible_at);
+      t = std::min(t, w.eligible_at <= now ? now + kPoll : w.eligible_at);
     }
   }
   return t;
@@ -143,10 +146,10 @@ void GridBroker::ingest(const PortReport& report) {
       ++led.bounced;
       GridJob job = report.job;
       ++job.bounces;
-      if (job.bounces > cfg_.max_bounces) {
+      if (job.bounces > kMaxBounces) {
         ++led.abandoned_bounce;
       } else {
-        requeue(p, job, report.time + cfg_.bounce_backoff);
+        requeue(p, job, report.time + kBounceBackoff);
       }
       break;
     }

@@ -67,13 +67,6 @@ struct BrokerConfig {
   /// report generated at T is seen at the next boundary > T.  This is the
   /// conservative-sync lookahead, so it must be positive.
   Seconds latency = 30;
-  /// Re-check cadence while eligible jobs exist but nothing is placeable.
-  Seconds poll = 10 * kSecondsPerMinute;
-  /// Delay before a bounced job becomes routable again (prevents tight
-  /// bounce/re-route cycles against a machine whose gate stays closed).
-  Seconds bounce_backoff = 10 * kSecondsPerMinute;
-  /// Bounces per job before its work is abandoned.
-  int max_bounces = 64;
 
   void check() const;
 };
@@ -111,7 +104,6 @@ class GridBroker {
   const BrokerConfig& config() const { return cfg_; }
   const std::vector<GridProjectSpec>& project_specs() const { return specs_; }
   const std::vector<ProjectLedger>& ledgers() const { return ledgers_; }
-  std::size_t total_jobs() const;
 
   /// All jobs accounted: every project materialized, nothing queued,
   /// nothing in flight.

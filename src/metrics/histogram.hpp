@@ -54,28 +54,8 @@ class Log2Histogram {
   std::uint64_t min() const { return total_ == 0 ? 0 : min_; }
   std::uint64_t max() const { return max_; }
 
-  /// Rebuild a histogram whose counts were kept elsewhere: counts[k]
-  /// values in bucket k, summing to `sum`, the smallest `min` and the
-  /// largest `max` (src/obs keeps each ring's stage histograms as atomics
-  /// that other threads read).
-  static Log2Histogram from_counts(const std::uint64_t (&counts)[kBuckets],
-                                   std::uint64_t sum, std::uint64_t min,
-                                   std::uint64_t max) {
-    Log2Histogram h;
-    for (int k = 0; k < kBuckets; ++k) {
-      h.counts_[k] = counts[k];
-      h.total_ += counts[k];
-    }
-    h.sum_ = sum;
-    if (h.total_ != 0) {
-      h.min_ = min;
-      h.max_ = max;
-    }
-    return h;
-  }
-
-  /// Absorb another histogram's counts — the cross-thread aggregation
-  /// primitive (src/obs merges per-thread stage profiles through this).
+  /// Absorb another histogram's counts (src/obs merges the profiles of
+  /// span names that share a label through this).
   void merge(const Log2Histogram& other) {
     for (int k = 0; k < kBuckets; ++k) counts_[k] += other.counts_[k];
     total_ += other.total_;

@@ -22,24 +22,21 @@
 ///
 /// Model: a thread-local TraceContext carries (trace id, current span id).
 /// ScopedSpan opens a child of the current context, times itself with the
-/// steady clock, and on close appends one fixed-size SpanRecord to a
-/// per-thread ring buffer and adds its duration to that ring's histogram
-/// for its name — no locks, no allocation on the hot path.  A thread
-/// takes a ring at its first closing span: the ring of a thread that has
-/// exited when one is free, a new one otherwise, so the number of rings
-/// is bounded by the peak number of threads closing spans at once.
-/// Cross-thread fan-out (SweepRunner arms, fleet machine advancement on
-/// util::ThreadPool) goes through traced_for, which adopts the caller's
-/// context in each task, so a query's arms hang off the query span in the
-/// exported trace.
+/// steady clock, and on close builds one fixed-size SpanRecord.  Under
+/// the recorder's one mutex it pushes the record into one ring of the
+/// newest kRingCapacity records and adds its duration to the histogram
+/// for its name; only the first close of a name after a reset allocates.
+/// Every read (recorder_stats, profile_snapshot, write_chrome_spans) and
+/// reset() takes the same mutex, so each is safe while spans close on
+/// other threads.  Cross-thread fan-out (SweepRunner arms, fleet machine
+/// advancement on util::ThreadPool) goes through traced_for, which adopts
+/// the caller's context in each task, so a query's arms hang off the
+/// query span in the exported trace.
 ///
 /// Everything is inert until set_enabled(true): a disabled ScopedSpan is
-/// two branch-predicted loads.  Export (write_chrome_spans) walks the
-/// per-thread rings and emits Chrome-trace JSON ("X" complete events, ts
-/// and dur in microseconds) loadable in chrome://tracing or Perfetto.
-/// Export expects quiesced writers — the CLI exports after serve()
-/// returns; live surfaces read only atomics: the record/drop counters and
-/// profile_snapshot().
+/// one relaxed load.  Export (write_chrome_spans) emits Chrome-trace JSON
+/// ("X" complete events, ts and dur in microseconds, one track per
+/// thread) loadable in chrome://tracing or Perfetto.
 
 namespace istc {
 class ThreadPool;
@@ -73,6 +70,7 @@ struct SpanRecord {
   std::uint64_t trace = 0;
   SpanId id = 0;
   SpanId parent = 0;
+  std::uint64_t track = 0;  ///< the closing thread's track (export tid)
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
   std::int64_t arg = -1;  ///< optional payload (point index, batch size…)
@@ -124,39 +122,34 @@ class ScopedSpan {
 void traced_for(ThreadPool* pool, std::size_t n, const char* name,
                 const std::function<void(std::size_t)>& fn);
 
-/// Records per ring; a full ring overwrites its oldest record.
+/// Records the ring holds; a full ring overwrites its oldest record.
+/// Sized so a full bench/whatif_service run drops no span.
 inline constexpr std::size_t kRingCapacity = 16384;
 
-/// Live counters over every ring (atomics; safe concurrently).
+/// The recorder's counters.
 struct RecorderStats {
-  std::uint64_t recorded = 0;  ///< spans written (wrapped ones included)
-  std::uint64_t dropped = 0;   ///< spans that overwrote an unread slot
-  std::size_t threads = 0;     ///< rings allocated
+  std::uint64_t recorded = 0;  ///< spans written (overwritten ones included)
+  std::uint64_t dropped = 0;   ///< spans pushed out of the ring by newer ones
 };
 RecorderStats recorder_stats();
 
-/// One span name's wall-clock profile, merged across every ring.
+/// One span name's wall-clock profile.
 struct StageProfile {
   std::string label;  ///< the span name with '.' replaced by '_'
   metrics::Log2Histogram ns;  ///< span durations in nanoseconds
 };
 
-/// Every span name closed since the last reset, ordered by label.  Safe
-/// while spans close on other threads: each ring's owner writes its
-/// profile as relaxed atomics, so a span closing meanwhile is either
-/// counted or missed, never torn.
+/// Every span name closed since the last reset, ordered by label.
 std::vector<StageProfile> profile_snapshot();
 
-/// Drop all recorded spans, counters and profiles, and detach every ring.
-/// For bench A/B sections and test isolation; callers must quiesce
-/// span-writing threads first.
+/// Drop all recorded spans, counters and profiles.  For bench A/B
+/// sections and test isolation.
 void reset();
 
-/// Export every recorded span as a Chrome-trace JSON array.  Writers must
-/// be quiesced (the daemon exports after serve() returns).  Spans come
-/// out grouped per ring (tid = ring allocation order; a ring holds the
-/// spans of each thread that owned it in turn) with "M" metadata naming
-/// the process, ready for chrome://tracing / Perfetto.
+/// Export the ring's records, oldest first, as a Chrome-trace JSON array:
+/// "M" metadata naming the process and one thread_name row per track
+/// (tid = the order in which threads first closed a span), then one "X"
+/// event per span, ready for chrome://tracing / Perfetto.
 void write_chrome_spans(std::ostream& out);
 void write_chrome_spans_file(const std::string& path);
 

@@ -230,7 +230,6 @@ class BatchScheduler : private sim::JobEventSink {
 
   const cluster::Machine& machine() const { return machine_; }
   const PolicySpec& policy() const { return policy_; }
-  const FairShareTracker& fairshare() const { return fairshare_; }
   sim::Engine& engine() { return engine_; }
 
   std::size_t running_count() const {

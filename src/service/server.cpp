@@ -142,9 +142,16 @@ Server::~Server() {
 }
 
 void Server::reap(bool all) {
+  if (all) {
+    // Ends the recv of a peer that neither sends nor closes.  SHUT_RD
+    // leaves the write side open, so a reply being written (the shutdown
+    // acknowledgement among them) still goes out.
+    for (const Connection& c : connections_) ::shutdown(c.fd, SHUT_RD);
+  }
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (all || it->done.load(std::memory_order_acquire)) {
       it->thread.join();
+      ::close(it->fd);
       it = connections_.erase(it);
     } else {
       ++it;
@@ -171,8 +178,11 @@ void Server::serve() {
       fail("accept");
     }
     Connection& c = connections_.emplace_back();
-    c.thread = std::thread([this, fd, &c] {
-      handle_connection(fd);
+    c.fd = fd;
+    c.thread = std::thread([this, &c] {
+      handle_connection(c.fd);
+      // The peer reads end-of-file now; reap() closes the fd.
+      ::shutdown(c.fd, SHUT_RDWR);
       c.done.store(true, std::memory_order_release);
     });
   }
@@ -217,7 +227,6 @@ void Server::handle_connection(int fd) {
           send_all(fd, http_response(404, "Not Found", "text/plain",
                                      "only /metrics is served here\n"));
         }
-        ::close(fd);
         return;
       }
     }
@@ -250,7 +259,6 @@ void Server::handle_connection(int fd) {
   if (open && !buffer.empty()) {
     send_all(fd, session_.handle_line(buffer) + "\n");
   }
-  ::close(fd);
 }
 
 std::vector<std::string> ask(const Endpoint& endpoint,

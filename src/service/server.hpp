@@ -15,9 +15,10 @@
 /// connection, one request line (at most kMaxLineBytes) in / one reply
 /// line out.  All protocol logic lives in Session::handle_line, which
 /// never throws — the transport only moves bytes.  The accept loop joins
-/// each finished connection thread, so a long-lived daemon holds stacks
-/// only for open connections.  A handled {"op":"shutdown"} makes serve()
-/// stop accepting, join the connection threads, and return.
+/// each finished connection thread and closes its socket, so a long-lived
+/// daemon holds stacks and descriptors only for open connections.  A
+/// handled {"op":"shutdown"} makes serve() stop accepting, wake the
+/// connections still waiting for a request, join them, and return.
 
 namespace istc::service {
 
@@ -40,18 +41,22 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Accept loop; returns after a shutdown request has been handled and
-  /// every connection thread has been joined.
+  /// every connection thread has been joined, idle peers' included.
   void serve();
 
  private:
-  /// One connection's thread; `done` is set as the thread exits.
+  /// One connection's socket and thread; `done` is set as the thread
+  /// exits.  The server closes `fd` after the join, so it is never shut
+  /// down or closed after the kernel has reused it.
   struct Connection {
+    int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
   };
 
   void handle_connection(int fd);
-  /// Join every connection thread (finished ones only unless `all`).
+  /// Join and close every connection (finished ones only unless `all`,
+  /// which first wakes those still blocked reading).
   void reap(bool all);
 
   Session& session_;

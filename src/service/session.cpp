@@ -632,11 +632,9 @@ std::vector<Reading> Session::readings() {
       {"obs.enabled", "istc_obs_enabled", kGauge,
        "1 when spans and the stage profile are recording", obs::enabled()},
       {"obs.spans_recorded", "istc_obs_spans_recorded", kCounter,
-       "spans recorded into the per-thread rings", rec.recorded},
+       "spans recorded into the span ring", rec.recorded},
       {"obs.spans_dropped", "istc_obs_spans_dropped", kCounter,
        "spans that overwrote an unexported ring slot", rec.dropped},
-      {"obs.span_threads", "istc_obs_span_threads", kGauge,
-       "span rings allocated", std::uint64_t{rec.threads}},
       {"profile", "istc_obs_stage_us", kSummary,
        "wall-clock stage profile (microseconds, log2-bucketed)",
        std::move(profile)},

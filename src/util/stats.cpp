@@ -54,10 +54,6 @@ Summary::Summary(std::vector<double> values) : sorted_(std::move(values)) {
   sum_ = acc.sum();
 }
 
-Summary Summary::of(std::span<const double> values) {
-  return Summary(std::vector<double>(values.begin(), values.end()));
-}
-
 double Summary::min() const {
   ISTC_EXPECTS(!sorted_.empty());
   return sorted_.front();

@@ -45,8 +45,6 @@ class Summary {
   Summary() = default;
   explicit Summary(std::vector<double> values);
 
-  static Summary of(std::span<const double> values);
-
   std::size_t count() const { return sorted_.size(); }
   bool empty() const { return sorted_.empty(); }
   double mean() const { return mean_; }

@@ -37,8 +37,6 @@ class SizeDistribution {
 
   int operator()(Rng& rng) const;
 
-  int max_cpus() const { return max_cpus_; }
-
  private:
   std::vector<int> class_cpus_;
   DiscreteSampler class_sampler_;
@@ -61,9 +59,6 @@ class RuntimeDistribution {
 
   Seconds operator()(Rng& rng) const;
 
-  Seconds min_runtime() const { return min_; }
-  Seconds max_runtime() const { return max_; }
-  double mu() const { return mu_; }
   double sigma() const { return sigma_; }
 
  private:
@@ -88,8 +83,6 @@ class EstimateModel {
                 Seconds max_estimate);
 
   Seconds operator()(Seconds runtime, Rng& rng) const;
-
-  Seconds max_estimate() const { return max_estimate_; }
 
  private:
   std::vector<Seconds> defaults_;

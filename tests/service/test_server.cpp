@@ -10,7 +10,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -89,9 +91,9 @@ std::string op_of(const std::string& reply) {
   return parsed.value.str_or("op", "");
 }
 
-/// serve() on a background thread over a per-process socket path.
-/// TearDown stops it through the session unless the test already did so
-/// over the socket.
+/// serve() on a background thread over a per-process socket path;
+/// `served_` turns true when it returns.  TearDown stops it through the
+/// session unless the test already did so over the socket.
 class ServerSocket : public ::testing::Test {
  protected:
   static SessionConfig ross() {
@@ -110,7 +112,11 @@ class ServerSocket : public ::testing::Test {
   Endpoint endpoint_{.unix_path = ::testing::TempDir() + "/istc_server_" +
                                   std::to_string(::getpid()) + ".sock"};
   Server server_{session_, endpoint_};
-  std::thread serving_{[this] { server_.serve(); }};
+  std::atomic<bool> served_{false};
+  std::thread serving_{[this] {
+    server_.serve();
+    served_.store(true);
+  }};
 };
 
 TEST_F(ServerSocket, OverlongLineGetsOneErrorThenEof) {
@@ -148,6 +154,28 @@ TEST_F(ServerSocket, OverlongHttpRequestLineGets414) {
   const std::string scrape =
       round_trip(endpoint_.unix_path, "GET /metrics HTTP/1.1\r\n\r\n");
   EXPECT_EQ(scrape.rfind("HTTP/1.1 200 ", 0), 0u) << scrape;
+}
+
+TEST_F(ServerSocket, ShutdownReturnsWithAnIdlePeer) {
+  // A peer that connects and then neither sends nor closes.  The listener
+  // accepts in connection order, so the idle peer has its connection
+  // thread before the shutdown below is read.
+  const int idle = connect_unix(endpoint_.unix_path);
+  ASSERT_GE(idle, 0) << std::strerror(errno);
+  const auto bye = ask(endpoint_, {R"({"op":"shutdown"})"});
+  ASSERT_EQ(bye.size(), 1u);
+  EXPECT_EQ(op_of(bye[0]), "shutdown");
+  // serve() must return while the idle peer stays connected.  Waiting
+  // with a deadline and closing the peer before the join turns a server
+  // that waits on it into a failure rather than a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!served_.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served_.load()) << "serve() still waits on the idle peer";
+  ::close(idle);
+  serving_.join();
 }
 
 TEST_F(ServerSocket, FinishedConnectionsAreReaped) {
